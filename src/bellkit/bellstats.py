@@ -52,6 +52,8 @@ class CoincidenceTable:
 
     def __post_init__(self):
         probs = self.probabilities
+        if not np.all(np.isfinite(probs)):
+            raise ValueError(f"{self.experiment}: probabilities must be finite, got {probs}")
         # tiny epsilon: computed probabilities land on 0 and 1 up to round-off
         if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
             raise ValueError(f"{self.experiment}: probabilities must lie in [0, 1], got {probs}")

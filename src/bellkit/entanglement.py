@@ -19,6 +19,10 @@ from .hilbert import CVec, gram, orthonormalize, svd, tensor_op
 # Outcome labels of the product basis, in component order.
 PRODUCT_LABELS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
+# Candidates per block in refute_common_product_iso.  A block's stacked
+# transports and reshuffles stay a few hundred kilobytes.
+SEARCH_BLOCK = 256
+
 
 def _state_values(state) -> np.ndarray:
     if isinstance(state, CVec):
@@ -69,11 +73,21 @@ def canonical_iso() -> Isomorphism:
     return Isomorphism(np.eye(4, dtype=complex), name="canonical")
 
 
+def _haar_unitaries(ginibre: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from Ginibre samples of shape (..., 4, 4).
+
+    QR with the phases of R's diagonal moved into Q (Mezzadri 2007), so the
+    result does not depend on LAPACK's sign convention.
+    """
+    q, r = np.linalg.qr(ginibre)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def random_isomorphism(rng: np.random.Generator) -> Isomorphism:
-    """A Haar-distributed isomorphism (Gram-Schmidt of a Ginibre sample)."""
+    """A Haar-distributed isomorphism (QR of a Ginibre sample)."""
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    cols = orthonormalize([z[:, k] for k in range(4)], order=(0, 1, 2, 3))
-    return Isomorphism(np.column_stack(cols), name="random")
+    return Isomorphism(_haar_unitaries(z), name="random")
 
 
 def canonical_iso_of(measurement) -> Isomorphism:
@@ -201,12 +215,13 @@ def reshuffle(matrix) -> np.ndarray:
                                                     [1, 0, 0, -1],
                                                     [0, 0, 0,  0]],
 
-    which has a single nonzero singular value 2 = ||A||_HS ||B||_HS.
+    which has a single nonzero singular value 2 = ||A||_HS ||B||_HS.  A stack
+    of shape (..., 4, 4) is reshuffled matrix by matrix.
     """
     t = np.asarray(matrix, dtype=complex)
-    if t.shape != (4, 4):
-        raise ValueError("reshuffle expects a 4x4 matrix")
-    return t.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    if t.shape[-2:] != (4, 4):
+        raise ValueError("reshuffle expects a 4x4 matrix or a stack of them")
+    return t.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(t.shape)
 
 
 def _operator_schmidt_of_transported(transported: np.ndarray) -> OperatorSchmidt:
@@ -377,25 +392,38 @@ def refute_common_product_iso(operators, extra_isos=(), n_trials: int = 10_000,
                               seed: int = 0, rank_tol: float = 1e-7) -> ProductIsoSearchResult:
     """Search for one isomorphism rendering every operator product.
 
-    Tries ``n_trials`` seeded Haar-random isomorphisms plus any supplied
-    ``extra_isos`` (typically each measurement's own canonical
-    identification).  Returns as soon as some isomorphism makes all
-    operators product; a not-found result is evidence — not proof — that no
-    such isomorphism exists.
+    Candidates are the supplied ``extra_isos`` (typically each measurement's
+    own canonical identification) followed by ``n_trials`` seeded
+    Haar-random isomorphisms, drawn exactly as ``random_isomorphism`` draws
+    them from ``np.random.default_rng(seed)``.  They are tested in blocks of
+    SEARCH_BLOCK: each operator in turn is transported through the
+    candidates still alive, reshuffled, and kept only where its operator
+    Schmidt rank is 1.  The witness is the first candidate that survives
+    every operator and ``trials`` is its 1-based position in the candidate
+    order; when none survives, ``trials`` counts every candidate.  A
+    not-found result is evidence — not proof — that no such isomorphism
+    exists.
     """
     ops = [np.asarray(getattr(op, "values", op), dtype=complex) for op in operators]
     rng = np.random.default_rng(seed)
-    candidates = list(extra_isos)
-    trials = 0
-    for k in range(n_trials + len(candidates)):
-        iso = candidates[k] if k < len(candidates) else random_isomorphism(rng)
-        trials += 1
-        all_product = True
+    extra = list(extra_isos)
+    total = len(extra) + n_trials
+    for start in range(0, total, SEARCH_BLOCK):
+        stop = min(start + SEARCH_BLOCK, total)
+        fixed = [iso.matrix for iso in extra[start:stop]]
+        n_random = stop - start - len(fixed)
+        z = rng.standard_normal((n_random, 2, 4, 4))
+        block = np.concatenate(
+            [np.reshape(fixed, (-1, 4, 4)), _haar_unitaries(z[:, 0] + 1j * z[:, 1])]
+        )
+        alive = np.arange(stop - start)
         for op in ops:
-            transported = iso.transport(op)
-            if _operator_schmidt_of_transported(transported).rank(rank_tol) != 1:
-                all_product = False
-                break
-        if all_product:
-            return ProductIsoSearchResult(found=True, witness=iso, trials=trials)
-    return ProductIsoSearchResult(found=False, witness=None, trials=trials)
+            u = block[alive]
+            transported = u @ op @ u.conj().swapaxes(-1, -2)
+            sigma = np.linalg.svd(reshuffle(transported), compute_uv=False)
+            alive = alive[np.sum(sigma > rank_tol * sigma[:, :1], axis=1) == 1]
+        if alive.size:
+            k = start + int(alive[0])
+            witness = extra[k] if k < len(extra) else Isomorphism(block[alive[0]], name="random")
+            return ProductIsoSearchResult(found=True, witness=witness, trials=k + 1)
+    return ProductIsoSearchResult(found=False, witness=None, trials=total)

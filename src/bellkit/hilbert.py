@@ -7,8 +7,7 @@ exchanged in data files.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,7 +127,6 @@ class SVDResult:
     u: np.ndarray
     sigma: np.ndarray
     vh: np.ndarray
-    sweeps: int = field(default=0, compare=False)
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
@@ -164,18 +162,8 @@ def inner(u, v) -> complex:
 
 def gram(vectors) -> np.ndarray:
     """Gram matrix G[i, j] = <v_i | v_j> of a sequence of vectors."""
-    vs = [_values(v) for v in vectors]
-    k = len(vs)
-    g = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            g[i, j] = np.vdot(vs[i], vs[j])
-    return g
-
-
-def max_abs_diff(a, b) -> float:
-    """Largest entrywise modulus of the difference of two arrays."""
-    return float(np.max(np.abs(_values(a) - _values(b))))
+    v = np.array([_values(x) for x in vectors])
+    return v.conj() @ v.T
 
 
 def orthonormalize(vectors, order=None, tol: float = 1e-6):
@@ -224,117 +212,29 @@ def orthonormalize(vectors, order=None, tol: float = 1e-6):
     return out
 
 
-def _complete_column(existing: list, dim: int) -> np.ndarray:
-    """A unit vector orthogonal to every vector in ``existing``."""
-    for k in range(dim):
-        w = np.zeros(dim, dtype=complex)
-        w[k] = 1.0
-        for u in existing:
-            w = w - np.vdot(u, w) * u
-        n = np.linalg.norm(w)
-        if n > 1e-7:
-            return w / n
-    raise ValueError("could not complete an orthonormal basis")
-
-
-def svd(matrix, max_sweeps: int = 200, tol: float = 1e-14) -> SVDResult:
-    """Singular value decomposition by one-sided complex Jacobi rotations.
-
-    Columns are rotated pairwise until all column pairs are orthogonal to a
-    relative tolerance of ``tol``; singular values are the final column
-    norms.  Designed for the small dense matrices this package works with
-    (2x2 and 4x4); accepts any rectangular complex matrix.
+def svd(matrix) -> SVDResult:
+    """Thin singular value decomposition by numpy (LAPACK).
 
     Parameters
     ----------
     matrix : array-like
-        Input matrix M (m x n).
-    max_sweeps : int
-        Hard cap on full sweeps before giving up.
-    tol : float
-        Relative off-diagonal threshold |<a_p, a_q>| / (|a_p||a_q|).
+        Input matrix M (m x n), real or complex.
 
     Returns
     -------
     SVDResult
-        With u (m x n), sigma (n,), vh (n x n) and M = u @ diag(sigma) @ vh.
+        With u (m x k), sigma (k,) and vh (k x n), k = min(m, n), and
+        M = u @ diag(sigma) @ vh.
 
     Raises
     ------
-    ConvergenceError
-        If the sweep cap is hit; the exception carries the residual.
+    ValueError
+        If the input is not 2-D or has a NaN or infinite entry.
     """
-    m_in = _values(matrix)
-    if m_in.ndim != 2:
+    m = _values(matrix)
+    if m.ndim != 2:
         raise ValueError("svd expects a matrix")
-    m, n = m_in.shape
-    if m < n:
-        # svd(M†) = U Σ V†  →  M = V Σ U†
-        flipped = svd(m_in.conj().T, max_sweeps=max_sweeps, tol=tol)
-        return SVDResult(
-            u=flipped.vh.conj().T,
-            sigma=flipped.sigma,
-            vh=flipped.u.conj().T,
-            sweeps=flipped.sweeps,
-        )
-
-    a = m_in.astype(complex).copy()
-    v = np.eye(n, dtype=complex)
-    sweeps_used = max_sweeps
-    residual = 0.0
-    for sweep in range(max_sweeps):
-        residual = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = float(np.real(np.vdot(a[:, p], a[:, p])))
-                beta = float(np.real(np.vdot(a[:, q], a[:, q])))
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                gamma = complex(np.vdot(a[:, p], a[:, q]))
-                g = abs(gamma)
-                scale = math.sqrt(alpha * beta)
-                if g <= tol * scale:
-                    continue
-                residual = max(residual, g / scale)
-                phase = gamma / g  # e^{i phi}
-                tau = (alpha - beta) / (2.0 * g)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap + s * np.conj(phase) * aq
-                a[:, q] = -s * phase * ap + c * aq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp + s * np.conj(phase) * vq
-                v[:, q] = -s * phase * vp + c * vq
-        if residual == 0.0:
-            sweeps_used = sweep + 1
-            break
-    else:
-        raise ConvergenceError(
-            f"Jacobi SVD did not converge in {max_sweeps} sweeps "
-            f"(relative off-diagonal residual {residual:.3e})",
-            residual,
-        )
-
-    sigma = np.linalg.norm(a, axis=0)
-    idx = np.argsort(-sigma, kind="stable")
-    sigma = sigma[idx]
-    a = a[:, idx]
-    v = v[:, idx]
-
-    u = np.zeros((m, n), dtype=complex)
-    sigma_max = sigma[0] if sigma.size else 0.0
-    nonzero_cols: list = []
-    for k in range(n):
-        if sigma_max > 0.0 and sigma[k] > 1e-15 * sigma_max:
-            u[:, k] = a[:, k] / sigma[k]
-            nonzero_cols.append(u[:, k])
-        else:
-            sigma[k] = 0.0
-            u[:, k] = _complete_column(nonzero_cols, m)
-            nonzero_cols.append(u[:, k])
-    return SVDResult(u=u, sigma=sigma, vh=v.conj().T, sweeps=sweeps_used)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("svd expects finite entries")
+    u, sigma, vh = np.linalg.svd(m, full_matrices=False)
+    return SVDResult(u=u, sigma=sigma, vh=vh)

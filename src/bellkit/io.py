@@ -42,10 +42,14 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"non-finite number {name} is not allowed")
+
+
 def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
     except OSError as exc:

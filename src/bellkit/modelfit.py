@@ -243,10 +243,6 @@ def _unitary_from_hermitian(h: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def n_params(dim: int) -> int:
-    return dim * dim
-
-
 def _unitary_full(theta: np.ndarray) -> np.ndarray:
     return _unitary_from_hermitian(_hermitian_from_params(theta, 4))
 

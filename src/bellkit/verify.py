@@ -102,8 +102,11 @@ def _unitary2(rng: np.random.Generator) -> np.ndarray:
 
 
 def _product_family(inverse: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> list:
-    """Pull the product basis ua[:, i] (x) ub[:, j] back through an isomorphism."""
-    return [inverse @ tensor(ua[:, i], ub[:, j]) for i in (0, 1) for j in (0, 1)]
+    """Pull the product basis ua[:, i] (x) ub[:, j] back through an isomorphism.
+
+    Column 2i + j of kron(ua, ub) is ua[:, i] (x) ub[:, j].
+    """
+    return list((inverse @ np.kron(ua, ub)).T)
 
 
 def _table_of(family, psi, key: str) -> CoincidenceTable:

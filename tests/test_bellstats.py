@@ -65,6 +65,11 @@ class TestCoincidenceTable:
         with pytest.raises(ValueError, match="sum to"):
             CoincidenceTable("AB", 0.5, 0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_probability(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CoincidenceTable("AB", bad, 0.5, 0.25, 0.25)
+
     def test_rounded_source_tolerance(self):
         t = CoincidenceTable("A'B", *ROUNDED["A'B"], sum_tol=0.005)  # sums to 0.999
         assert t.probabilities.sum() == pytest.approx(0.999)

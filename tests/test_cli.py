@@ -109,6 +109,21 @@ def test_analyze_domain_error_exit_code(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["fit", "--restarts", "1"]])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_probability_is_a_parse_error(tmp_path, capsys, command, literal):
+    doc = json.loads(Path(PROBS_FILE).read_text(encoding="utf-8"))
+    doc["coincidence"]["AB"]["probabilities"][0] = "PLACEHOLDER"
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal), encoding="utf-8")
+    code = main([command[0], str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.count("error:") == 1
+    assert captured.err.startswith("error:") and literal in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_analyze_unknown_field_warns_then_strict_rejects(tmp_path, capsys):
     doc = json.loads(Path(COUNTS_FILE).read_text(encoding="utf-8"))
     doc["lab_notes"] = "April"

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bellkit import entanglement
 from bellkit.entanglement import (
     Evolution,
     Isomorphism,
@@ -78,6 +79,21 @@ def test_apply_iso_preserves_norm():
         iso = random_isomorphism(rng)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         assert np.linalg.norm(iso.apply(v)) == pytest.approx(np.linalg.norm(v), abs=1e-12)
+
+
+def test_random_isomorphism_is_the_phase_fixed_qr_factor():
+    # Haar measure needs Z = U R with R upper triangular and a positive
+    # diagonal; a bare LAPACK Q leaves R's diagonal phases arbitrary.
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        state = rng.bit_generator.state
+        iso = random_isomorphism(rng)
+        rng.bit_generator.state = state
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        r = iso.matrix.conj().T @ z
+        assert np.max(np.abs(np.tril(r, -1))) <= 1e-12
+        assert np.max(np.abs(np.diag(r).imag)) <= 1e-12
+        assert np.all(np.diag(r).real > 0.0)
 
 
 def test_isomorphism_requires_unitary_matrix():
@@ -461,6 +477,44 @@ def test_search_finds_witness_when_one_exists():
     assert result.found
     assert result.trials == 1
     assert result.witness is iso
+
+
+def test_search_candidates_are_the_seeded_random_isomorphisms(monkeypatch):
+    # 2 extras + 600 draws span three blocks; record every random candidate.
+    _, models, _ = reference_fixture()
+    operators = [models[k].operator for k in ("AB", "AB'", "A'B", "A'B'")]
+    extra = [canonical_iso_of(models["AB"]), canonical_iso_of(models["A'B'"])]
+    drawn = []
+
+    def recording(ginibre):
+        out = haar(ginibre)
+        drawn.extend(out)
+        return out
+
+    haar = entanglement._haar_unitaries
+    monkeypatch.setattr(entanglement, "_haar_unitaries", recording)
+    result = refute_common_product_iso(operators, extra_isos=extra, n_trials=600, seed=5)
+    monkeypatch.undo()
+    assert not result.found and result.trials == 602
+    assert len(drawn) == 600
+    rng = np.random.default_rng(5)
+    for k, candidate in enumerate(drawn):
+        assert np.array_equal(candidate, random_isomorphism(rng).matrix), k
+
+
+def test_search_finds_witness_beyond_the_first_block():
+    k = entanglement.SEARCH_BLOCK + 45
+    rng = np.random.default_rng(21)
+    for _ in range(k):
+        iso = random_isomorphism(rng)
+    factor_rng = np.random.default_rng(22)
+    ops = [product_measurement(factor_rng, iso)[0].operator for _ in range(4)]
+    extra = (canonical_iso(), canonical_iso())
+    result = refute_common_product_iso(ops, extra_isos=extra, n_trials=k + 100, seed=21)
+    assert result.found
+    assert result.trials == len(extra) + k
+    assert np.array_equal(result.witness.matrix, iso.matrix)
+    assert result.witness.name == "random"
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,21 @@ def test_svd_rectangular_shapes():
         np.testing.assert_allclose(res.sigma, singular_values_by_charpoly(m)[: res.sigma.size], atol=1e-8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_svd_rejects_non_finite_entries(bad):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        svd(m)
+
+
+def test_svd_rejects_non_matrix_input():
+    with pytest.raises(ValueError, match="matrix"):
+        svd(np.ones(4))
+    with pytest.raises(ValueError, match="matrix"):
+        svd(np.ones((2, 2, 2)))
+
+
 def test_tensor_norm_invariant():
     rng = np.random.default_rng(101)
     for _ in range(200):
