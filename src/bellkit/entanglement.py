@@ -154,8 +154,10 @@ class OperatorSchmidt:
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
-        hs_sq = float(np.sum(np.abs(self.transported) ** 2))
-        if abs(float(np.sum(self.sigma**2)) - hs_sq) > 1e-9 * max(hs_sq, 1.0):
+        # Both sides divided by the largest entry, so that no square can overflow.
+        peak = float(np.max(np.abs(self.transported))) or 1.0
+        hs_sq = float(np.sum(np.abs(self.transported / peak) ** 2))
+        if abs(float(np.sum((self.sigma / peak) ** 2)) - hs_sq) > 1e-9 * hs_sq:
             raise ValueError("sum sigma^2 must equal the squared Hilbert-Schmidt norm")
 
     def rank(self, rank_tol: float = 1e-7) -> int:
@@ -275,11 +277,11 @@ def measurement_entanglement_degree(operator, iso: Isomorphism | None = None) ->
     Zero exactly for product measurements; approaches 1 - 1/k when k Schmidt
     coefficients are equal.
     """
-    decomposition = operator_schmidt(operator, iso)
-    total = float(np.sum(decomposition.sigma**2))
-    if total == 0.0:
+    sigma = operator_schmidt(operator, iso).sigma
+    if sigma[0] == 0.0:
         raise ValueError("entanglement degree undefined for the zero operator")
-    return 1.0 - float(decomposition.sigma[0] ** 2) / total
+    # Scaled by the largest coefficient, so that no square can overflow.
+    return 1.0 - 1.0 / float(np.sum((sigma / sigma[0]) ** 2))
 
 
 def evolution_between(source_model, target_model) -> Evolution:

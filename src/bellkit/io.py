@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from .bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset, SinglesTable
 
@@ -46,47 +47,82 @@ def _reject_constant(name: str):
     raise ParseError(f"non-finite number {name} is not allowed")
 
 
-def _load_json(path) -> dict:
+def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant)
+    except ParseError:
+        raise
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: invalid byte at offset {exc.start}") from exc
+    except ValueError as exc:  # an integer literal over the int/str conversion digit limit
+        raise ParseError("integer literal has too many digits") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from exc
     except OSError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _header(doc, kind, fields, strict: bool, warnings: list) -> None:
+    """Checks every file starts with, in order: top level an object, unknown
+    top-level fields (``fields`` plus ``schema_version`` and ``kind``), the
+    schema version, the kind.  Datasets have no kind field and pass None."""
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be an object")
+    allowed = {"schema_version", *fields} | ({"kind"} if kind is not None else set())
+    _check_unknown(doc, allowed, "", strict, warnings)
+    version = _require(doc, "schema_version", int, "")
+    if version != SCHEMA_VERSION:
+        raise ParseError(f"unsupported schema_version {version}")
+    if kind is not None:
+        found = doc.get("kind", kind)
+        if found != kind:
+            raise ParseError(f"expected kind {kind!r}, got {found!r}")
+
+
+def _number(value, what: str, location: str) -> float:
+    """``value`` as a finite float; ``what`` is the message if it is not a
+    number (booleans are not), extended for one beyond the float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(what, location)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{what} within the float range", location)
+    return number
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(mapping: dict, key: str, kind, location: str):
     if key not in mapping:
         raise ParseError(f"missing required field {key!r}", location)
     value = mapping[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"field {key!r} must be a number", location)
-        return float(value)
-    if not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ParseError(f"field {key!r} must be {kind.__name__}", location)
     return value
 
 
-def _check_unknown(mapping: dict, allowed, location: str, strict: bool, warnings: list):
-    unknown = [k for k in mapping if k not in allowed]
-    for key in unknown:
-        message = f"{location}: unknown field {key!r}" if location else f"unknown field {key!r}"
-        if strict:
-            raise ParseError(f"unknown field {key!r}", location)
-        warnings.append(message)
+def _check_unknown(mapping: dict, allowed, location: str, strict: bool, warnings: list,
+                   noun: str = "field"):
+    for key in mapping:
+        if key not in allowed:
+            error = ParseError(f"unknown {noun} {key!r}", location)
+            if strict:
+                raise error
+            warnings.append(str(error))
 
 
 def _number_list(value, length: int, location: str) -> list:
     if not isinstance(value, list) or len(value) != length:
         raise ParseError(f"expected a list of {length} numbers", location)
-    out = []
-    for i, x in enumerate(value):
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise ParseError(f"entry {i} must be a number", location)
-        out.append(float(x))
-    return out
+    return [_number(x, f"entry {i} must be a number", location) for i, x in enumerate(value)]
 
 
 def _outcome_labels(block: dict, location: str):
@@ -108,23 +144,16 @@ def parse_dataset_file(path, strict: bool = False, sum_tol: float = 0.005):
     each table's probability sum from 1 (rounded published tables need the
     loose default).
     """
-    doc = _load_json(path)
+    return parse_dataset_doc(_load_json(path), strict=strict, sum_tol=sum_tol)
+
+
+def parse_dataset_doc(doc, strict: bool = False, sum_tol: float = 0.005):
+    """parse_dataset_file for an already decoded JSON document."""
     warnings: list = []
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    _check_unknown(
-        doc,
-        {"schema_version", "experiment", "n_subjects", "coincidence", "singles"},
-        "",
-        strict,
-        warnings,
-    )
-    version = _require(doc, "schema_version", int, "")
-    if version != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {version}")
+    _header(doc, None, {"experiment", "n_subjects", "coincidence", "singles"}, strict, warnings)
     name = _require(doc, "experiment", str, "")
     n_subjects = doc.get("n_subjects")
-    if n_subjects is not None and (not isinstance(n_subjects, int) or n_subjects <= 0):
+    if n_subjects is not None and not (_is_int(n_subjects) and n_subjects > 0):
         raise ParseError("field 'n_subjects' must be a positive integer")
     coincidence = _require(doc, "coincidence", dict, "")
 
@@ -146,11 +175,7 @@ def parse_dataset_file(path, strict: bool = False, sum_tol: float = 0.005):
             raise ParseError("block needs exactly one of 'probabilities' or 'counts'", location)
         if has_counts:
             raw = block["counts"]
-            if (
-                not isinstance(raw, list)
-                or len(raw) != 4
-                or not all(isinstance(c, int) and not isinstance(c, bool) for c in raw)
-            ):
+            if not isinstance(raw, list) or len(raw) != 4 or not all(map(_is_int, raw)):
                 raise ParseError("field 'counts' must be a list of 4 integers", location)
             if n_subjects is None:
                 raise ParseError("counts blocks require 'n_subjects'", location)
@@ -162,12 +187,7 @@ def parse_dataset_file(path, strict: bool = False, sum_tol: float = 0.005):
             tables[key] = CoincidenceTable(
                 key, *probs, a_labels=a_labels, b_labels=b_labels, sum_tol=sum_tol
             )
-    extra_blocks = [k for k in coincidence if k not in EXPERIMENT_KEYS]
-    for key in extra_blocks:
-        message = f"coincidence: unknown block {key!r}"
-        if strict:
-            raise ParseError(f"unknown block {key!r}", "coincidence")
-        warnings.append(message)
+    _check_unknown(coincidence, EXPERIMENT_KEYS, "coincidence", strict, warnings, noun="block")
 
     singles = None
     if "singles" in doc:
@@ -240,40 +260,40 @@ def write_dataset_file(dataset: ExperimentDataset, path) -> None:
 # state, model, and operator files (plain-structure layer; domain objects
 # are built in modelfit)
 
-def _parse_polar_vector(entry: dict, dim: int, location: str, strict: bool, warnings: list,
-                        extra_keys: frozenset = frozenset()) -> dict:
+_STATE_FIELDS = ("amplitudes", "phases_deg", "provenance")
+_POLAR_FIELDS = _STATE_FIELDS[:2]
+
+
+def _polar(entry: dict, location: str) -> dict:
+    return {
+        name: _number_list(_require(entry, name, list, location), 4, location)
+        for name in _POLAR_FIELDS
+    }
+
+
+def _parse_polar_vector(entry, location: str, strict: bool, warnings: list) -> dict:
     if not isinstance(entry, dict):
         raise ParseError("expected an object with amplitudes and phases", location)
-    _check_unknown(entry, {"amplitudes", "phases_deg"} | extra_keys, location, strict, warnings)
-    return {
-        "amplitudes": _number_list(_require(entry, "amplitudes", list, location), dim, location),
-        "phases_deg": _number_list(_require(entry, "phases_deg", list, location), dim, location),
-    }
+    _check_unknown(entry, _POLAR_FIELDS, location, strict, warnings)
+    return _polar(entry, location)
+
+
+def _state_content(entry: dict, location: str) -> dict:
+    """Amplitudes, phases and provenance of a state file or a model's state block."""
+    content = _polar(entry, location)
+    provenance = entry.get("provenance", "user")
+    if provenance not in ("reference", "fitted", "user"):
+        raise ParseError(f"unknown provenance {provenance!r}", location)
+    content["provenance"] = provenance
+    return content
 
 
 def parse_state_file(path, strict: bool = False):
     """Parse a state file into a plain dict; returns (content, warnings)."""
     doc = _load_json(path)
     warnings: list = []
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    _check_unknown(
-        doc, {"schema_version", "kind", "amplitudes", "phases_deg", "provenance"}, "", strict, warnings
-    )
-    version = _require(doc, "schema_version", int, "")
-    if version != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {version}")
-    kind = doc.get("kind", "state")
-    if kind != "state":
-        raise ParseError(f"expected kind 'state', got {kind!r}")
-    content = _parse_polar_vector(
-        doc, 4, "", strict, warnings, extra_keys=frozenset({"schema_version", "kind", "provenance"})
-    )
-    provenance = doc.get("provenance", "user")
-    if provenance not in ("reference", "fitted", "user"):
-        raise ParseError(f"unknown provenance {provenance!r}")
-    content["provenance"] = provenance
-    return content, warnings
+    _header(doc, "state", _STATE_FIELDS, strict, warnings)
+    return _state_content(doc, ""), warnings
 
 
 def state_to_dict(amplitudes, phases_deg, provenance: str) -> dict:
@@ -288,31 +308,20 @@ def state_to_dict(amplitudes, phases_deg, provenance: str) -> dict:
 
 def parse_model_file(path, strict: bool = False):
     """Parse a model file (state + four measurement bases) into plain dicts."""
-    doc = _load_json(path)
+    return parse_model_doc(_load_json(path), strict=strict)
+
+
+def parse_model_doc(doc, strict: bool = False):
+    """parse_model_file for an already decoded JSON document."""
     warnings: list = []
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    _check_unknown(doc, {"schema_version", "kind", "state", "measurements"}, "", strict, warnings)
-    version = _require(doc, "schema_version", int, "")
-    if version != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {version}")
-    kind = doc.get("kind", "model")
-    if kind != "model":
-        raise ParseError(f"expected kind 'model', got {kind!r}")
+    _header(doc, "model", {"state", "measurements"}, strict, warnings)
     content: dict = {"state": None, "measurements": {}}
     if "state" in doc:
         state_block = doc["state"]
-        location = "state"
         if not isinstance(state_block, dict):
-            raise ParseError("must be an object", location)
-        state = _parse_polar_vector(
-            state_block, 4, location, strict, warnings, extra_keys=frozenset({"provenance"})
-        )
-        provenance = state_block.get("provenance", "user")
-        if provenance not in ("reference", "fitted", "user"):
-            raise ParseError(f"unknown provenance {provenance!r}", location)
-        state["provenance"] = provenance
-        content["state"] = state
+            raise ParseError("must be an object", "state")
+        _check_unknown(state_block, _STATE_FIELDS, "state", strict, warnings)
+        content["state"] = _state_content(state_block, "state")
     measurements = _require(doc, "measurements", dict, "")
     for key in EXPERIMENT_KEYS:
         if key not in measurements:
@@ -330,7 +339,7 @@ def parse_model_file(path, strict: bool = False):
         if len(raw_vectors) != 4:
             raise ParseError("field 'eigenvectors' must list four vectors", location)
         vectors = [
-            _parse_polar_vector(v, 4, f"{location}.eigenvectors[{i}]", strict, warnings)
+            _parse_polar_vector(v, f"{location}.eigenvectors[{i}]", strict, warnings)
             for i, v in enumerate(raw_vectors)
         ]
         content["measurements"][key] = {
@@ -339,11 +348,7 @@ def parse_model_file(path, strict: bool = False):
             "eigenvalues": eigenvalues,
             "eigenvectors": vectors,
         }
-    unknown_blocks = [k for k in measurements if k not in EXPERIMENT_KEYS]
-    for key in unknown_blocks:
-        if strict:
-            raise ParseError(f"unknown measurement block {key!r}", "measurements")
-        warnings.append(f"measurements: unknown block {key!r}")
+    _check_unknown(measurements, EXPERIMENT_KEYS, "measurements", strict, warnings, noun="block")
     return content, warnings
 
 
@@ -387,15 +392,7 @@ def parse_operator_file(path, strict: bool = False):
     """Parse an operator file into a 4x4 complex matrix (as nested lists)."""
     doc = _load_json(path)
     warnings: list = []
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    _check_unknown(doc, {"schema_version", "kind", "matrix"}, "", strict, warnings)
-    version = _require(doc, "schema_version", int, "")
-    if version != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {version}")
-    kind = doc.get("kind", "operator")
-    if kind != "operator":
-        raise ParseError(f"expected kind 'operator', got {kind!r}")
+    _header(doc, "operator", {"matrix"}, strict, warnings)
     matrix = _require(doc, "matrix", list, "")
     if len(matrix) != 4:
         raise ParseError("field 'matrix' must have 4 rows")
@@ -407,11 +404,9 @@ def parse_operator_file(path, strict: bool = False):
         for j, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != 2:
                 raise ParseError(f"entry ({i},{j}) must be a [re, im] pair", "matrix")
-            re, im = cell
-            for part in (re, im):
-                if not isinstance(part, (int, float)) or isinstance(part, bool):
-                    raise ParseError(f"entry ({i},{j}) must hold numbers", "matrix")
-            entries.append(complex(float(re), float(im)))
+            what = f"entry ({i},{j}) must hold numbers"
+            re, im = (_number(part, what, "matrix") for part in cell)
+            entries.append(complex(re, im))
         rows.append(entries)
     return rows, warnings
 

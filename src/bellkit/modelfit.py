@@ -6,8 +6,8 @@ self-adjoint operator they synthesize.  Published bases arrive rounded, so
 models keep both the raw vectors and their orthonormal repair.
 
 The fitting routines parametrize unitaries as exp(iH) with H Hermitian and
-minimize squared probability misfits by seeded, restarted coordinate search;
-see FitConfig for the knobs.
+minimize squared probability misfits by seeded, restarted coordinate search
+under a fixed step schedule; FitConfig sets seed, budgets and target misfit.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from . import io
-from .bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset, SinglesTable
+from .bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset
 from .hilbert import CVec, gram, orthonormalize, tensor
 
 _EIGENVALUE_PATTERN = (1.0, -1.0, -1.0, 1.0)
@@ -180,17 +180,12 @@ def expectation_from_model(state, model: ObservableModel) -> float:
 
 @dataclass
 class FitConfig:
-    """Knobs of the seeded coordinate-search optimizer."""
+    """Seed, budgets, and target misfit of the seeded coordinate searches."""
 
     seed: int = 0
     max_iterations: int = 400
     restarts: int = 64
     target_misfit: float = 1e-10
-    initial_step: float = 0.4
-    step_grow: float = 1.6
-    step_shrink: float = 0.5
-    min_step: float = 1e-9
-    stall_passes: int = 40
 
     def __post_init__(self):
         if self.target_misfit <= 0:
@@ -253,9 +248,17 @@ def _unitary_product(theta: np.ndarray) -> np.ndarray:
     return np.kron(ua, ub)
 
 
+# Step schedule of _coordinate_descent.
+_INITIAL_STEP = 0.4
+_STEP_GROW = 1.6
+_STEP_SHRINK = 0.5
+_MIN_STEP = 1e-9
+_STALL_PASSES = 40
+
+
 def _coordinate_descent(objective, theta: np.ndarray, cfg: FitConfig, rng) -> tuple:
     """Adaptive per-coordinate search under a cosine-decay step envelope."""
-    steps = np.full(theta.size, cfg.initial_step)
+    steps = np.full(theta.size, _INITIAL_STEP)
     best = objective(theta)
     trace = [best]
     evaluations = 0
@@ -263,8 +266,8 @@ def _coordinate_descent(objective, theta: np.ndarray, cfg: FitConfig, rng) -> tu
     for p in range(cfg.max_iterations):
         if best <= cfg.target_misfit:
             break
-        envelope = cfg.min_step + 0.5 * (1.0 + math.cos(math.pi * p / cfg.max_iterations)) * (
-            cfg.initial_step - cfg.min_step
+        envelope = _MIN_STEP + 0.5 * (1.0 + math.cos(math.pi * p / cfg.max_iterations)) * (
+            _INITIAL_STEP - _MIN_STEP
         )
         improved = False
         for i in rng.permutation(theta.size):
@@ -282,17 +285,17 @@ def _coordinate_descent(objective, theta: np.ndarray, cfg: FitConfig, rng) -> tu
                     accepted = True
                     break
             if accepted:
-                steps[i] = min(steps[i] * cfg.step_grow, cfg.initial_step)
+                steps[i] = min(steps[i] * _STEP_GROW, _INITIAL_STEP)
                 improved = True
             else:
-                steps[i] = max(steps[i] * cfg.step_shrink, cfg.min_step)
+                steps[i] = max(steps[i] * _STEP_SHRINK, _MIN_STEP)
         if improved:
             passes_since_improvement = 0
         else:
             passes_since_improvement += 1
-        if passes_since_improvement >= cfg.stall_passes:
+        if passes_since_improvement >= _STALL_PASSES:
             break
-        if np.all(steps <= cfg.min_step):
+        if np.all(steps <= _MIN_STEP):
             break
     return theta, best, trace, evaluations
 
@@ -644,38 +647,39 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
 # ---------------------------------------------------------------------------
 # file loading and the reference fixture
 
-def load_state(path, strict: bool = False) -> StateVector:
-    """Load a state file into a StateVector."""
-    content, _ = io.parse_state_file(path, strict=strict)
+def _state_from_content(block: dict) -> StateVector:
     return StateVector(
-        CVec.from_polar_deg(content["amplitudes"], content["phases_deg"]),
-        provenance=content["provenance"],
+        CVec.from_polar_deg(block["amplitudes"], block["phases_deg"]),
+        provenance=block["provenance"],
     )
 
 
-def load_model(path, strict: bool = False) -> tuple:
-    """Load a model file; returns (StateVector or None, dict of ObservableModel)."""
-    content, _ = io.parse_model_file(path, strict=strict)
-    state = None
-    if content["state"] is not None:
-        block = content["state"]
-        state = StateVector(
-            CVec.from_polar_deg(block["amplitudes"], block["phases_deg"]),
-            provenance=block["provenance"],
-        )
-    models = {}
-    for key, block in content["measurements"].items():
-        vectors = [
-            CVec.from_polar_deg(v["amplitudes"], v["phases_deg"]) for v in block["eigenvectors"]
-        ]
-        models[key] = synthesize(
-            vectors,
+def _model_from_content(content: dict) -> tuple:
+    """(StateVector or None, dict of ObservableModel) from parsed model-file content."""
+    state = None if content["state"] is None else _state_from_content(content["state"])
+    models = {
+        key: synthesize(
+            [CVec.from_polar_deg(v["amplitudes"], v["phases_deg"]) for v in block["eigenvectors"]],
             eigenvalues=tuple(block["eigenvalues"]),
             experiment=key,
             a_labels=tuple(block["a_labels"]),
             b_labels=tuple(block["b_labels"]),
         )
+        for key, block in content["measurements"].items()
+    }
     return state, models
+
+
+def load_state(path, strict: bool = False) -> StateVector:
+    """Load a state file into a StateVector."""
+    content, _ = io.parse_state_file(path, strict=strict)
+    return _state_from_content(content)
+
+
+def load_model(path, strict: bool = False) -> tuple:
+    """Load a model file; returns (StateVector or None, dict of ObservableModel)."""
+    content, _ = io.parse_model_file(path, strict=strict)
+    return _model_from_content(content)
 
 
 def _data_text(name: str) -> str:
@@ -684,9 +688,10 @@ def _data_text(name: str) -> str:
 
 @lru_cache(maxsize=None)
 def _fixture_docs() -> tuple:
-    model_doc = json.loads(_data_text("reference_model.json"))
+    """Parsed content of the reference model file, and the decoded dataset document."""
+    model_content, _ = io.parse_model_doc(json.loads(_data_text("reference_model.json")))
     dataset_doc = json.loads(_data_text("reference_dataset_counts.json"))
-    return model_doc, dataset_doc
+    return model_content, dataset_doc
 
 
 def reference_fixture() -> tuple:
@@ -697,49 +702,9 @@ def reference_fixture() -> tuple:
     the published table; amplitudes and phases of the state and the sixteen
     eigenvectors are the printed two-decimal values.
     """
-    model_doc, dataset_doc = _fixture_docs()
-
-    state_block = model_doc["state"]
-    state = StateVector(
-        CVec.from_polar_deg(state_block["amplitudes"], state_block["phases_deg"]),
-        provenance="reference",
-    )
-
-    models = {}
-    for key in EXPERIMENT_KEYS:
-        block = model_doc["measurements"][key]
-        vectors = [
-            CVec.from_polar_deg(v["amplitudes"], v["phases_deg"]) for v in block["eigenvectors"]
-        ]
-        models[key] = synthesize(
-            vectors,
-            eigenvalues=tuple(block["eigenvalues"]),
-            experiment=key,
-            a_labels=tuple(block["a_labels"]),
-            b_labels=tuple(block["b_labels"]),
-        )
-
-    tables = {}
-    for key in EXPERIMENT_KEYS:
-        block = dataset_doc["coincidence"][key]
-        tables[key] = CoincidenceTable.from_counts(
-            key,
-            tuple(block["counts"]),
-            dataset_doc["n_subjects"],
-            a_labels=tuple(block["a_labels"]),
-            b_labels=tuple(block["b_labels"]),
-        )
-    singles_block = dataset_doc["singles"]
-    singles = SinglesTable(
-        probabilities={k: tuple(v["probabilities"]) for k, v in singles_block.items()},
-        labels={k: tuple(v["labels"]) for k, v in singles_block.items()},
-    )
-    dataset = ExperimentDataset(
-        name=dataset_doc["experiment"],
-        tables=tables,
-        singles=singles,
-        n_subjects=dataset_doc["n_subjects"],
-    )
+    model_content, dataset_doc = _fixture_docs()
+    state, models = _model_from_content(model_content)
+    dataset, _ = io.parse_dataset_doc(dataset_doc)
     return state, models, dataset
 
 

@@ -109,6 +109,21 @@ def _product_family(inverse: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> list
     return list((inverse @ np.kron(ua, ub)).T)
 
 
+def _random_quartet(rng: np.random.Generator) -> tuple:
+    """(iso, four product families pulled back through iso, a state psi), drawn
+    in this order: iso, ua, ua', ub, ub', psi."""
+    iso = random_isomorphism(rng)
+    inverse = iso.matrix.conj().T
+    ua, uap, ub, ubp = (_unitary2(rng) for _ in range(4))
+    families = {
+        "AB": _product_family(inverse, ua, ub),
+        "AB'": _product_family(inverse, ua, ubp),
+        "A'B": _product_family(inverse, uap, ub),
+        "A'B'": _product_family(inverse, uap, ubp),
+    }
+    return iso, families, _unit(rng, 4)
+
+
 def _table_of(family, psi, key: str) -> CoincidenceTable:
     probs = [abs(np.vdot(v, psi)) ** 2 for v in family]
     return CoincidenceTable(key, *probs)
@@ -226,21 +241,11 @@ def _check_shared_basis_evolutions(sets: int = 500) -> CheckRow:
         worst_marginal = 0.0
         product_failures = 0
         for _ in range(sets):
-            iso = random_isomorphism(rng)
-            inverse = iso.matrix.conj().T
-            ua, uap = _unitary2(rng), _unitary2(rng)
-            ub, ubp = _unitary2(rng), _unitary2(rng)
-            families = {
-                "AB": _product_family(inverse, ua, ub),
-                "AB'": _product_family(inverse, ua, ubp),
-                "A'B": _product_family(inverse, uap, ub),
-                "A'B'": _product_family(inverse, uap, ubp),
-            }
+            iso, families, psi = _random_quartet(rng)
             for src, dst in (("AB", "AB'"), ("A'B", "A'B'")):
                 evolution = evolution_between(families[src], families[dst])
                 if not is_product_evolution(evolution, iso):
                     product_failures += 1
-            psi = _unit(rng, 4)
             tables = {key: _table_of(families[key], psi, key) for key in families}
             worst_marginal = max(
                 worst_marginal, max(row.deviation for row in marginal_deviations(tables))
@@ -319,17 +324,8 @@ def _check_tsirelson_bound(trials: int = 1000) -> CheckRow:
         rng = np.random.default_rng(103)
         worst = 0.0
         for _ in range(trials):
-            iso = random_isomorphism(rng)
-            inverse = iso.matrix.conj().T
-            ua, uap = _unitary2(rng), _unitary2(rng)
-            ub, ubp = _unitary2(rng), _unitary2(rng)
-            psi = _unit(rng, 4)
-            tables = {
-                "AB": _table_of(_product_family(inverse, ua, ub), psi, "AB"),
-                "AB'": _table_of(_product_family(inverse, ua, ubp), psi, "AB'"),
-                "A'B": _table_of(_product_family(inverse, uap, ub), psi, "A'B"),
-                "A'B'": _table_of(_product_family(inverse, uap, ubp), psi, "A'B'"),
-            }
+            _, families, psi = _random_quartet(rng)
+            tables = {key: _table_of(families[key], psi, key) for key in families}
             worst = max(worst, abs(chsh(tables).chsh))
         return worst
 

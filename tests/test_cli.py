@@ -124,6 +124,77 @@ def test_non_finite_probability_is_a_parse_error(tmp_path, capsys, command, lite
     assert "Traceback" not in captured.err
 
 
+def _replace_first(path: Path, old: str, new: str) -> str:
+    return path.read_text(encoding="utf-8").replace(old, new, 1)
+
+
+# Each case: (arguments before the input path, file name, file contents, text in the error).
+HOSTILE_INPUTS = {
+    "deep-nesting": (["analyze"], "d.json", "[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    "not-utf8": (["analyze"], "d.json", b'{"experiment": "caf\xe9"}', "not UTF-8"),
+    "over-4300-digits": (["analyze"], "d.json", '{"n_subjects": ' + "1" * 5000 + "}", "digits"),
+    "boolean-schema-version": (
+        ["analyze"],
+        "d.json",
+        _replace_first(Path(PROBS_FILE), '"schema_version": 1', '"schema_version": true'),
+        "'schema_version' must be int",
+    ),
+    "400-digit-probability": (
+        ["analyze"],
+        "d.json",
+        _replace_first(Path(PROBS_FILE), "0.049", "1" + "0" * 400),
+        "within the float range",
+    ),
+    "400-digit-amplitude": (
+        ["schmidt", "--state"],
+        "s.json",
+        canonical_json(state_to_dict([0.23, 0.62, 0.75, 0.0], [0.0] * 4, "reference")).replace(
+            "0.23", "1" + "0" * 400, 1
+        ),
+        "within the float range",
+    ),
+    "1e400-in-model": (
+        ["schmidt", "--operator", "{operator}", "--iso", "from-model:AB", "--model"],
+        "m.json",
+        _replace_first(DATA / "reference_model.json", "0.23", "1e400"),
+        "state: entry 0 must be a number within the float range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+def test_hostile_inputs_are_parse_errors(tmp_path, capsys, operator_file, case):
+    command, name, contents, message = HOSTILE_INPUTS[case]
+    path = tmp_path / name
+    if isinstance(contents, bytes):
+        path.write_bytes(contents)
+    else:
+        path.write_text(contents, encoding="utf-8")
+    argv = [operator_file if arg == "{operator}" else arg for arg in command]
+    code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_entanglement_degree_of_a_huge_operator_is_finite(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(canonical_json(operator_to_dict(1e200 * np.eye(4))), encoding="utf-8")
+    code = main(["schmidt", "--operator", str(path), "--format", "json"])
+    out = capsys.readouterr().out
+
+    def reject(name):
+        raise AssertionError(f"report holds {name}")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert code == 0
+    assert doc["entanglement_degree"] == 0.0
+    assert doc["sigma"] == [2e200, 0.0, 0.0, 0.0]
+
+
 def test_analyze_unknown_field_warns_then_strict_rejects(tmp_path, capsys):
     doc = json.loads(Path(COUNTS_FILE).read_text(encoding="utf-8"))
     doc["lab_notes"] = "April"

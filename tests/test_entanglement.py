@@ -283,6 +283,18 @@ def test_degree_reference_regression_values():
         assert degree == pytest.approx(REFERENCE_DEGREES[key], abs=5e-6), key
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_degree_is_unchanged_by_scaling_the_operator(scale):
+    _, models, _ = reference_fixture()
+    for key, model in models.items():
+        # Exactly Hermitian, so that the scaled copy passes the absolute 1e-9 check.
+        op = (model.operator + model.operator.conj().T) / 2
+        degree = measurement_entanglement_degree(op)
+        scaled = measurement_entanglement_degree(scale * op)
+        assert scaled == pytest.approx(degree, abs=1e-12), key
+    assert measurement_entanglement_degree(scale * np.eye(4)) == 0.0
+
+
 def test_degree_rejects_zero_operator():
     with pytest.raises(ValueError, match="zero operator"):
         measurement_entanglement_degree(np.zeros((4, 4)))

@@ -375,3 +375,78 @@ def test_operator_kind_mismatch(tmp_path):
     )
     with pytest.raises(io.ParseError, match="expected kind 'operator'"):
         io.parse_operator_file(path)
+
+
+# ---------------------------------------------------------------------------
+# the header check shared by all four file kinds
+
+
+def _valid_docs() -> dict:
+    """One valid document per file kind, with its parser and kind field."""
+    model = json.loads((DATA / "reference_model.json").read_text(encoding="utf-8"))
+    operator = io.operator_to_dict(np.eye(4, dtype=complex))
+    return {
+        "dataset": (make_doc(), io.parse_dataset_file, None),
+        "state": (state_doc(), io.parse_state_file, "state"),
+        "model": (model, io.parse_model_file, "model"),
+        "operator": (operator, io.parse_operator_file, "operator"),
+    }
+
+
+@pytest.mark.parametrize("name", ["dataset", "state", "model", "operator"])
+def test_header_checks_are_shared_by_every_file_kind(tmp_path, name):
+    doc, parse, kind = _valid_docs()[name]
+
+    def rejects(bad, match):
+        with pytest.raises(io.ParseError, match=match):
+            parse(write_doc(tmp_path, bad, f"{name}.json"))
+
+    rejects([doc], "top level must be an object")
+    rejects({**doc, "schema_version": 2}, "unsupported schema_version 2")
+    rejects({**doc, "schema_version": True}, "field 'schema_version' must be int")
+    if kind is not None:
+        rejects({**doc, "kind": "other"}, f"expected kind '{kind}', got 'other'")
+
+    path = write_doc(tmp_path, {**doc, "comment": "hello"}, f"{name}.json")
+    _, warnings = parse(path)
+    assert warnings == ["unknown field 'comment'"]
+    with pytest.raises(io.ParseError, match="unknown field 'comment'") as err:
+        parse(path, strict=True)
+    assert err.value.location == ""
+
+
+def test_unknown_measurement_block_message_is_the_same_in_strict_mode(tmp_path):
+    doc = json.loads((DATA / "reference_model.json").read_text(encoding="utf-8"))
+    doc["measurements"]["CD"] = doc["measurements"]["AB"]
+    path = write_doc(tmp_path, doc, "model.json")
+    _, warnings = io.parse_model_file(path)
+    assert warnings == ["measurements: unknown block 'CD'"]
+    with pytest.raises(io.ParseError) as err:
+        io.parse_model_file(path, strict=True)
+    assert str(err.value) == "measurements: unknown block 'CD'"
+
+
+@pytest.mark.parametrize("value", [True, "1", None, [1]])
+def test_numbers_reject_non_numbers_and_booleans(tmp_path, value):
+    doc = make_doc()
+    doc["coincidence"]["AB"]["probabilities"][1] = value
+    with pytest.raises(io.ParseError, match="entry 1 must be a number"):
+        io.parse_dataset_file(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400])
+def test_numbers_beyond_the_float_range_are_parse_errors(tmp_path, literal):
+    matrix = json.dumps(io.operator_to_dict(np.eye(4, dtype=complex))).replace("1.0", literal, 1)
+    path = tmp_path / "op.json"
+    path.write_text(matrix, encoding="utf-8")
+    with pytest.raises(io.ParseError, match=r"entry \(0,0\) must hold numbers within the float range"):
+        io.parse_operator_file(path)
+
+
+def test_doc_parsers_match_the_file_parsers():
+    for name, parse_file, parse_doc in (
+        ("reference_dataset_counts.json", io.parse_dataset_file, io.parse_dataset_doc),
+        ("reference_model.json", io.parse_model_file, io.parse_model_doc),
+    ):
+        doc = json.loads((DATA / name).read_text(encoding="utf-8"))
+        assert parse_doc(doc, strict=True) == parse_file(DATA / name, strict=True)

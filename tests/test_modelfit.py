@@ -1,10 +1,13 @@
 """Tests for measurement-model synthesis, forward probabilities, and fitting."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import bellkit.modelfit as modelfit
+from bellkit import io
 from bellkit.bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset, chsh
 from bellkit.hilbert import CVec, gram, tensor
 from bellkit.modelfit import (
@@ -14,6 +17,7 @@ from bellkit.modelfit import (
     expectation_from_model,
     fit_basis,
     fit_state,
+    load_model,
     probabilities_from_model,
     reference_fixture,
     synthesize,
@@ -437,3 +441,30 @@ class TestReferenceFixture:
         assert dataset.tables["AB"].counts == (4, 51, 21, 5)
         assert dataset.tables["AB"].a_labels == ("Horse", "Bear")
         assert dataset.singles.probabilities["A'"][0] == pytest.approx(59 / 81)
+
+    def test_fixture_equals_the_packaged_files_loaded_as_user_files(self):
+        data = Path(modelfit.__file__).resolve().parent / "data"
+        state, models, dataset = reference_fixture()
+        file_state, file_models = load_model(data / "reference_model.json", strict=True)
+        file_dataset, warnings = io.parse_dataset_file(
+            data / "reference_dataset_counts.json", strict=True
+        )
+        assert warnings == []
+        assert dataset == file_dataset
+        assert state.provenance == file_state.provenance == "reference"
+        np.testing.assert_array_equal(state.raw.values, file_state.raw.values)
+        assert list(models) == list(file_models) == list(EXPERIMENT_KEYS)
+        for key, model in models.items():
+            other = file_models[key]
+            assert (model.experiment, model.eigenvalues, model.a_labels, model.b_labels) == (
+                other.experiment, other.eigenvalues, other.a_labels, other.b_labels
+            )
+            np.testing.assert_array_equal(model.operator, other.operator)
+            for v, w in zip(model.eigenvectors_raw, other.eigenvectors_raw):
+                np.testing.assert_array_equal(v.values, w.values)
+
+    def test_fixture_builds_fresh_objects_on_every_call(self):
+        first_state, first_models, first_dataset = reference_fixture()
+        second_state, second_models, second_dataset = reference_fixture()
+        assert first_state is not second_state and first_dataset is not second_dataset
+        assert first_models["AB"] is not second_models["AB"]
