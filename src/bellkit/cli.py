@@ -89,6 +89,26 @@ def _print_warnings(warnings: list) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
+def _read_dataset(args, command: str) -> tuple:
+    """(dataset, report) for a dataset-file command: ``--tolerance`` is the
+    probability-sum slack, the file's warnings are printed and reported."""
+    seed = _seed_of(args)
+    sum_tol = args.tolerance if args.tolerance is not None else 0.005
+    dataset, warnings = parse_dataset_file(args.file, strict=args.strict, sum_tol=sum_tol)
+    _print_warnings(warnings)
+    doc = _provenance(command, args.file, seed)
+    doc["warnings"] = warnings
+    return dataset, doc
+
+
+def _load_printing_warnings(load, path, strict: bool):
+    """``load_state`` or ``load_model`` on a file, its warnings printed."""
+    warnings: list = []
+    result = load(path, strict=strict, warnings=warnings)
+    _print_warnings(warnings)
+    return result
+
+
 def _side_label(tables: dict, side: str, outcome: int, experiment: str) -> str:
     table = tables[experiment]
     labels = table.a_labels if side in ("A", "A'") else table.b_labels
@@ -100,14 +120,9 @@ def _side_label(tables: dict, side: str, outcome: int, experiment: str) -> str:
 
 
 def cmd_analyze(args) -> int:
-    seed = _seed_of(args)
-    sum_tol = args.tolerance if args.tolerance is not None else 0.005
-    dataset, warnings = parse_dataset_file(args.file, strict=args.strict, sum_tol=sum_tol)
-    _print_warnings(warnings)
+    dataset, doc = _read_dataset(args, "analyze")
     report = chsh(dataset)
 
-    doc = _provenance("analyze", args.file, seed)
-    doc["warnings"] = warnings
     doc["experiment"] = dataset.name
     doc["n_subjects"] = dataset.n_subjects
     doc["e_values"] = {key: report.e_values[key] for key in EXPERIMENT_KEYS}
@@ -196,7 +211,7 @@ def cmd_fit(args) -> int:
         restarts = args.restarts if args.restarts is not None else 64
         target = args.tolerance if args.tolerance is not None else 1e-8
         cfg = FitConfig(seed=seed, restarts=restarts, target_misfit=target)
-        state = load_state(args.state, strict=args.strict)
+        state = _load_printing_warnings(load_state, args.state, args.strict)
         doc["mode"] = "basis"
         doc["state_file"] = {"path": str(args.state), "sha256": sha256_of_file(args.state)}
         doc["restarts"] = restarts
@@ -269,16 +284,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    seed = _seed_of(args)
     if args.file is not None:
-        sum_tol = args.tolerance if args.tolerance is not None else 0.005
-        dataset, warnings = parse_dataset_file(args.file, strict=args.strict, sum_tol=sum_tol)
-        _print_warnings(warnings)
-        doc = _provenance("verify-paper", args.file, seed)
-        doc["warnings"] = warnings
+        dataset, doc = _read_dataset(args, "verify-paper")
     else:
         dataset = None
-        doc = _builtin_dataset_provenance("verify-paper", seed)
+        doc = _builtin_dataset_provenance("verify-paper", _seed_of(args))
         doc["warnings"] = []
 
     rows = run_verification(dataset)
@@ -313,7 +323,7 @@ def _resolve_iso(args):
         if key not in EXPERIMENT_KEYS:
             raise ValueError(f"unknown experiment {key!r}; expected one of {EXPERIMENT_KEYS}")
         if args.model is not None:
-            _, models = load_model(args.model, strict=args.strict)
+            _, models = _load_printing_warnings(load_model, args.model, args.strict)
         else:
             _, models, _ = reference_fixture()
         return canonical_iso_of(models[key])
@@ -326,7 +336,7 @@ def cmd_schmidt(args) -> int:
     rank_tol = args.tolerance if args.tolerance is not None else 1e-7
 
     if args.state is not None:
-        state = load_state(args.state, strict=args.strict)
+        state = _load_printing_warnings(load_state, args.state, args.strict)
         decomposition = schmidt_state(state.values, iso)
         rank = decomposition.rank(rank_tol)
         doc = _provenance("schmidt", args.state, seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import CVec, gram, orthonormalize, svd, tensor_op
+from .hilbert import _values, gram, is_hermitian, numerical_rank, orthonormalize, svd, tensor_op, unitary_deviation
 
 # Outcome labels of the product basis, in component order.
 PRODUCT_LABELS = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -24,19 +24,10 @@ PRODUCT_LABELS = ((1, 1), (1, 2), (2, 1), (2, 2))
 SEARCH_BLOCK = 256
 
 
-def _state_values(state) -> np.ndarray:
-    if isinstance(state, CVec):
-        return state.values
-    values = getattr(state, "values", state)
-    if isinstance(values, CVec):
-        values = values.values
-    return np.asarray(values, dtype=complex).reshape(-1)
-
-
 def _model_eigenvectors(measurement) -> list:
     """Repaired eigenvectors of a measurement model or plain vector family."""
     vecs = getattr(measurement, "eigenvectors", measurement)
-    return [_state_values(v) for v in vecs]
+    return [_values(v) for v in vecs]
 
 
 @dataclass
@@ -55,17 +46,16 @@ class Isomorphism:
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.shape != (4, 4):
             raise ValueError("isomorphism matrix must be 4x4")
-        dev = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(4)))
+        dev = unitary_deviation(self.matrix)
         if dev > 1e-9:
             raise ValueError(f"isomorphism matrix is not unitary (deviation {dev:.3e})")
 
     def apply(self, state) -> np.ndarray:
-        return self.matrix @ _state_values(state)
+        return self.matrix @ _values(state)
 
     def transport(self, operator) -> np.ndarray:
         """Image U M U^† of an operator under the identification."""
-        op = np.asarray(getattr(operator, "values", operator), dtype=complex)
-        return self.matrix @ op @ self.matrix.conj().T
+        return self.matrix @ _values(operator) @ self.matrix.conj().T
 
 
 def canonical_iso() -> Isomorphism:
@@ -132,7 +122,7 @@ class SchmidtDecomposition:
             raise ValueError(f"Schmidt coefficients must satisfy sum c^2 = 1, got {total}")
 
     def rank(self, rank_tol: float = 1e-7) -> int:
-        return int(np.sum(self.coefficients > rank_tol * self.coefficients[0]))
+        return numerical_rank(self.coefficients, rank_tol)
 
     @property
     def is_product(self) -> bool:
@@ -161,9 +151,7 @@ class OperatorSchmidt:
             raise ValueError("sum sigma^2 must equal the squared Hilbert-Schmidt norm")
 
     def rank(self, rank_tol: float = 1e-7) -> int:
-        if self.sigma[0] == 0.0:
-            return 0
-        return int(np.sum(self.sigma > rank_tol * self.sigma[0]))
+        return numerical_rank(self.sigma, rank_tol)
 
     @property
     def is_product(self) -> bool:
@@ -186,7 +174,7 @@ class Evolution:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
-        dev = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(4)))
+        dev = unitary_deviation(self.matrix)
         if dev > 1e-9:
             raise ValueError(f"evolution operator is not unitary (deviation {dev:.3e})")
 
@@ -238,7 +226,7 @@ def _operator_schmidt_of_transported(transported: np.ndarray) -> OperatorSchmidt
 def schmidt_state(state, iso: Isomorphism | None = None) -> SchmidtDecomposition:
     """Schmidt decomposition of a unit state relative to an isomorphism."""
     iso = iso if iso is not None else canonical_iso()
-    psi = _state_values(state)
+    psi = _values(state)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("schmidt_state expects a unit state")
     coeffs = iso.apply(psi).reshape(2, 2)
@@ -260,13 +248,14 @@ def operator_schmidt(operator, iso: Isomorphism | None = None) -> OperatorSchmid
     Raises
     ------
     ValueError
-        If the operator is not Hermitian within 1e-9.
+        If the operator is not Hermitian within 1e-9 relative to its largest
+        entry (absolute below 1).
     """
     iso = iso if iso is not None else canonical_iso()
-    op = np.asarray(getattr(operator, "values", operator), dtype=complex)
+    op = _values(operator)
     if op.shape != (4, 4):
         raise ValueError("operator must be 4x4")
-    if np.max(np.abs(op - op.conj().T)) > 1e-9:
+    if not is_hermitian(op):
         raise ValueError("operator_schmidt expects a Hermitian operator")
     return _operator_schmidt_of_transported(iso.transport(op))
 
@@ -315,8 +304,8 @@ def states_equal_up_to_phase(u, v, tol: float = 0.01) -> bool:
     True when |<u|v>| >= 1 - tol; the default threshold 0.99 separates
     genuinely distinct contextual representations from rounding noise.
     """
-    a = _state_values(u)
-    b = _state_values(v)
+    a = _values(u)
+    b = _values(v)
     overlap = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
     return bool(overlap >= 1.0 - tol)
 
@@ -354,7 +343,7 @@ def check_factorization(state, measurement, singles=None) -> FactorizationReport
         Externally measured one-side marginals ((pA1, pA2), (pB1, pB2)).
         When omitted, marginals are the joint table's row and column sums.
     """
-    psi = _state_values(state)
+    psi = _values(state)
     vecs = _model_eigenvectors(measurement)
     joint = np.array(
         [[abs(np.vdot(vecs[0], psi)) ** 2, abs(np.vdot(vecs[1], psi)) ** 2],
@@ -406,7 +395,7 @@ def refute_common_product_iso(operators, extra_isos=(), n_trials: int = 10_000,
     not-found result is evidence — not proof — that no such isomorphism
     exists.
     """
-    ops = [np.asarray(getattr(op, "values", op), dtype=complex) for op in operators]
+    ops = [_values(op) for op in operators]
     rng = np.random.default_rng(seed)
     extra = list(extra_isos)
     total = len(extra) + n_trials
@@ -423,7 +412,7 @@ def refute_common_product_iso(operators, extra_isos=(), n_trials: int = 10_000,
             u = block[alive]
             transported = u @ op @ u.conj().swapaxes(-1, -2)
             sigma = np.linalg.svd(reshuffle(transported), compute_uv=False)
-            alive = alive[np.sum(sigma > rank_tol * sigma[:, :1], axis=1) == 1]
+            alive = alive[numerical_rank(sigma, rank_tol) == 1]
         if alive.size:
             k = start + int(alive[0])
             witness = extra[k] if k < len(extra) else Isomorphism(block[alive[0]], name="random")

@@ -29,10 +29,31 @@ class ConvergenceError(RuntimeError):
 
 
 def _values(x) -> np.ndarray:
-    """Coerce a CVec/CMat or array-like to a complex ndarray."""
-    if isinstance(x, (CVec, CMat)):
-        return x.values
-    return np.asarray(x, dtype=complex)
+    """Components of anything with ``values`` (CVec, CMat, StateVector) or of
+    an array-like, as a complex ndarray."""
+    return np.asarray(getattr(x, "values", x), dtype=complex)
+
+
+def is_hermitian(matrix, tol: float = 1e-9) -> bool:
+    """Whether max|M - M^dagger| <= tol * max(1, max|M|), so that scaling an
+    operator up does not change the verdict.  M is divided by the scale first."""
+    m = _values(matrix)
+    m = m / max(1.0, float(np.max(np.abs(m))))
+    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+
+
+def unitary_deviation(matrix) -> float:
+    """max|U^dagger U - I| of a square matrix."""
+    u = _values(matrix)
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+
+
+def numerical_rank(sigma, rank_tol: float = 1e-7):
+    """Number of singular values above ``rank_tol`` times the largest, along
+    the last axis of a descending ``sigma`` (one rank per row of a stack)."""
+    sigma = np.asarray(sigma)
+    ranks = np.sum(sigma > rank_tol * sigma[..., :1], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 @dataclass
@@ -59,8 +80,11 @@ class CVec:
         phs = np.asarray(phases_deg, dtype=float)
         if amps.shape != phs.shape:
             raise ValueError("amplitudes and phases must have the same length")
-        if np.any(amps < 0):
+        if (amps < 0).any():
             raise ValueError("amplitudes must be nonnegative")
+        # Norms and Gram matrices square the amplitudes; keep the squares finite.
+        if (amps > 1e150).any():
+            raise ValueError(f"amplitudes must be at most 1e150, got {amps.max():.6g}")
         return cls(amps * np.exp(1j * np.radians(phs)))
 
     @property
@@ -109,11 +133,10 @@ class CMat:
         return self.values.shape[0]
 
     def is_hermitian(self, tol: float = 1e-9) -> bool:
-        return bool(np.max(np.abs(self.values - self.values.conj().T)) <= tol)
+        return is_hermitian(self.values, tol)
 
     def is_unitary(self, tol: float = 1e-9) -> bool:
-        eye = np.eye(self.dim)
-        return bool(np.max(np.abs(self.values.conj().T @ self.values - eye)) <= tol)
+        return unitary_deviation(self.values) <= tol
 
 
 @dataclass
@@ -140,9 +163,7 @@ class SVDResult:
 
     def rank(self, rank_tol: float = 1e-7) -> int:
         """Number of singular values above ``rank_tol`` relative to the largest."""
-        if self.sigma.size == 0 or self.sigma[0] == 0.0:
-            return 0
-        return int(np.sum(self.sigma > rank_tol * self.sigma[0]))
+        return numerical_rank(self.sigma, rank_tol)
 
 
 def tensor(u, v) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io
 from .bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset
-from .hilbert import CVec, gram, orthonormalize, tensor
+from .hilbert import CVec, _values, gram, is_hermitian, orthonormalize, tensor
 
 _EIGENVALUE_PATTERN = (1.0, -1.0, -1.0, 1.0)
 
@@ -51,12 +51,9 @@ class ObservableModel:
         repaired = [v.values for v in self.eigenvectors]
         if np.max(np.abs(gram(repaired) - np.eye(4))) > 1e-9:
             raise ValueError("repaired eigenvectors must be orthonormal within 1e-9")
-        synthesized = np.zeros((4, 4), dtype=complex)
-        for lam, v in zip(self.eigenvalues, repaired):
-            synthesized += lam * np.outer(v, v.conj())
-        if np.max(np.abs(synthesized - self.operator)) > 1e-9:
+        if np.max(np.abs(_spectral_sum(self.eigenvalues, repaired) - self.operator)) > 1e-9:
             raise ValueError("operator does not match its spectral synthesis")
-        if np.max(np.abs(self.operator - self.operator.conj().T)) > 1e-9:
+        if not is_hermitian(self.operator):
             raise ValueError("operator must be Hermitian")
         if all(abs(lam) == 1.0 for lam in self.eigenvalues):
             if np.max(np.abs(self.operator @ self.operator - np.eye(4))) > 1e-9:
@@ -99,16 +96,23 @@ class StateVector:
         return self.raw.values / self.raw.norm()
 
 
-def _state_values(state) -> np.ndarray:
+def _unit_state(state) -> np.ndarray:
+    """A StateVector's values; any other state must be unit within 1e-6 and is normalized."""
     if isinstance(state, StateVector):
         return state.values
-    if isinstance(state, CVec):
-        return state.values / state.norm()
-    psi = np.asarray(state, dtype=complex).reshape(-1)
+    psi = _values(state).reshape(-1)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError("state must be a unit vector")
     return psi / norm
+
+
+def _spectral_sum(eigenvalues, vectors) -> np.ndarray:
+    """The operator sum(lambda_k |v_k><v_k|)."""
+    operator = np.zeros((4, 4), dtype=complex)
+    for lam, v in zip(eigenvalues, vectors):
+        operator += lam * np.outer(v, v.conj())
+    return operator
 
 
 def synthesize(eigenvectors, eigenvalues=_EIGENVALUE_PATTERN, experiment: str = "",
@@ -138,16 +142,12 @@ def synthesize(eigenvectors, eigenvalues=_EIGENVALUE_PATTERN, experiment: str = 
             f"worst pair {worst} deviates by {dev[worst]:.4f}"
         )
     repaired_values = orthonormalize([v.values for v in raw])
-    repaired = [CVec(v) for v in repaired_values]
-    operator = np.zeros((4, 4), dtype=complex)
-    for lam, v in zip(eigenvalues, repaired_values):
-        operator += lam * np.outer(v, v.conj())
     return ObservableModel(
         experiment=experiment,
         eigenvectors_raw=raw,
-        eigenvectors=repaired,
+        eigenvectors=[CVec(v) for v in repaired_values],
         eigenvalues=eigenvalues,
-        operator=operator,
+        operator=_spectral_sum(eigenvalues, repaired_values),
         a_labels=tuple(a_labels),
         b_labels=tuple(b_labels),
     )
@@ -155,7 +155,7 @@ def synthesize(eigenvectors, eigenvalues=_EIGENVALUE_PATTERN, experiment: str = 
 
 def probabilities_from_model(state, model: ObservableModel) -> CoincidenceTable:
     """Outcome probabilities |<v_k|state>|^2 over the repaired basis."""
-    psi = _state_values(state)
+    psi = _unit_state(state)
     probs = np.array([abs(np.vdot(v.values, psi)) ** 2 for v in model.eigenvectors])
     return CoincidenceTable(
         model.experiment or "model",
@@ -168,7 +168,7 @@ def probabilities_from_model(state, model: ObservableModel) -> CoincidenceTable:
 
 def expectation_from_model(state, model: ObservableModel) -> float:
     """<state|operator|state>; the imaginary residue must vanish."""
-    psi = _state_values(state)
+    psi = _unit_state(state)
     value = complex(np.vdot(psi, model.operator @ psi))
     if abs(value.imag) > 1e-9:
         raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
@@ -219,33 +219,17 @@ class FitResult:
             raise ValueError("converged result must meet the target misfit")
 
 
-def _hermitian_from_params(theta: np.ndarray, dim: int) -> np.ndarray:
-    h = np.zeros((dim, dim), dtype=complex)
-    idx = 0
-    for k in range(dim):
-        h[k, k] = theta[idx]
-        idx += 1
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            h[k, l] = theta[idx] + 1j * theta[idx + 1]
-            h[l, k] = theta[idx] - 1j * theta[idx + 1]
-            idx += 2
-    return h
+_UPPER = np.triu_indices(4, 1)
 
 
-def _unitary_from_hermitian(h: np.ndarray) -> np.ndarray:
+def _unitary(theta: np.ndarray) -> np.ndarray:
+    """exp(iH) for the 4x4 Hermitian H with diagonal theta[:4] and, row by
+    row, upper triangle theta[4::2] + i theta[5::2]."""
+    h = np.diag(theta[:4]).astype(complex)
+    h[_UPPER] = theta[4::2] + 1j * theta[5::2]
+    h[_UPPER[::-1]] = theta[4::2] - 1j * theta[5::2]
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def _unitary_full(theta: np.ndarray) -> np.ndarray:
-    return _unitary_from_hermitian(_hermitian_from_params(theta, 4))
-
-
-def _unitary_product(theta: np.ndarray) -> np.ndarray:
-    ua = _unitary_from_hermitian(_hermitian_from_params(theta[:4], 2))
-    ub = _unitary_from_hermitian(_hermitian_from_params(theta[4:], 2))
-    return np.kron(ua, ub)
 
 
 # Step schedule of _coordinate_descent.
@@ -300,30 +284,38 @@ def _coordinate_descent(objective, theta: np.ndarray, cfg: FitConfig, rng) -> tu
     return theta, best, trace, evaluations
 
 
+def _best_restart(cfg: FitConfig, restart) -> tuple:
+    """Run ``restart(rng)`` on seeds spawned from ``cfg.seed`` until one run
+    reaches ``cfg.target_misfit``; returns (best run, all runs).
+
+    A run is a tuple whose first entry is the value minimized; the best run
+    has the lowest value, then the lowest restart index.
+    """
+    runs = []
+    for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
+        runs.append(restart(np.random.default_rng(seed)))
+        if runs[-1][0] <= cfg.target_misfit:
+            break
+    return min(runs, key=lambda run: run[0]), runs
+
+
 def _normalized_target(target, sum_tol: float = 0.005) -> np.ndarray:
-    if isinstance(target, CoincidenceTable):
-        probs = target.probabilities
-    else:
+    if not isinstance(target, CoincidenceTable):
         probs = np.asarray(target, dtype=float).reshape(-1)
         if probs.size != 4:
             raise ValueError("target must have four probabilities")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValueError("target probabilities must lie in [0, 1]")
-        total = float(probs.sum())
-        if abs(total - 1.0) > sum_tol:
-            raise ValueError(f"target probabilities sum to {total:.4f}, outside 1 +/- {sum_tol}")
+        target = CoincidenceTable("target", *probs, sum_tol=sum_tol)
+    probs = target.probabilities
     # Rounded published rows can sum to 0.999; probabilities over an
     # orthonormal basis sum to exactly 1, so fitting is well posed only for
     # a normalized target.
     return probs / probs.sum()
 
 
-def fit_basis(state, target, cfg: FitConfig | None = None, product: bool = False,
-              experiment: str = "") -> FitResult:
+def fit_basis(state, target, cfg: FitConfig | None = None, experiment: str = "") -> FitResult:
     """Find an eigenbasis whose outcome probabilities match a target table.
 
-    Searches over 4x4 unitaries U = exp(iH) (16 real parameters; with
-    ``product=True`` over U_a (x) U_b, 8 parameters) minimizing
+    Searches over 4x4 unitaries U = exp(iH) (16 real parameters) minimizing
     sum_k (|<u_k|state>|^2 - target_k)^2, where u_k are the columns of U.
     Deterministic for a given config: restarts draw from a spawned seed
     sequence, run until the first one reaches ``cfg.target_misfit``, and the
@@ -332,55 +324,35 @@ def fit_basis(state, target, cfg: FitConfig | None = None, product: bool = False
     Non-convergence is reported in the result, not raised.
     """
     cfg = cfg or FitConfig()
-    psi = _state_values(state)
+    psi = _unit_state(state)
     t = _normalized_target(target)
-    if isinstance(target, CoincidenceTable) and not experiment:
-        experiment = target.experiment
-    build = _unitary_product if product else _unitary_full
-    size = 8 if product else 16
+    labels = {}
+    if isinstance(target, CoincidenceTable):
+        experiment = experiment or target.experiment
+        labels = {"a_labels": target.a_labels, "b_labels": target.b_labels}
 
     def objective(theta: np.ndarray) -> float:
-        u = build(theta)
+        u = _unitary(theta)
         probs = np.abs(u.conj().T @ psi) ** 2
         d = probs - t
         return float(np.dot(d, d))
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    best = None
-    total_evaluations = 0
-    restarts_used = 0
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        theta0 = rng.uniform(-1.0, 1.0, size)
-        theta, misfit, trace, evaluations = _coordinate_descent(objective, theta0, cfg, rng)
-        total_evaluations += evaluations
-        restarts_used = r + 1
-        if best is None or misfit < best[0]:
-            best = (misfit, r, theta, trace)
-        if best[0] <= cfg.target_misfit:
-            break
-
-    misfit, _, theta, trace = best
-    matrix = build(theta)
-    converged = misfit <= cfg.target_misfit
-    model = None
-    if isinstance(target, CoincidenceTable):
-        model = synthesize(
-            [matrix[:, k] for k in range(4)],
-            experiment=experiment,
-            a_labels=target.a_labels,
-            b_labels=target.b_labels,
+    def restart(rng) -> tuple:
+        theta, misfit, trace, evaluations = _coordinate_descent(
+            objective, rng.uniform(-1.0, 1.0, 16), cfg, rng
         )
-    else:
-        model = synthesize([matrix[:, k] for k in range(4)], experiment=experiment)
+        return misfit, theta, trace, evaluations
+
+    (misfit, theta, trace, _), runs = _best_restart(cfg, restart)
+    matrix = _unitary(theta)
     return FitResult(
         misfit=misfit,
-        converged=converged,
+        converged=misfit <= cfg.target_misfit,
         matrix=matrix,
-        model=model,
+        model=synthesize(list(matrix.T), experiment=experiment, **labels),
         trace=trace,
-        restarts_used=restarts_used,
-        iterations=total_evaluations,
+        restarts_used=len(runs),
+        iterations=sum(run[3] for run in runs),
         seed=cfg.seed,
         target_misfit=cfg.target_misfit,
     )
@@ -440,11 +412,6 @@ def _signature(target: np.ndarray) -> tuple:
     """Character decomposition (row bias, column bias, correlation) of a table."""
     t11, t12, t21, t22 = target
     return (t11 + t12 - t21 - t22, t11 - t12 + t21 - t22, t11 - t12 - t21 + t22)
-
-
-def _unit_from_angles(theta: float, phi: float) -> np.ndarray:
-    s = math.sin(theta)
-    return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)])
 
 
 def _angles_of(v: np.ndarray) -> tuple:
@@ -582,11 +549,7 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
             angle_sets.append(angles)
         return total, angle_sets
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    best = None
-    restarts_used = 0
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    def restart(rng) -> tuple:
         params = np.concatenate([rng.uniform(0.2, 1.0, 4), rng.uniform(-math.pi, math.pi, 3)])
         warm = [None] * 4
         value, warm = objective(params, warm, rng)
@@ -616,13 +579,9 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
             stalled = 0 if improved else stalled + 1
             if stalled >= 4 or np.all(steps <= 1e-7):
                 break
-        restarts_used = r + 1
-        if best is None or value < best[0]:
-            best = (value, r, params, warm, trace)
-        if best[0] <= cfg.target_misfit:
-            break
+        return value, params, warm, trace
 
-    value, _, params, warm, trace = best
+    (value, params, warm, trace), runs = _best_restart(cfg, restart)
     psi = _state_from_params(params)
     state = StateVector(CVec(psi), provenance="fitted")
     m, n, t = _bloch_data(psi)
@@ -639,7 +598,7 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
         converged=bool(value <= cfg.target_misfit),
         per_experiment=per_experiment,
         trace=trace,
-        restarts_used=restarts_used,
+        restarts_used=len(runs),
         seed=cfg.seed,
     )
 
@@ -670,15 +629,21 @@ def _model_from_content(content: dict) -> tuple:
     return state, models
 
 
-def load_state(path, strict: bool = False) -> StateVector:
-    """Load a state file into a StateVector."""
-    content, _ = io.parse_state_file(path, strict=strict)
+def load_state(path, strict: bool = False, warnings: list | None = None) -> StateVector:
+    """Load a state file into a StateVector; the parser's warnings are
+    appended to ``warnings`` when given."""
+    content, messages = io.parse_state_file(path, strict=strict)
+    if warnings is not None:
+        warnings += messages
     return _state_from_content(content)
 
 
-def load_model(path, strict: bool = False) -> tuple:
-    """Load a model file; returns (StateVector or None, dict of ObservableModel)."""
-    content, _ = io.parse_model_file(path, strict=strict)
+def load_model(path, strict: bool = False, warnings: list | None = None) -> tuple:
+    """Load a model file; returns (StateVector or None, dict of ObservableModel).
+    The parser's warnings are appended to ``warnings`` when given."""
+    content, messages = io.parse_model_file(path, strict=strict)
+    if warnings is not None:
+        warnings += messages
     return _model_from_content(content)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,44 @@ def test_entanglement_degree_of_a_huge_operator_is_finite(tmp_path, capsys):
     assert doc["sigma"] == [2e200, 0.0, 0.0, 0.0]
 
 
+def _model_with_huge_eigenvector_entry() -> str:
+    doc = json.loads((DATA / "reference_model.json").read_text(encoding="utf-8"))
+    doc["measurements"]["AB"]["eigenvectors"][0]["amplitudes"][0] = sys.float_info.max
+    return json.dumps(doc)
+
+
+# Each case: (arguments before the input path, file contents).  The number
+# parses, but squares of it overflow.
+NEAR_FLOAT_MAX = {
+    "state-amplitude": (
+        ["schmidt", "--state"],
+        canonical_json(state_to_dict([0.23, 0.62, 0.75, 0.0], [0.0] * 4, "reference")).replace(
+            "0.23", repr(sys.float_info.max), 1
+        ),
+    ),
+    "model-eigenvector-entry": (
+        ["schmidt", "--operator", "{operator}", "--iso", "from-model:AB", "--model"],
+        _model_with_huge_eigenvector_entry(),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_FLOAT_MAX))
+def test_numbers_near_the_float_maximum_are_domain_errors(tmp_path, capsys, operator_file, case):
+    # A numpy overflow warning raises here (pytest's filterwarnings), so it
+    # cannot hide behind the exit code.
+    command, contents = NEAR_FLOAT_MAX[case]
+    path = tmp_path / "input.json"
+    path.write_text(contents, encoding="utf-8")
+    argv = [operator_file if arg == "{operator}" else arg for arg in command]
+    code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "amplitudes must be at most 1e150, got 1.79769e+308" in captured.err
+
+
 def test_analyze_unknown_field_warns_then_strict_rejects(tmp_path, capsys):
     doc = json.loads(Path(COUNTS_FILE).read_text(encoding="utf-8"))
     doc["lab_notes"] = "April"
@@ -208,6 +247,34 @@ def test_analyze_unknown_field_warns_then_strict_rejects(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "unknown field 'lab_notes'" in captured.err
+
+
+# Each case: the command, with {state} and {model} standing for files that
+# carry an unknown field.
+UNKNOWN_FIELD_COMMANDS = {
+    "schmidt-state": ["schmidt", "--state", "{state}"],
+    "fit-state": ["fit", PROBS_FILE, "--restarts", "1", "--state", "{state}"],
+    "schmidt-model": ["schmidt", "--state", "{clean_state}", "--iso", "from-model:AB", "--model", "{model}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_FIELD_COMMANDS))
+def test_state_and_model_file_warnings_are_printed(tmp_path, capsys, state_file, case):
+    files = {"{clean_state}": state_file}
+    for key, source in (("{state}", Path(state_file)), ("{model}", DATA / "reference_model.json")):
+        doc = json.loads(source.read_text(encoding="utf-8"))
+        doc["note"] = "x"
+        files[key] = str(tmp_path / f"noted_{source.name}")
+        Path(files[key]).write_text(json.dumps(doc), encoding="utf-8")
+    argv = [files.get(arg, arg) for arg in UNKNOWN_FIELD_COMMANDS[case]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == "warning: unknown field 'note'\n"
+    code = main([*argv, "--strict"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "unknown field 'note'" in captured.err
 
 
 def test_seed_flag_and_environment_default(capsys, monkeypatch):

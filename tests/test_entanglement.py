@@ -207,6 +207,15 @@ def test_operator_schmidt_requires_hermitian():
         operator_schmidt(m)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_operator_schmidt_rejects_a_relative_anti_hermitian_part(scale):
+    _, models, _ = reference_fixture()
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1], skew[1, 0] = 1e-6, -1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        operator_schmidt(scale * (models["AB"].operator + skew))
+
+
 def test_operator_schmidt_of_pulled_back_product_operator():
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -287,10 +296,8 @@ def test_degree_reference_regression_values():
 def test_degree_is_unchanged_by_scaling_the_operator(scale):
     _, models, _ = reference_fixture()
     for key, model in models.items():
-        # Exactly Hermitian, so that the scaled copy passes the absolute 1e-9 check.
-        op = (model.operator + model.operator.conj().T) / 2
-        degree = measurement_entanglement_degree(op)
-        scaled = measurement_entanglement_degree(scale * op)
+        degree = measurement_entanglement_degree(model.operator)
+        scaled = measurement_entanglement_degree(scale * model.operator)
         assert scaled == pytest.approx(degree, abs=1e-12), key
     assert measurement_entanglement_degree(scale * np.eye(4)) == 0.0
 

@@ -66,6 +66,13 @@ def test_svd_zero_matrix():
     np.testing.assert_allclose(res.u.conj().T @ res.u, np.eye(4), atol=1e-12)
 
 
+def test_numerical_rank_of_zero_and_of_a_stack():
+    assert hilbert.numerical_rank(np.zeros(4)) == 0
+    assert svd(np.zeros((4, 4))).rank() == 0
+    stack = np.array([[3.0, 1.0, 0.0, 0.0], [2.0, 1e-9, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(hilbert.numerical_rank(stack), [2, 1, 0])
+
+
 def test_svd_rank_one_matrix():
     rng = np.random.default_rng(11)
     u, v = random_state(rng, 4), random_state(rng, 4)
