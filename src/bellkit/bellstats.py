@@ -16,6 +16,51 @@ EXPERIMENT_KEYS = ("AB", "AB'", "A'B", "A'B'")
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
+# Each single measurement, the two coincidence experiments that share it,
+# and its side of their tables: 0 for the first (marginals are row sums),
+# 1 for the second (column sums).
+MARGINAL_PLAN = (
+    ("A", "AB", "AB'", 0),
+    ("A'", "A'B", "A'B'", 0),
+    ("B", "AB", "A'B", 1),
+    ("B'", "AB'", "A'B'", 1),
+)
+
+
+def check_probabilities(probs, experiment: str, sum_tol: float = 1e-6) -> None:
+    """Raise ValueError unless every row of ``probs`` (shape (..., 4)) is
+    finite, lies in [0, 1] and sums to 1 within ``sum_tol``; the message
+    names ``experiment`` and the first offending row."""
+    rows = np.asarray(probs, dtype=float).reshape(-1, 4)
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{experiment}: probabilities must be finite, got {rows[bad][0]}")
+    # tiny epsilon: computed probabilities land on 0 and 1 up to round-off
+    bad = ((rows < -1e-12) | (rows > 1.0 + 1e-12)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"{experiment}: probabilities must lie in [0, 1], got {rows[bad][0]}")
+    totals = rows.sum(axis=1)
+    bad = np.abs(totals - 1.0) > sum_tol
+    if bad.any():
+        raise ValueError(
+            f"{experiment}: probabilities sum to {totals[bad][0]:.6f}, "
+            f"outside 1 +/- {sum_tol}"
+        )
+
+
+def side_marginals(probs, table_side: int):
+    """The two outcome marginals of one side's measurement from probabilities
+    (p11, p12, p21, p22), or from each row of an array (..., 4): row sums for
+    table side 0, column sums for side 1."""
+    probs = np.asarray(probs)
+    return probs.reshape(*probs.shape[:-1], 2, 2).sum(axis=-1 - table_side)
+
+
+def chsh_combination(e_values):
+    """E(A',B') + E(A',B) + E(A,B') - E(A,B) of a mapping from experiment
+    key to E value (numbers, or arrays of one value per model)."""
+    return e_values["A'B'"] + e_values["A'B"] + e_values["AB'"] - e_values["AB"]
+
 
 @dataclass
 class CoincidenceTable:
@@ -52,17 +97,7 @@ class CoincidenceTable:
 
     def __post_init__(self):
         probs = self.probabilities
-        if not np.all(np.isfinite(probs)):
-            raise ValueError(f"{self.experiment}: probabilities must be finite, got {probs}")
-        # tiny epsilon: computed probabilities land on 0 and 1 up to round-off
-        if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
-            raise ValueError(f"{self.experiment}: probabilities must lie in [0, 1], got {probs}")
-        total = float(probs.sum())
-        if abs(total - 1.0) > self.sum_tol:
-            raise ValueError(
-                f"{self.experiment}: probabilities sum to {total:.6f}, "
-                f"outside 1 +/- {self.sum_tol}"
-            )
+        check_probabilities(probs, self.experiment, self.sum_tol)
         if len(self.a_labels) != 2 or len(self.b_labels) != 2:
             raise ValueError("a_labels and b_labels must each have two entries")
         if self.counts is not None:
@@ -168,24 +203,25 @@ class ChshReport:
     marginal_deviations: list
 
     def __post_init__(self):
-        combo = (
-            self.e_values["A'B'"]
-            + self.e_values["A'B"]
-            + self.e_values["AB'"]
-            - self.e_values["AB"]
-        )
-        if abs(self.chsh - combo) > 1e-12:
+        if abs(self.chsh - chsh_combination(self.e_values)) > 1e-12:
             raise ValueError("chsh does not match its defining combination of E values")
         if self.violates != (abs(self.chsh) > 2.0):
             raise ValueError("violates flag inconsistent with |chsh| > 2")
 
 
+def expectation_of(probs):
+    """E = p11 + p22 - p12 - p21 of probabilities (p11, p12, p21, p22), or of
+    each row of an array (..., 4), under the (+1, -1) outcome values."""
+    probs = np.asarray(probs)
+    return probs[..., 0] + probs[..., 3] - probs[..., 1] - probs[..., 2]
+
+
 def expectation(table: CoincidenceTable) -> float:
-    """E = p11 + p22 - p12 - p21 under the (+1, -1) outcome values."""
+    """E of a coincidence table, as expectation_of gives it."""
     probs = table.probabilities
     if np.any(probs < 0.0) or np.any(probs > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    return float(table.p11 + table.p22 - table.p12 - table.p21)
+    return float(expectation_of(probs))
 
 
 def _tables_of(dataset) -> dict:
@@ -204,7 +240,7 @@ def chsh(dataset) -> ChshReport:
     """
     tables = _tables_of(dataset)
     e_values = {key: expectation(tables[key]) for key in EXPERIMENT_KEYS}
-    value = e_values["A'B'"] + e_values["A'B"] + e_values["AB'"] - e_values["AB"]
+    value = chsh_combination(e_values)
     return ChshReport(
         e_values=e_values,
         chsh=value,
@@ -222,26 +258,13 @@ def marginal_deviations(dataset) -> list:
     sums of the joint table, second-side marginals are column sums.
     """
     tables = _tables_of(dataset)
-
-    def first_side(t: CoincidenceTable):
-        return t.p11 + t.p12, t.p21 + t.p22
-
-    def second_side(t: CoincidenceTable):
-        return t.p11 + t.p21, t.p12 + t.p22
-
-    plan = [
-        ("A", "AB", "AB'", first_side),
-        ("A'", "A'B", "A'B'", first_side),
-        ("B", "AB", "A'B", second_side),
-        ("B'", "AB'", "A'B'", second_side),
-    ]
     rows = []
-    for side, exp_lhs, exp_rhs, extract in plan:
-        lhs_pair = extract(tables[exp_lhs])
-        rhs_pair = extract(tables[exp_rhs])
+    for side, exp_lhs, exp_rhs, table_side in MARGINAL_PLAN:
+        lhs_pair = side_marginals(tables[exp_lhs].probabilities, table_side)
+        rhs_pair = side_marginals(tables[exp_rhs].probabilities, table_side)
         for outcome in (1, 2):
-            lhs = lhs_pair[outcome - 1]
-            rhs = rhs_pair[outcome - 1]
+            lhs = float(lhs_pair[outcome - 1])
+            rhs = float(rhs_pair[outcome - 1])
             rows.append(
                 MarginalDeviation(
                     side=side,

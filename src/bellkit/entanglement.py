@@ -14,7 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import _values, gram, is_hermitian, numerical_rank, orthonormalize, svd, tensor_op, unitary_deviation
+from .hilbert import (
+    _values,
+    check_unitary,
+    gram,
+    is_hermitian,
+    numerical_rank,
+    orthonormalize,
+    peak_part,
+    svd,
+    tensor_op,
+)
 
 # Outcome labels of the product basis, in component order.
 PRODUCT_LABELS = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -22,6 +32,12 @@ PRODUCT_LABELS = ((1, 1), (1, 2), (2, 1), (2, 2))
 # Candidates per block in refute_common_product_iso.  A block's stacked
 # transports and reshuffles stay a few hundred kilobytes.
 SEARCH_BLOCK = 256
+
+# Largest real or imaginary part of an operator entry that
+# Isomorphism.transport accepts.  The entries of U M U^dagger and the
+# singular values of its reshuffle stay below 16 * sqrt(2) times it, so they
+# cannot overflow.
+MAX_OPERATOR_ENTRY = 1e300
 
 
 def _model_eigenvectors(measurement) -> list:
@@ -46,16 +62,28 @@ class Isomorphism:
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.shape != (4, 4):
             raise ValueError("isomorphism matrix must be 4x4")
-        dev = unitary_deviation(self.matrix)
-        if dev > 1e-9:
-            raise ValueError(f"isomorphism matrix is not unitary (deviation {dev:.3e})")
+        check_unitary(self.matrix, "isomorphism matrix")
 
     def apply(self, state) -> np.ndarray:
         return self.matrix @ _values(state)
 
     def transport(self, operator) -> np.ndarray:
-        """Image U M U^† of an operator under the identification."""
-        return self.matrix @ _values(operator) @ self.matrix.conj().T
+        """Image U M U^† of an operator under the identification.
+
+        Raises
+        ------
+        ValueError
+            If the real or imaginary part of an operator entry exceeds
+            MAX_OPERATOR_ENTRY in magnitude (or is not finite).
+        """
+        op = _values(operator)
+        peak = peak_part(op)
+        if not peak <= MAX_OPERATOR_ENTRY:
+            raise ValueError(
+                f"operator entries must have real and imaginary parts of at most "
+                f"{MAX_OPERATOR_ENTRY:.0e} in magnitude, got {peak:.6g}"
+            )
+        return self.matrix @ op @ self.matrix.conj().T
 
 
 def canonical_iso() -> Isomorphism:
@@ -174,9 +202,7 @@ class Evolution:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
-        dev = unitary_deviation(self.matrix)
-        if dev > 1e-9:
-            raise ValueError(f"evolution operator is not unitary (deviation {dev:.3e})")
+        check_unitary(self.matrix, "evolution operator")
 
 
 def apply_iso(iso: Isomorphism, state) -> np.ndarray:
@@ -212,6 +238,13 @@ def reshuffle(matrix) -> np.ndarray:
     if t.shape[-2:] != (4, 4):
         raise ValueError("reshuffle expects a 4x4 matrix or a stack of them")
     return t.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(t.shape)
+
+
+def _transported_ranks(us: np.ndarray, operators: np.ndarray, rank_tol: float = 1e-7) -> np.ndarray:
+    """Operator-Schmidt rank of U M U^dagger for each unitary of a stack
+    (..., 4, 4), with one operator M or a matching stack of them."""
+    transported = us @ operators @ us.conj().swapaxes(-1, -2)
+    return numerical_rank(np.linalg.svd(reshuffle(transported), compute_uv=False), rank_tol)
 
 
 def _operator_schmidt_of_transported(transported: np.ndarray) -> OperatorSchmidt:
@@ -329,6 +362,20 @@ class FactorizationReport:
     max_deviation: float
 
 
+def collapse_probabilities(vectors, states) -> np.ndarray:
+    """|<v_k|psi>|^2 for each column v_k of a 4x4 matrix and a state, or for
+    each pair of a stack of matrices (..., 4, 4) and states (..., 4)."""
+    states = np.asarray(states)
+    return np.abs((np.conj(vectors).swapaxes(-1, -2) @ states[..., None])[..., 0]) ** 2
+
+
+def marginal_product_deviations(joint, marginal_a, marginal_b) -> tuple:
+    """(expected, |joint - expected|) for a 2x2 joint table, or each table of
+    a stack (..., 2, 2), where expected[i, j] = marginal_a[i] * marginal_b[j]."""
+    expected = np.asarray(marginal_a)[..., :, None] * np.asarray(marginal_b)[..., None, :]
+    return expected, np.abs(joint - expected)
+
+
 def check_factorization(state, measurement, singles=None) -> FactorizationReport:
     """Compare joint collapse probabilities with products of marginals.
 
@@ -344,11 +391,8 @@ def check_factorization(state, measurement, singles=None) -> FactorizationReport
         When omitted, marginals are the joint table's row and column sums.
     """
     psi = _values(state)
-    vecs = _model_eigenvectors(measurement)
-    joint = np.array(
-        [[abs(np.vdot(vecs[0], psi)) ** 2, abs(np.vdot(vecs[1], psi)) ** 2],
-         [abs(np.vdot(vecs[2], psi)) ** 2, abs(np.vdot(vecs[3], psi)) ** 2]]
-    )
+    joint = collapse_probabilities(np.column_stack(_model_eigenvectors(measurement)), psi)
+    joint = joint.reshape(2, 2)
     if singles is not None:
         marginal_a = np.asarray(singles[0], dtype=float)
         marginal_b = np.asarray(singles[1], dtype=float)
@@ -357,8 +401,7 @@ def check_factorization(state, measurement, singles=None) -> FactorizationReport
         marginal_a = joint.sum(axis=1)
         marginal_b = joint.sum(axis=0)
         source = "joint"
-    expected = np.outer(marginal_a, marginal_b)
-    deviations = np.abs(joint - expected)
+    expected, deviations = marginal_product_deviations(joint, marginal_a, marginal_b)
     return FactorizationReport(
         joint=joint,
         marginal_a=marginal_a,
@@ -409,10 +452,7 @@ def refute_common_product_iso(operators, extra_isos=(), n_trials: int = 10_000,
         )
         alive = np.arange(stop - start)
         for op in ops:
-            u = block[alive]
-            transported = u @ op @ u.conj().swapaxes(-1, -2)
-            sigma = np.linalg.svd(reshuffle(transported), compute_uv=False)
-            alive = alive[numerical_rank(sigma, rank_tol) == 1]
+            alive = alive[_transported_ranks(block[alive], op, rank_tol) == 1]
         if alive.size:
             k = start + int(alive[0])
             witness = extra[k] if k < len(extra) else Isomorphism(block[alive[0]], name="random")

@@ -34,18 +34,36 @@ def _values(x) -> np.ndarray:
     return np.asarray(getattr(x, "values", x), dtype=complex)
 
 
-def is_hermitian(matrix, tol: float = 1e-9) -> bool:
-    """Whether max|M - M^dagger| <= tol * max(1, max|M|), so that scaling an
-    operator up does not change the verdict.  M is divided by the scale first."""
+def peak_part(matrix) -> float:
+    """Largest |real part| or |imaginary part| among the entries.  Unlike the
+    largest modulus it cannot overflow on finite entries."""
     m = _values(matrix)
-    m = m / max(1.0, float(np.max(np.abs(m))))
+    return float(np.max(np.abs(np.concatenate([m.real.ravel(), m.imag.ravel()]))))
+
+
+def is_hermitian(matrix, tol: float = 1e-9) -> bool:
+    """Whether max|M - M^dagger| <= tol * max(1, peak_part(M)), so that
+    scaling an operator up does not change the verdict.  M is divided by the
+    scale first, so no modulus can overflow."""
+    m = _values(matrix)
+    m = m / max(1.0, peak_part(m))
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def unitary_deviation(matrix) -> float:
-    """max|U^dagger U - I| of a square matrix."""
+def unitary_deviation(matrix):
+    """max|U^dagger U - I| of a square matrix, or one per matrix of a stack
+    of shape (..., n, n)."""
     u = _values(matrix)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    dev = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])), axis=(-2, -1))
+    return float(dev) if dev.ndim == 0 else dev
+
+
+def check_unitary(matrix, what: str) -> None:
+    """Raise ValueError naming ``what`` unless the matrix, or every matrix of
+    a stack, is unitary within 1e-9."""
+    dev = float(np.max(unitary_deviation(matrix)))
+    if dev > 1e-9:
+        raise ValueError(f"{what} is not unitary (deviation {dev:.3e})")
 
 
 def numerical_rank(sigma, rank_tol: float = 1e-7):

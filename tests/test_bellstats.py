@@ -15,6 +15,7 @@ from bellkit.bellstats import (
     CoincidenceTable,
     ExperimentDataset,
     SinglesTable,
+    check_probabilities,
     chsh,
     counts_to_probabilities,
     expectation,
@@ -81,6 +82,12 @@ class TestCoincidenceTable:
             CoincidenceTable("AB", 0.25, 0.25, 0.25, 0.25, counts=(1, 1, 1, 2), n=4)
         with pytest.raises(ValueError, match="disagree"):
             CoincidenceTable("AB", 0.25, 0.25, 0.25, 0.25, counts=(2, 1, 1, 4), n=8)
+
+    def test_stack_check_names_the_first_bad_row(self):
+        rows = np.array([[0.25] * 4, [0.5, 0.5, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4]])
+        check_probabilities(rows[[0, 2]], "AB")
+        with pytest.raises(ValueError, match=r"AB: probabilities sum to 2\.000000"):
+            check_probabilities(rows, "AB")
 
     def test_from_counts(self):
         t = CoincidenceTable.from_counts("AB", (4, 51, 21, 5), 81)

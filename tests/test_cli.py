@@ -234,6 +234,31 @@ def test_numbers_near_the_float_maximum_are_domain_errors(tmp_path, capsys, oper
     assert "amplitudes must be at most 1e150, got 1.79769e+308" in captured.err
 
 
+# Hermitian operators whose entries have the largest finite parts; the
+# complex one's off-diagonal moduli exceed the float maximum.
+_HUGE = sys.float_info.max
+_HUGE_OPERATORS = {
+    "real": np.full((4, 4), _HUGE),
+    "complex": np.full((4, 4), _HUGE) + 1j * _HUGE * (np.triu(np.ones((4, 4)), 1)
+                                                      - np.tril(np.ones((4, 4)), -1)),
+}
+
+
+@pytest.mark.parametrize("entries", sorted(_HUGE_OPERATORS))
+@pytest.mark.parametrize("iso", ["canonical", "from-model:AB"])
+def test_operator_near_the_float_maximum_is_a_domain_error(tmp_path, capsys, iso, entries):
+    path = tmp_path / "huge.json"
+    path.write_text(canonical_json(operator_to_dict(_HUGE_OPERATORS[entries])), encoding="utf-8")
+    code = main(["schmidt", "--operator", str(path), "--iso", iso])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "error: operator entries must have real and imaginary parts of at most 1e+300 "
+        "in magnitude, got 1.79769e+308\n"
+    )
+
+
 def test_analyze_unknown_field_warns_then_strict_rejects(tmp_path, capsys):
     doc = json.loads(Path(COUNTS_FILE).read_text(encoding="utf-8"))
     doc["lab_notes"] = "April"
@@ -471,3 +496,18 @@ def test_verify_paper_text_rows(capsys):
     assert out.count("PASS") == 12
     assert "FAIL" not in out
     assert "all checks passed" in out
+
+
+def test_verify_paper_reports_are_deterministic(capsys):
+    def run(*argv):
+        assert main(["verify-paper", *argv]) == 0
+        return capsys.readouterr().out
+
+    def without_timings(out):
+        doc = json.loads(out)
+        for row in doc["checks"]:
+            del row["elapsed_ms"]
+        return doc
+
+    assert without_timings(run("--format", "json")) == without_timings(run("--format", "json"))
+    assert run() == run()

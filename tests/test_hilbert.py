@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -71,6 +72,21 @@ def test_numerical_rank_of_zero_and_of_a_stack():
     assert svd(np.zeros((4, 4))).rank() == 0
     stack = np.array([[3.0, 1.0, 0.0, 0.0], [2.0, 1e-9, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
     np.testing.assert_array_equal(hilbert.numerical_rank(stack), [2, 1, 0])
+
+
+def test_unitary_deviation_and_check_of_a_stack():
+    stack = np.stack([np.eye(4), 2.0 * np.eye(4), np.eye(4)[[1, 0, 2, 3]]])
+    np.testing.assert_allclose(hilbert.unitary_deviation(stack), [0.0, 3.0, 0.0])
+    hilbert.check_unitary(stack[[0, 2]], "family")
+    with pytest.raises(ValueError, match=r"family is not unitary \(deviation 3\.000e\+00\)"):
+        hilbert.check_unitary(stack, "family")
+
+
+def test_is_hermitian_near_the_float_maximum():
+    huge = sys.float_info.max
+    assert hilbert.peak_part(np.full((4, 4), huge + 1j * huge)) == huge
+    assert not hilbert.is_hermitian(np.full((4, 4), huge + 1j * huge))
+    assert hilbert.is_hermitian(huge * np.eye(4) + 1j * huge * (np.eye(4, k=1) - np.eye(4, k=-1)))
 
 
 def test_svd_rank_one_matrix():
