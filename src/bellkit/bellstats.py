@@ -217,10 +217,11 @@ def expectation_of(probs):
 
 
 def expectation(table: CoincidenceTable) -> float:
-    """E of a coincidence table, as expectation_of gives it."""
+    """E of a coincidence table, as expectation_of gives it.  The
+    probabilities must pass check_probabilities, as at construction; a
+    table-like object without ``experiment`` or ``sum_tol`` gets the defaults."""
     probs = table.probabilities
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
+    check_probabilities(probs, getattr(table, "experiment", "table"), getattr(table, "sum_tol", 1e-6))
     return float(expectation_of(probs))
 
 

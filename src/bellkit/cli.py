@@ -101,11 +101,13 @@ def _read_dataset(args, command: str) -> tuple:
     return dataset, doc
 
 
-def _load_printing_warnings(load, path, strict: bool):
-    """``load_state`` or ``load_model`` on a file, its warnings printed."""
-    warnings: list = []
-    result = load(path, strict=strict, warnings=warnings)
-    _print_warnings(warnings)
+def _load_printing_warnings(load, path, strict: bool, warnings: list):
+    """``load_state`` or ``load_model`` on a file, its warnings printed and
+    appended to ``warnings``."""
+    found: list = []
+    result = load(path, strict=strict, warnings=found)
+    _print_warnings(found)
+    warnings += found
     return result
 
 
@@ -211,7 +213,7 @@ def cmd_fit(args) -> int:
         restarts = args.restarts if args.restarts is not None else 64
         target = args.tolerance if args.tolerance is not None else 1e-8
         cfg = FitConfig(seed=seed, restarts=restarts, target_misfit=target)
-        state = _load_printing_warnings(load_state, args.state, args.strict)
+        state = _load_printing_warnings(load_state, args.state, args.strict, warnings)
         doc["mode"] = "basis"
         doc["state_file"] = {"path": str(args.state), "sha256": sha256_of_file(args.state)}
         doc["restarts"] = restarts
@@ -244,6 +246,8 @@ def cmd_fit(args) -> int:
         doc["restarts"] = restarts
         doc["objective"] = result.objective
         doc["converged"] = result.converged
+        doc["iterations"] = result.iterations
+        doc["evaluations"] = result.evaluations
         amplitudes, phases = _polar_entry(result.state.raw)
         doc["state"] = {
             "amplitudes": amplitudes,
@@ -256,7 +260,8 @@ def cmd_fit(args) -> int:
         lines += [
             f"mode: state search, seed {seed}, restarts {restarts}",
             "",
-            f"  objective {result.objective:.3e}  converged {'yes' if result.converged else 'NO'}",
+            f"  objective {result.objective:.3e}  converged {'yes' if result.converged else 'NO'}  "
+            f"iterations {result.iterations}  evaluations {result.evaluations}",
             "  state amplitudes " + ", ".join(f"{a:.4f}" for a in amplitudes),
             "  state phases (deg) " + ", ".join(f"{p:.2f}" for p in phases),
             "",
@@ -315,7 +320,7 @@ def cmd_verify_paper(args) -> int:
 # schmidt
 
 
-def _resolve_iso(args):
+def _resolve_iso(args, warnings: list):
     if args.iso == "canonical":
         return canonical_iso()
     if args.iso.startswith("from-model:"):
@@ -323,7 +328,7 @@ def _resolve_iso(args):
         if key not in EXPERIMENT_KEYS:
             raise ValueError(f"unknown experiment {key!r}; expected one of {EXPERIMENT_KEYS}")
         if args.model is not None:
-            _, models = _load_printing_warnings(load_model, args.model, args.strict)
+            _, models = _load_printing_warnings(load_model, args.model, args.strict, warnings)
         else:
             _, models, _ = reference_fixture()
         return canonical_iso_of(models[key])
@@ -332,14 +337,16 @@ def _resolve_iso(args):
 
 def cmd_schmidt(args) -> int:
     seed = _seed_of(args)
-    iso = _resolve_iso(args)
+    warnings: list = []
+    iso = _resolve_iso(args, warnings)
     rank_tol = args.tolerance if args.tolerance is not None else 1e-7
 
     if args.state is not None:
-        state = _load_printing_warnings(load_state, args.state, args.strict)
+        state = _load_printing_warnings(load_state, args.state, args.strict, warnings)
         decomposition = schmidt_state(state.values, iso)
         rank = decomposition.rank(rank_tol)
         doc = _provenance("schmidt", args.state, seed)
+        doc["warnings"] = warnings
         doc["kind"] = "state"
         doc["iso"] = iso.name
         doc["coefficients"] = [float(c) for c in decomposition.coefficients]
@@ -353,8 +360,9 @@ def cmd_schmidt(args) -> int:
             f"verdict: {'product' if rank == 1 else 'entangled'} relative to this identification",
         ]
     else:
-        matrix, warnings = parse_operator_file(args.operator, strict=args.strict)
-        _print_warnings(warnings)
+        matrix, file_warnings = parse_operator_file(args.operator, strict=args.strict)
+        _print_warnings(file_warnings)
+        warnings += file_warnings
         operator = np.array(matrix)
         decomposition = operator_schmidt(operator, iso)
         rank = decomposition.rank(rank_tol)

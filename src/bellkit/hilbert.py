@@ -21,7 +21,11 @@ _ALLOWED_DIMS = (2, 4)
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative routine failed to reach its tolerance; carries the residual."""
+    """Iterative routine failed to reach its tolerance; carries the residual.
+
+    No bellkit routine raises it since the SVD became numpy's; it stays
+    exported so that code catching it keeps working.
+    """
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

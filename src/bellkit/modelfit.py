@@ -5,9 +5,11 @@ eigenbasis with outcome eigenvalues (+1, -1, -1, +1 by default) and the
 self-adjoint operator they synthesize.  Published bases arrive rounded, so
 models keep both the raw vectors and their orthonormal repair.
 
-The fitting routines parametrize unitaries as exp(iH) with H Hermitian and
-minimize squared probability misfits by seeded, restarted coordinate search
-under a fixed step schedule; FitConfig sets seed, budgets and target misfit.
+fit_basis parametrizes unitaries as exp(iH) with H Hermitian and minimizes
+the squared probability misfit by seeded, restarted coordinate search under
+a fixed step schedule.  fit_state solves its least-squares problem by one
+batched Levenberg iteration over all restarts.  FitConfig sets seed, budgets
+and target misfit for both.
 """
 from __future__ import annotations
 
@@ -180,7 +182,7 @@ def expectation_from_model(state, model: ObservableModel) -> float:
 
 @dataclass
 class FitConfig:
-    """Seed, budgets, and target misfit of the seeded coordinate searches."""
+    """Seed, budgets, and target misfit of the seeded searches."""
 
     seed: int = 0
     max_iterations: int = 400
@@ -363,7 +365,13 @@ class StateFitResult:
     """Outcome of a whole-dataset state search.
 
     ``per_experiment`` maps experiment keys to (ObservableModel, misfit):
-    the best product measurement found for that table at the fitted state.
+    the product measurement of the winning start for that table, and its
+    misfit recomputed from the model's outcome probabilities at ``state``.
+    ``trace`` lists the winning start's accepted objective values, so it is
+    nonincreasing.  ``restarts_used`` is the index of the first start that
+    reaches the target misfit plus 1, or the number of starts if none does.
+    ``iterations`` counts the batched iterations run and ``evaluations`` the
+    residual vectors evaluated over all starts.
     """
 
     state: StateVector
@@ -372,40 +380,14 @@ class StateFitResult:
     per_experiment: dict
     trace: list
     restarts_used: int
+    iterations: int
+    evaluations: int
     seed: int
 
 
-def _state_from_params(params: np.ndarray) -> np.ndarray:
-    amps = np.abs(params[:4]) + 1e-12
-    amps = amps / np.linalg.norm(amps)
-    phases = np.concatenate([[0.0], params[4:]])
-    return amps * np.exp(1j * phases)
-
-
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-_PAULI_PAIRS = [[np.kron(sk, sl) for sl in _PAULI] for sk in _PAULI]
-
-
-def _bloch_data(psi: np.ndarray) -> tuple:
-    """Marginal Bloch vectors and the correlation matrix of a C^4 state.
-
-    The state is read as a 2x2 coefficient matrix over the canonical
-    product structure (row = first factor); m and n are the Bloch vectors
-    of the reduced density matrices and t[k, l] = <psi|s_k (x) s_l|psi>.
-    """
-    c = psi.reshape(2, 2)
-    rho_a = c @ c.conj().T
-    rho_b = c.T @ c.conj()
-    m = np.array([np.trace(rho_a @ s).real for s in _PAULI])
-    n = np.array([np.trace(rho_b @ s).real for s in _PAULI])
-    t = np.array(
-        [[np.vdot(psi, pair @ psi).real for pair in row] for row in _PAULI_PAIRS]
-    )
-    return m, n, t
+# Pauli products s_mu (x) s_nu for mu, nu in (I, X, Y, Z), as rows (mu, nu, i).
+_PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
+_PAULI_PRODUCTS = np.array([np.kron(s, t) for s in _PAULI for t in _PAULI], dtype=complex).reshape(64, 4)
 
 
 def _signature(target: np.ndarray) -> tuple:
@@ -414,86 +396,80 @@ def _signature(target: np.ndarray) -> tuple:
     return (t11 + t12 - t21 - t22, t11 - t12 + t21 - t22, t11 - t12 - t21 + t22)
 
 
-def _angles_of(v: np.ndarray) -> tuple:
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        return (0.0, 0.0)
-    v = v / norm
-    return (math.acos(min(1.0, max(-1.0, v[2]))), math.atan2(v[1], v[0]))
+def _state_residuals(params: np.ndarray, signatures: np.ndarray) -> np.ndarray:
+    """The 12 residuals of fit_state at each row of ``params`` (..., 32).
 
-
-def _min_product_misfit(m, n, t, signature, warm=None, rng=None) -> tuple:
-    """Minimum of the product-measurement misfit for one table.
-
-    Over projector pairs P(a), Q(b) built from unit Bloch vectors a and b,
-    the table sum_k (q_k - target_k)^2 collapses to
-    ((a.m - ra)^2 + (b.n - rb)^2 + (a.t.b - rc)^2) / 4, which is minimized
-    by a short coordinate search over the four spherical angles.  Returns
-    (misfit, angles).  The hot loop runs on plain floats; it is called many
-    thousands of times per outer fit_state evaluation.
+    ``params[..., :8]`` holds the real and imaginary parts of z in C^4, and
+    psi = z / |z|.  Each table k then has two Bloch directions a and b,
+    unnormalized, in ``params[..., 8 + 6k:14 + 6k]``.  With the correlations
+    c[mu, nu] = <psi| s_mu (x) s_nu |psi>, the marginal Bloch vectors are
+    m = c[1:, 0] and n = c[0, 1:] and the correlation matrix is t = c[1:, 1:].
+    Table k contributes (a.m - ra, b.n - rb, a.t.b - rc) / 2 for its
+    signature (ra, rb, rc).
     """
-    ra, rb, rc = signature
-    m0, m1, m2 = (float(x) for x in m)
-    n0, n1, n2 = (float(x) for x in n)
-    ((t00, t01, t02), (t10, t11, t12), (t20, t21, t22)) = (
-        (float(x) for x in row) for row in t
-    )
-    sin, cos = math.sin, math.cos
+    z = params[..., :4] + 1j * params[..., 4:8]
+    psi = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    ops_psi = (psi @ _PAULI_PRODUCTS.T).reshape(*psi.shape[:-1], 16, 4)
+    c = np.einsum("...i,...ui->...u", psi.conj(), ops_psi).real.reshape(*psi.shape[:-1], 4, 4)
+    directions = params[..., 8:].reshape(*params.shape[:-1], 4, 2, 3)
+    directions = directions / np.linalg.norm(directions, axis=-1, keepdims=True)
+    a, b = directions[..., 0, :], directions[..., 1, :]
+    fitted = np.stack([
+        np.einsum("...kx,...x->...k", a, c[..., 1:, 0]),
+        np.einsum("...ky,...y->...k", b, c[..., 0, 1:]),
+        np.einsum("...kx,...xy,...ky->...k", a, c[..., 1:, 1:], b),
+    ], axis=-1)
+    return (0.5 * (fitted - signatures)).reshape(*params.shape[:-1], 12)
 
-    def value(ta: float, pa: float, tb: float, pb: float) -> float:
-        sa = sin(ta)
-        a0, a1, a2 = sa * cos(pa), sa * sin(pa), cos(ta)
-        sb = sin(tb)
-        b0, b1, b2 = sb * cos(pb), sb * sin(pb), cos(tb)
-        da = a0 * m0 + a1 * m1 + a2 * m2 - ra
-        db = b0 * n0 + b1 * n1 + b2 * n2 - rb
-        dc = (
-            a0 * (t00 * b0 + t01 * b1 + t02 * b2)
-            + a1 * (t10 * b0 + t11 * b1 + t12 * b2)
-            + a2 * (t20 * b0 + t21 * b1 + t22 * b2)
-            - rc
-        )
-        return 0.25 * (da * da + db * db + dc * dc)
 
-    starts = []
-    if warm is not None:
-        starts.append(list(warm))
-    else:
-        starts.append([*_angles_of(m), *_angles_of(n)])
-        if rng is not None:
-            starts.append([rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi),
-                           rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi)])
-    best_angles = None
-    best = math.inf
-    for angles in starts:
-        current = value(*angles)
-        steps = [0.4, 0.4, 0.4, 0.4]
-        for _ in range(80):
-            if current <= 1e-16:
-                break
-            improved = False
-            for i in range(4):
-                accepted = False
-                step = steps[i]
-                original = angles[i]
-                for direction in (step, -step):
-                    angles[i] = original + direction
-                    v = value(*angles)
-                    if v < current:
-                        current = v
-                        accepted = True
-                        improved = True
-                        break
-                    angles[i] = original
-                if accepted:
-                    steps[i] = min(step * 1.6, 0.6)
-                else:
-                    steps[i] = max(step * 0.5, 1e-10)
-            if not improved and max(steps) <= 1e-10:
-                break
-        if current < best:
-            best, best_angles = current, list(angles)
-    return best, best_angles
+# Levenberg's method as fit_state runs it.
+_JACOBIAN_STEP = 1e-7
+_INITIAL_DAMPING = 1e-3
+_STALL_ITERATIONS = 8
+_MIN_DECREASE = 1e-10
+
+
+def _levenberg(residuals, params: np.ndarray, cfg: FitConfig) -> tuple:
+    """Minimize |residuals(p)|^2 from every row of ``params`` (B, P) at once.
+
+    Each iteration takes a forward-difference Jacobian J at every start
+    still running and solves (J^T J + lam I) delta = -J^T r.  A step is
+    kept only when it lowers the objective; lam is then multiplied by 0.3,
+    otherwise by 10.  Starts stop by the rule fit_state documents.
+    Returns (params, objectives, history, evaluations): history[k] holds
+    every start's objective after iteration k.
+    """
+    count, size = params.shape
+    r = residuals(params)
+    f = np.einsum("bi,bi->b", r, r)
+    damping = np.full(count, _INITIAL_DAMPING)
+    stalled = np.zeros(count, dtype=int)
+    history = [f.copy()]
+    evaluations = count
+    shifts = np.eye(size) * _JACOBIAN_STEP
+    while len(history) <= cfg.max_iterations:
+        run = np.flatnonzero((f > cfg.target_misfit) & (stalled < _STALL_ITERATIONS))
+        if run.size == 0:
+            break
+        p, r_run, f_run = params[run], r[run], f[run]
+        jac_t = (residuals(p[:, None, :] + shifts) - r_run[:, None, :]) / _JACOBIAN_STEP
+        normal = jac_t @ jac_t.transpose(0, 2, 1) + damping[run, None, None] * np.eye(size)
+        trial = p - np.linalg.solve(normal, jac_t @ r_run[..., None])[..., 0]
+        r_trial = residuals(trial)
+        f_trial = np.einsum("bi,bi->b", r_trial, r_trial)
+        evaluations += run.size * (size + 1)
+        accept = f_trial < f_run
+        stalled[run] = np.where(f_run - f_trial > _MIN_DECREASE * f_run, 0, stalled[run] + 1)
+        damping[run] *= np.where(accept, 0.3, 10.0)
+        kept = run[accept]
+        params[kept], r[kept], f[kept] = trial[accept], r_trial[accept], f_trial[accept]
+        history.append(f.copy())
+    return params, f, np.array(history), evaluations
+
+
+def _angles_of(v: np.ndarray) -> tuple:
+    """Polar and azimuthal angle of a nonzero R^3 vector."""
+    return (math.atan2(math.hypot(v[0], v[1]), v[2]), math.atan2(v[1], v[0]))
 
 
 def _qubit_basis(theta: float, phi: float) -> tuple:
@@ -521,84 +497,56 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
 
     Objective: the sum over the four coincidence tables of the minimal
     product-basis misfit at the candidate state — the same quantity as
-    running fit_basis restricted to U_a (x) U_b bases, computed here in
-    Bloch coordinates where the inner minimum is a four-angle problem.  A
-    state reaches objective ~0 exactly when the whole dataset admits a
-    representation by that state and four product measurements; a dataset
-    violating the marginal law has strictly positive objective for every
-    state.
+    running fit_basis restricted to U_a (x) U_b bases.  A state reaches
+    objective ~0 exactly when the whole dataset admits a representation by
+    that state and four product measurements; a dataset violating the
+    marginal law has strictly positive objective for every state.
 
-    The outer search runs seeded coordinate descent over the 7 state
-    parameters (four amplitudes up to normalization, three relative
-    phases), warm-starting the inner angle solves.  The recovered state is
+    For projectors along unit Bloch directions a and b, a table's misfit is
+    ((a.m - ra)^2 + (b.n - rb)^2 + (a.t.b - rc)^2) / 4, where m, n and t are
+    the state's marginal Bloch vectors and correlation matrix and (ra, rb,
+    rc) the table's signature.  So the objective is the squared norm of 12
+    residuals in 32 smooth parameters: psi = z / |z| with z in C^4, and per
+    table two unnormalized R^3 directions divided by their norms.
+
+    All ``cfg.restarts`` starts, drawn as standard normals from
+    ``cfg.seed``, run together through Levenberg's damped Gauss-Newton
+    method.  A start stops when its objective reaches ``cfg.target_misfit``,
+    after 8 iterations in a row without a relative decrease above 1e-10, or
+    after ``cfg.max_iterations`` iterations.  The start with the lowest
+    objective, then the lowest index, wins.  The recovered state is
     identified only up to the product-unitary gauge the objective cannot
     distinguish.
     """
     cfg = cfg or FitConfig()
     tables = [dataset.tables[k] for k in EXPERIMENT_KEYS]
-    signatures = [_signature(_normalized_target(t)) for t in tables]
-
-    def objective(params: np.ndarray, warm: list, rng) -> tuple:
-        psi = _state_from_params(params)
-        m, n, t = _bloch_data(psi)
-        total = 0.0
-        angle_sets = []
-        for sig, w in zip(signatures, warm):
-            misfit, angles = _min_product_misfit(m, n, t, sig, warm=w, rng=rng)
-            total += misfit
-            angle_sets.append(angles)
-        return total, angle_sets
-
-    def restart(rng) -> tuple:
-        params = np.concatenate([rng.uniform(0.2, 1.0, 4), rng.uniform(-math.pi, math.pi, 3)])
-        warm = [None] * 4
-        value, warm = objective(params, warm, rng)
-        trace = [value]
-        steps = np.full(7, 0.3)
-        stalled = 0
-        for _ in range(40):
-            if value <= cfg.target_misfit:
-                break
-            improved = False
-            for i in range(7):
-                accepted = False
-                for direction in (1.0, -1.0):
-                    candidate = params.copy()
-                    candidate[i] += direction * steps[i]
-                    cand_value, cand_warm = objective(candidate, warm, rng)
-                    if cand_value < value:
-                        params, value, warm = candidate, cand_value, cand_warm
-                        trace.append(value)
-                        accepted = True
-                        improved = True
-                        break
-                if accepted:
-                    steps[i] = min(steps[i] * 1.5, 0.5)
-                else:
-                    steps[i] = max(steps[i] * 0.5, 1e-7)
-            stalled = 0 if improved else stalled + 1
-            if stalled >= 4 or np.all(steps <= 1e-7):
-                break
-        return value, params, warm, trace
-
-    (value, params, warm, trace), runs = _best_restart(cfg, restart)
-    psi = _state_from_params(params)
-    state = StateVector(CVec(psi), provenance="fitted")
-    m, n, t = _bloch_data(psi)
+    targets = [_normalized_target(t) for t in tables]
+    signatures = np.array([_signature(t) for t in targets])
+    starts = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 32))
+    params, objectives, history, evaluations = _levenberg(
+        lambda p: _state_residuals(p, signatures), starts, cfg
+    )
+    best = int(np.argmin(objectives))
+    z = params[best, :4] + 1j * params[best, 4:8]
+    # the global phase is free: make the first component real and nonnegative
+    z = np.concatenate([[abs(z[0])], z[1:] * np.exp(-1j * np.angle(z[0]))])
+    state = StateVector(CVec(z / np.linalg.norm(z)), provenance="fitted")
     per_experiment = {}
-    for table, sig, angles in zip(tables, signatures, warm):
-        misfit, final_angles = _min_product_misfit(m, n, t, sig, warm=angles)
-        per_experiment[table.experiment] = (
-            _product_model_from_angles(final_angles, table),
-            float(misfit),
-        )
+    for table, target, (a, b) in zip(tables, targets, params[best, 8:].reshape(4, 2, 3)):
+        model = _product_model_from_angles([*_angles_of(a), *_angles_of(b)], table)
+        misfit = np.sum((probabilities_from_model(state, model).probabilities - target) ** 2)
+        per_experiment[table.experiment] = (model, float(misfit))
+    trace = history[:, best]
+    reached = np.flatnonzero(objectives <= cfg.target_misfit)
     return StateFitResult(
         state=state,
-        objective=float(value),
-        converged=bool(value <= cfg.target_misfit),
+        objective=float(objectives[best]),
+        converged=bool(reached.size),
         per_experiment=per_experiment,
-        trace=trace,
-        restarts_used=len(runs),
+        trace=[float(v) for v in trace[np.r_[True, np.diff(trace) < 0]]],
+        restarts_used=int(reached[0]) + 1 if reached.size else cfg.restarts,
+        iterations=len(history) - 1,
+        evaluations=evaluations,
         seed=cfg.seed,
     )
 

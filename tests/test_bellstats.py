@@ -181,6 +181,13 @@ class TestChsh:
         assert report.chsh == pytest.approx(0.0, abs=1e-15)
         assert not report.violates
 
+    def test_accepts_every_table_the_constructor_accepts(self):
+        # CoincidenceTable admits probabilities within 1e-12 of [0, 1]
+        tables = {k: CoincidenceTable(k, 1.0 + 1e-13, 0.0, 0.0, -1e-13) for k in EXPERIMENT_KEYS}
+        report = chsh(tables)
+        assert report.e_values["AB"] == pytest.approx(1.0, abs=1e-12)
+        assert report.chsh == pytest.approx(2.0, abs=1e-12)
+
     def test_report_consistency_validation(self):
         good = chsh(counts_dataset())
         with pytest.raises(ValueError, match="combination"):

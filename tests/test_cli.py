@@ -283,15 +283,19 @@ UNKNOWN_FIELD_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(UNKNOWN_FIELD_COMMANDS))
-def test_state_and_model_file_warnings_are_printed(tmp_path, capsys, state_file, case):
+def _noted_argv(tmp_path, state_file, case) -> list:
     files = {"{clean_state}": state_file}
     for key, source in (("{state}", Path(state_file)), ("{model}", DATA / "reference_model.json")):
         doc = json.loads(source.read_text(encoding="utf-8"))
         doc["note"] = "x"
         files[key] = str(tmp_path / f"noted_{source.name}")
         Path(files[key]).write_text(json.dumps(doc), encoding="utf-8")
-    argv = [files.get(arg, arg) for arg in UNKNOWN_FIELD_COMMANDS[case]]
+    return [files.get(arg, arg) for arg in UNKNOWN_FIELD_COMMANDS[case]]
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_FIELD_COMMANDS))
+def test_state_and_model_file_warnings_are_printed(tmp_path, capsys, state_file, case):
+    argv = _noted_argv(tmp_path, state_file, case)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 0
@@ -300,6 +304,13 @@ def test_state_and_model_file_warnings_are_printed(tmp_path, capsys, state_file,
     captured = capsys.readouterr()
     assert code == 2
     assert "unknown field 'note'" in captured.err
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_FIELD_COMMANDS))
+def test_state_and_model_file_warnings_reach_the_json_report(tmp_path, capsys, state_file, case):
+    code, doc = run_json(capsys, [*_noted_argv(tmp_path, state_file, case), "--format", "json"])
+    assert code == 0
+    assert doc["warnings"] == ["unknown field 'note'"]
 
 
 def test_seed_flag_and_environment_default(capsys, monkeypatch):
@@ -354,6 +365,9 @@ def test_fit_state_mode_reports_objective_and_is_deterministic(capsys):
     assert doc["state"]["provenance"] == "fitted"
     norm = math.sqrt(sum(a * a for a in doc["state"]["amplitudes"]))
     assert norm == pytest.approx(1.0, abs=1e-9)
+    assert doc["state"]["phases_deg"][0] == 0.0
+    assert 1 <= doc["iterations"] <= 400
+    assert doc["evaluations"] >= 2 + 33 * doc["iterations"]
 
     code2, doc2 = run_json(capsys, argv)
     assert code2 == 0

@@ -1,6 +1,7 @@
 """Tests for measurement-model synthesis, forward probabilities, and fitting."""
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,67 @@ def test_fit_state_trace_is_monotone():
     result = fit_state(dataset, FitConfig(seed=3, target_misfit=1e-10, restarts=4))
     trace = np.asarray(result.trace)
     assert np.all(np.diff(trace) <= 0)
+
+
+@pytest.fixture(scope="module")
+def reference_state_fit():
+    _, _, dataset = reference_fixture()
+    return dataset, fit_state(dataset, FitConfig(seed=0, restarts=8, target_misfit=1e-8))
+
+
+def test_fit_state_reference_objective_at_seed_0(reference_state_fit):
+    _, result = reference_state_fit
+    assert result.objective <= 1.6e-3
+    # no start reaches the target; all stall before the default cap of 400
+    assert result.restarts_used == 8
+    assert result.iterations < 400
+
+
+def test_fit_state_table_misfits_are_those_of_the_reported_models(reference_state_fit):
+    realizable = _product_dataset(np.random.default_rng(42))[1]
+    for dataset, result in (
+        reference_state_fit,
+        (realizable, fit_state(realizable, FitConfig(seed=5, target_misfit=1e-8, restarts=4))),
+    ):
+        total = 0.0
+        for key, (model, misfit) in result.per_experiment.items():
+            target = dataset.tables[key].probabilities / dataset.tables[key].probabilities.sum()
+            fitted = probabilities_from_model(result.state, model).probabilities
+            assert abs(misfit - np.sum((fitted - target) ** 2)) <= 1e-12
+            total += misfit
+        assert total <= result.objective + 1e-12
+
+
+def test_fit_state_restarts_used_is_the_first_start_reaching_the_target():
+    # start k's search does not depend on the other starts, and a smaller
+    # batch draws the first rows of a larger one; with 8 iterations only
+    # some starts of this dataset reach the target
+    _, dataset = _product_dataset(np.random.default_rng(1))
+    cfg = FitConfig(seed=3, target_misfit=1e-8, restarts=8, max_iterations=8)
+    result = fit_state(dataset, cfg)
+    assert result.converged
+    assert result.restarts_used == 4
+    first_four = fit_state(dataset, replace(cfg, restarts=4))
+    assert first_four.restarts_used == 4
+    # the winner is the best start of all eight
+    assert result.objective <= first_four.objective
+    first_three = fit_state(dataset, replace(cfg, restarts=3))
+    assert not first_three.converged
+    assert first_three.restarts_used == 3
+
+
+def test_fit_state_counts_iterations_and_residual_evaluations():
+    # no start of the reference dataset converges or stalls within 5
+    # iterations: each evaluates its residuals once, then 32 Jacobian
+    # columns and one trial point per iteration
+    _, _, dataset = reference_fixture()
+    result = fit_state(dataset, FitConfig(seed=1, target_misfit=1e-8, restarts=3, max_iterations=5))
+    assert result.iterations == 5
+    assert result.evaluations == 3 * (1 + 33 * 5)
+    # the trace holds the winning start's accepted values only
+    assert 1 <= len(result.trace) <= 6
+    assert np.all(np.diff(result.trace) < 0)
+    assert result.trace[-1] == result.objective
 
 
 # ---------------------------------------------------------------------------
