@@ -434,7 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--state", default=None, help="state file; fits one basis per experiment to this state"
     )
     p_fit.add_argument(
-        "--restarts", type=int, default=None, help="optimizer restarts (default: 64 basis, 8 state)"
+        "--restarts", type=int, default=None,
+        help="state-search restarts (default 8); basis fits are exact and ignore it",
     )
     p_fit.add_argument("--out", default=None, help="write the fitted model file here")
     p_fit.add_argument(

@@ -121,7 +121,8 @@ class CVec:
     def phases_deg(self) -> np.ndarray:
         """Phases in [0, 360); zero-amplitude entries report phase 0."""
         phases = np.degrees(np.angle(self.values)) % 360.0
-        return np.where(np.abs(self.values) == 0.0, 0.0, phases)
+        # a phase just below 0 rounds to 360.0 under the modulo
+        return np.where((np.abs(self.values) == 0.0) | (phases == 360.0), 0.0, phases)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))

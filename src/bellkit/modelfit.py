@@ -5,11 +5,11 @@ eigenbasis with outcome eigenvalues (+1, -1, -1, +1 by default) and the
 self-adjoint operator they synthesize.  Published bases arrive rounded, so
 models keep both the raw vectors and their orthonormal repair.
 
-fit_basis parametrizes unitaries as exp(iH) with H Hermitian and minimizes
-the squared probability misfit by seeded, restarted coordinate search under
-a fixed step schedule.  fit_state solves its least-squares problem by one
-batched Levenberg iteration over all restarts.  FitConfig sets seed, budgets
-and target misfit for both.
+fit_basis is exact: one Householder reflection maps the state onto the
+square roots of the target probabilities.  fit_state solves its
+least-squares problem by a batched Levenberg iteration over its seeded
+restarts, in blocks of a fixed size.  FitConfig sets seed, budgets and
+target misfit; fit_basis uses only the target misfit.
 """
 from __future__ import annotations
 
@@ -198,10 +198,10 @@ class FitConfig:
 
 @dataclass
 class FitResult:
-    """Outcome of one fitting run.
+    """Outcome of fit_basis.
 
-    ``trace`` lists the accepted misfit values of the winning restart in
-    order; it is nonincreasing by construction.
+    The fit is one closed-form step, so ``trace`` is ``[misfit]`` and
+    ``restarts_used`` and ``iterations`` are both 1.
     """
 
     misfit: float
@@ -221,86 +221,6 @@ class FitResult:
             raise ValueError("converged result must meet the target misfit")
 
 
-_UPPER = np.triu_indices(4, 1)
-
-
-def _unitary(theta: np.ndarray) -> np.ndarray:
-    """exp(iH) for the 4x4 Hermitian H with diagonal theta[:4] and, row by
-    row, upper triangle theta[4::2] + i theta[5::2]."""
-    h = np.diag(theta[:4]).astype(complex)
-    h[_UPPER] = theta[4::2] + 1j * theta[5::2]
-    h[_UPPER[::-1]] = theta[4::2] - 1j * theta[5::2]
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-# Step schedule of _coordinate_descent.
-_INITIAL_STEP = 0.4
-_STEP_GROW = 1.6
-_STEP_SHRINK = 0.5
-_MIN_STEP = 1e-9
-_STALL_PASSES = 40
-
-
-def _coordinate_descent(objective, theta: np.ndarray, cfg: FitConfig, rng) -> tuple:
-    """Adaptive per-coordinate search under a cosine-decay step envelope."""
-    steps = np.full(theta.size, _INITIAL_STEP)
-    best = objective(theta)
-    trace = [best]
-    evaluations = 0
-    passes_since_improvement = 0
-    for p in range(cfg.max_iterations):
-        if best <= cfg.target_misfit:
-            break
-        envelope = _MIN_STEP + 0.5 * (1.0 + math.cos(math.pi * p / cfg.max_iterations)) * (
-            _INITIAL_STEP - _MIN_STEP
-        )
-        improved = False
-        for i in rng.permutation(theta.size):
-            step = min(steps[i], envelope)
-            accepted = False
-            for direction in (1.0, -1.0):
-                candidate = theta.copy()
-                candidate[i] += direction * step
-                value = objective(candidate)
-                evaluations += 1
-                if value < best:
-                    theta = candidate
-                    best = value
-                    trace.append(best)
-                    accepted = True
-                    break
-            if accepted:
-                steps[i] = min(steps[i] * _STEP_GROW, _INITIAL_STEP)
-                improved = True
-            else:
-                steps[i] = max(steps[i] * _STEP_SHRINK, _MIN_STEP)
-        if improved:
-            passes_since_improvement = 0
-        else:
-            passes_since_improvement += 1
-        if passes_since_improvement >= _STALL_PASSES:
-            break
-        if np.all(steps <= _MIN_STEP):
-            break
-    return theta, best, trace, evaluations
-
-
-def _best_restart(cfg: FitConfig, restart) -> tuple:
-    """Run ``restart(rng)`` on seeds spawned from ``cfg.seed`` until one run
-    reaches ``cfg.target_misfit``; returns (best run, all runs).
-
-    A run is a tuple whose first entry is the value minimized; the best run
-    has the lowest value, then the lowest restart index.
-    """
-    runs = []
-    for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
-        runs.append(restart(np.random.default_rng(seed)))
-        if runs[-1][0] <= cfg.target_misfit:
-            break
-    return min(runs, key=lambda run: run[0]), runs
-
-
 def _normalized_target(target, sum_tol: float = 0.005) -> np.ndarray:
     if not isinstance(target, CoincidenceTable):
         probs = np.asarray(target, dtype=float).reshape(-1)
@@ -317,13 +237,19 @@ def _normalized_target(target, sum_tol: float = 0.005) -> np.ndarray:
 def fit_basis(state, target, cfg: FitConfig | None = None, experiment: str = "") -> FitResult:
     """Find an eigenbasis whose outcome probabilities match a target table.
 
-    Searches over 4x4 unitaries U = exp(iH) (16 real parameters) minimizing
-    sum_k (|<u_k|state>|^2 - target_k)^2, where u_k are the columns of U.
-    Deterministic for a given config: restarts draw from a spawned seed
-    sequence, run until the first one reaches ``cfg.target_misfit``, and the
-    best (lowest misfit, then lowest restart index) wins.
+    Closed form by one Householder reflection (Householder 1958).  Let
+    q = sqrt(target) and x = exp(-i phi) state, where phi = arg<q|state>
+    makes <q|x> real and nonnegative.  The reflection H = I - 2 w w^dagger
+    with w = (x + q) / |x + q| maps x to -q, so the columns u_k = H e_k
+    give |<u_k|state>|^2 = target_k.  Reflecting onto -q rather than q
+    keeps |x + q|^2 = 2 + 2 |<q|state>| >= 2: no cancellation when x is
+    close to q, and no special case when <q|state> = 0.
 
-    Non-convergence is reported in the result, not raised.
+    ``misfit`` is sum_k (|<u_k|state>|^2 - target_k)^2 over the columns of
+    ``matrix``, at round-off level.  Of ``cfg`` only ``target_misfit`` is
+    used; ``restarts``, ``max_iterations`` and ``seed`` are ignored, and
+    ``seed`` is only reported.  A target misfit below round-off is reported
+    as not converged, not raised.
     """
     cfg = cfg or FitConfig()
     psi = _unit_state(state)
@@ -333,28 +259,20 @@ def fit_basis(state, target, cfg: FitConfig | None = None, experiment: str = "")
         experiment = experiment or target.experiment
         labels = {"a_labels": target.a_labels, "b_labels": target.b_labels}
 
-    def objective(theta: np.ndarray) -> float:
-        u = _unitary(theta)
-        probs = np.abs(u.conj().T @ psi) ** 2
-        d = probs - t
-        return float(np.dot(d, d))
-
-    def restart(rng) -> tuple:
-        theta, misfit, trace, evaluations = _coordinate_descent(
-            objective, rng.uniform(-1.0, 1.0, 16), cfg, rng
-        )
-        return misfit, theta, trace, evaluations
-
-    (misfit, theta, trace, _), runs = _best_restart(cfg, restart)
-    matrix = _unitary(theta)
+    q = np.sqrt(t)
+    x = psi * np.exp(-1j * np.angle(np.vdot(q, psi)))
+    w = (x + q) / np.linalg.norm(x + q)
+    matrix = np.eye(4) - 2.0 * np.outer(w, w.conj())
+    d = np.abs(matrix.conj().T @ psi) ** 2 - t
+    misfit = float(np.dot(d, d))
     return FitResult(
         misfit=misfit,
         converged=misfit <= cfg.target_misfit,
         matrix=matrix,
         model=synthesize(list(matrix.T), experiment=experiment, **labels),
-        trace=trace,
-        restarts_used=len(runs),
-        iterations=sum(run[3] for run in runs),
+        trace=[misfit],
+        restarts_used=1,
+        iterations=1,
         seed=cfg.seed,
         target_misfit=cfg.target_misfit,
     )
@@ -370,8 +288,9 @@ class StateFitResult:
     ``trace`` lists the winning start's accepted objective values, so it is
     nonincreasing.  ``restarts_used`` is the index of the first start that
     reaches the target misfit plus 1, or the number of starts if none does.
-    ``iterations`` counts the batched iterations run and ``evaluations`` the
-    residual vectors evaluated over all starts.
+    ``iterations`` is the most batched iterations any block of starts ran,
+    and ``evaluations`` counts the residual vectors evaluated over all
+    starts.
     """
 
     state: StateVector
@@ -427,6 +346,8 @@ _JACOBIAN_STEP = 1e-7
 _INITIAL_DAMPING = 1e-3
 _STALL_ITERATIONS = 8
 _MIN_DECREASE = 1e-10
+# fit_state runs its starts through _levenberg this many at a time.
+_BLOCK_STARTS = 256
 
 
 def _levenberg(residuals, params: np.ndarray, cfg: FitConfig) -> tuple:
@@ -509,11 +430,12 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
     residuals in 32 smooth parameters: psi = z / |z| with z in C^4, and per
     table two unnormalized R^3 directions divided by their norms.
 
-    All ``cfg.restarts`` starts, drawn as standard normals from
-    ``cfg.seed``, run together through Levenberg's damped Gauss-Newton
-    method.  A start stops when its objective reaches ``cfg.target_misfit``,
-    after 8 iterations in a row without a relative decrease above 1e-10, or
-    after ``cfg.max_iterations`` iterations.  The start with the lowest
+    The ``cfg.restarts`` starts, drawn as standard normals from
+    ``cfg.seed``, run through Levenberg's damped Gauss-Newton method in
+    blocks of 256 stacked starts, so memory does not grow with the number
+    of restarts.  A start stops when its objective reaches
+    ``cfg.target_misfit``, after 8 iterations in a row without a relative
+    decrease above 1e-10, or after ``cfg.max_iterations`` iterations.  The start with the lowest
     objective, then the lowest index, wins.  The recovered state is
     identified only up to the product-unitary gauge the objective cannot
     distinguish.
@@ -522,21 +444,32 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
     tables = [dataset.tables[k] for k in EXPERIMENT_KEYS]
     targets = [_normalized_target(t) for t in tables]
     signatures = np.array([_signature(t) for t in targets])
-    starts = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 32))
-    params, objectives, history, evaluations = _levenberg(
-        lambda p: _state_residuals(p, signatures), starts, cfg
-    )
+    rng = np.random.default_rng(cfg.seed)
+    objectives, winners, traces, iterations, evaluations = [], [], [], 0, 0
+    for first in range(0, cfg.restarts, _BLOCK_STARTS):
+        starts = rng.standard_normal((min(_BLOCK_STARTS, cfg.restarts - first), 32))
+        params, f, history, count = _levenberg(
+            lambda p: _state_residuals(p, signatures), starts, cfg
+        )
+        # keep only the block's best start, so memory stays bounded by one block
+        winner = int(np.argmin(f))
+        objectives.append(f)
+        winners.append(params[winner])
+        traces.append(history[:, winner])
+        iterations = max(iterations, len(history) - 1)
+        evaluations += count
+    objectives = np.concatenate(objectives)
     best = int(np.argmin(objectives))
-    z = params[best, :4] + 1j * params[best, 4:8]
+    winner, trace = winners[best // _BLOCK_STARTS], traces[best // _BLOCK_STARTS]
+    z = winner[:4] + 1j * winner[4:8]
     # the global phase is free: make the first component real and nonnegative
     z = np.concatenate([[abs(z[0])], z[1:] * np.exp(-1j * np.angle(z[0]))])
     state = StateVector(CVec(z / np.linalg.norm(z)), provenance="fitted")
     per_experiment = {}
-    for table, target, (a, b) in zip(tables, targets, params[best, 8:].reshape(4, 2, 3)):
+    for table, target, (a, b) in zip(tables, targets, winner[8:].reshape(4, 2, 3)):
         model = _product_model_from_angles([*_angles_of(a), *_angles_of(b)], table)
         misfit = np.sum((probabilities_from_model(state, model).probabilities - target) ** 2)
         per_experiment[table.experiment] = (model, float(misfit))
-    trace = history[:, best]
     reached = np.flatnonzero(objectives <= cfg.target_misfit)
     return StateFitResult(
         state=state,
@@ -545,7 +478,7 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
         per_experiment=per_experiment,
         trace=[float(v) for v in trace[np.r_[True, np.diff(trace) < 0]]],
         restarts_used=int(reached[0]) + 1 if reached.size else cfg.restarts,
-        iterations=len(history) - 1,
+        iterations=iterations,
         evaluations=evaluations,
         seed=cfg.seed,
     )

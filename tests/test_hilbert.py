@@ -178,6 +178,11 @@ class TestCVec:
         np.testing.assert_allclose(v.phases_deg[:3], [13.93, 16.72, 9.69], atol=1e-12)
         assert v.phases_deg[3] == 0.0  # zero amplitude carries no phase
 
+    def test_phase_just_below_zero_reports_zero_not_360(self):
+        v = CVec(np.array([1.0, 0, 0, 0]) * np.exp(-1e-17j))
+        np.testing.assert_array_equal(v.phases_deg, [0.0, 0.0, 0.0, 0.0])
+        assert 359.9 < CVec(np.array([np.exp(-1e-9j), 0.0])).phases_deg[0] < 360.0
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=4, max_size=4),
