@@ -210,16 +210,17 @@ def cmd_fit(args) -> int:
     all_converged = True
 
     if args.state is not None:
+        # The closed-form basis fit uses no restarts; --restarts is still
+        # validated, but neither used nor reported.
         restarts = args.restarts if args.restarts is not None else 64
         target = args.tolerance if args.tolerance is not None else 1e-8
         cfg = FitConfig(seed=seed, restarts=restarts, target_misfit=target)
         state = _load_printing_warnings(load_state, args.state, args.strict, warnings)
         doc["mode"] = "basis"
         doc["state_file"] = {"path": str(args.state), "sha256": sha256_of_file(args.state)}
-        doc["restarts"] = restarts
         doc["fits"] = {}
         models = {}
-        lines += [f"state: {args.state}", f"mode: basis fits, seed {seed}, restarts {restarts}", ""]
+        lines += [f"state: {args.state}", f"mode: basis fits, seed {seed}", ""]
         for key in EXPERIMENT_KEYS:
             result = fit_basis(state, dataset.tables[key], cfg, experiment=key)
             models[key] = result.model

@@ -240,11 +240,34 @@ def reshuffle(matrix) -> np.ndarray:
     return t.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(t.shape)
 
 
-def _transported_ranks(us: np.ndarray, operators: np.ndarray, rank_tol: float = 1e-7) -> np.ndarray:
-    """Operator-Schmidt rank of U M U^dagger for each unitary of a stack
-    (..., 4, 4), with one operator M or a matching stack of them."""
-    transported = us @ operators @ us.conj().swapaxes(-1, -2)
-    return numerical_rank(np.linalg.svd(reshuffle(transported), compute_uv=False), rank_tol)
+def _transported_is_product(us: np.ndarray, operators: np.ndarray,
+                            rank_tol: float = 1e-7) -> np.ndarray:
+    """Whether U M U^dagger has operator-Schmidt rank 1, for each unitary of a
+    stack (..., 4, 4), with one operator M or a matching stack of them.
+
+    Each operator is first scaled by a power of two that brings its
+    peak_part into [0.5, 1).  That changes no rank, and keeps every square
+    finite for entries up to the float maximum.  With R the reshuffle of
+    the transport, F = ||R||_F^2 and G = R^dagger R,
+    e2 = (F^2 - ||G||_F^2) / 2 = sum_{i<j} s_i^2 s_j^2 over the singular
+    values s, so s_1^2 s_2^2 <= e2 <= 6 s_1^2 s_2^2 and
+    F >= s_1^2.  An entry with e2 > c F^2, c = max(1e-6, 100 rank_tol^2),
+    thus has s_2 / s_1 > sqrt(c / 6) > 4 rank_tol: it is not product, with
+    room for round-off.  Only the other entries, zero operators among them,
+    go through np.linalg.svd and numerical_rank.
+    """
+    operators = np.asarray(operators)
+    peaks = np.maximum(np.abs(operators.real), np.abs(operators.imag)).max(axis=(-2, -1))
+    shift = -np.frexp(peaks)[1][..., None, None]
+    scaled = np.ldexp(operators.real, shift) + 1j * np.ldexp(operators.imag, shift)
+    r = reshuffle(us @ scaled @ us.conj().swapaxes(-1, -2))
+    f = np.sum(r.real**2 + r.imag**2, axis=(-2, -1))
+    g = r.conj().swapaxes(-1, -2) @ r
+    e2 = 0.5 * (f**2 - np.sum(g.real**2 + g.imag**2, axis=(-2, -1)))
+    product = ~(e2 > max(1e-6, 100.0 * rank_tol**2) * f**2)
+    unsettled = r[product]
+    product[product] = numerical_rank(np.linalg.svd(unsettled, compute_uv=False), rank_tol) == 1
+    return product
 
 
 def _operator_schmidt_of_transported(transported: np.ndarray) -> OperatorSchmidt:
@@ -432,7 +455,12 @@ def refute_common_product_iso(operators, extra_isos=(), n_trials: int = 10_000,
     them from ``np.random.default_rng(seed)``.  They are tested in blocks of
     SEARCH_BLOCK: each operator in turn is transported through the
     candidates still alive, reshuffled, and kept only where its operator
-    Schmidt rank is 1.  The witness is the first candidate that survives
+    Schmidt rank is 1.  Most candidates are ruled out without an SVD: with
+    F the squared Frobenius norm of the reshuffle R and
+    e2 = (F^2 - ||R^dagger R||_F^2) / 2 = sum_{i<j} s_i^2 s_j^2, a candidate
+    with e2 > max(1e-6, 100 rank_tol^2) F^2 has s_2 / s_1 > 4 rank_tol, so
+    rank above 1.  Only the others go through the SVD (see
+    _transported_is_product).  The witness is the first candidate that survives
     every operator and ``trials`` is its 1-based position in the candidate
     order; when none survives, ``trials`` counts every candidate.  A
     not-found result is evidence — not proof — that no such isomorphism
@@ -452,7 +480,9 @@ def refute_common_product_iso(operators, extra_isos=(), n_trials: int = 10_000,
         )
         alive = np.arange(stop - start)
         for op in ops:
-            alive = alive[_transported_ranks(block[alive], op, rank_tol) == 1]
+            alive = alive[_transported_is_product(block[alive], op, rank_tol)]
+            if not alive.size:
+                break
         if alive.size:
             k = start + int(alive[0])
             witness = extra[k] if k < len(extra) else Isomorphism(block[alive[0]], name="random")

@@ -20,6 +20,13 @@ summing to 1.  The trial the stack ranks worst is then drawn again on its
 own and run through the public per-trial functions; a row fails when the
 two routes differ by more than ``ROUTE_TOL`` in that trial's families,
 state or property value.
+
+Where shared-basis-evolutions and no-common-product-basis test
+operator-Schmidt rank, a Gram-matrix bound rules out rank 1 without an SVD
+for clearly entangled operators (entanglement._transported_is_product);
+only the rest go through the SVD.  t-tail-reference builds its
+200,001-point Simpson grid once per row and evaluates each (t, df) point in
+that grid's two work buffers.
 """
 from __future__ import annotations
 
@@ -44,7 +51,7 @@ from .bellstats import (
 )
 from .entanglement import (
     _haar_unitaries,
-    _transported_ranks,
+    _transported_is_product,
     canonical_iso_of,
     check_factorization,
     collapse_probabilities,
@@ -56,7 +63,7 @@ from .entanglement import (
     refute_common_product_iso,
     states_equal_up_to_phase,
 )
-from .hilbert import check_unitary, tensor
+from .hilbert import check_unitary, tensor, unitary_deviation
 from .modelfit import (
     FitConfig,
     fit_basis,
@@ -261,16 +268,16 @@ def _factorization_deviations(families: np.ndarray, states: np.ndarray) -> np.nd
     return deviations.max(axis=(1, 2))
 
 
-def _evolution_ranks(isos: np.ndarray, families: dict) -> np.ndarray:
-    """Operator-Schmidt rank of each evolution of EVOLUTION_PAIRS through its
+def _evolution_products(isos: np.ndarray, families: dict) -> np.ndarray:
+    """Whether each evolution of EVOLUTION_PAIRS is product through its
     trial's iso, as is_product_evolution finds it: shape (T, 2).  The
     evolutions are checked as Evolution checks them."""
-    ranks = []
+    products = []
     for src, dst in EVOLUTION_PAIRS:
         evolutions = families[dst] @ _dagger(families[src])
         check_unitary(evolutions, "evolution operator")
-        ranks.append(_transported_ranks(isos, evolutions))
-    return np.stack(ranks, axis=1)
+        products.append(_transported_is_product(isos, evolutions))
+    return np.stack(products, axis=1)
 
 
 def _table_stack(families: dict, states: np.ndarray) -> dict:
@@ -420,7 +427,7 @@ def _check_shared_basis_evolutions(sets: int = 500) -> CheckRow:
 
     def run():
         isos, families, states = _quartet_stack(np.random.default_rng(seed), sets)
-        non_product = np.sum(_evolution_ranks(isos, families) != 1, axis=1)
+        non_product = np.sum(~_evolution_products(isos, families), axis=1)
         marginal = _worst_marginal_deviation(_table_stack(families, states))
         i = int(np.argmax(non_product) if non_product.any() else np.argmax(marginal))
         iso, trial_families, psi = _random_quartet(_redraw(seed, i, QUARTET_LAYOUT))
@@ -529,22 +536,18 @@ def _check_tsirelson_bound(trials: int = 1000) -> CheckRow:
 def _check_basis_fit_convergence() -> CheckRow:
     def run():
         state, _, dataset = reference_fixture()
-        summaries = {}
-        for key in EXPERIMENT_KEYS:
-            result = fit_basis(state, dataset.tables[key], FitConfig(seed=0, target_misfit=1e-8))
-            summaries[key] = (result.misfit, result.converged, result.restarts_used)
-        return summaries
+        fits = [fit_basis(state, dataset.tables[key], FitConfig(seed=0, target_misfit=1e-8))
+                for key in EXPERIMENT_KEYS]
+        return (max(fit.misfit for fit in fits),
+                max(unitary_deviation(fit.matrix) for fit in fits))
 
-    summaries, elapsed = _timed(run)
-    worst_misfit = max(misfit for misfit, _, _ in summaries.values())
-    all_converged = all(converged for _, converged, _ in summaries.values())
-    max_restarts = max(restarts for _, _, restarts in summaries.values())
+    (worst_misfit, worst_unitarity), elapsed = _timed(run)
     return CheckRow(
         name="basis-fit-convergence",
-        passed=all_converged and worst_misfit <= 1e-8 and max_restarts <= 64 and elapsed < 60.0,
-        measured=f"worst misfit {worst_misfit:.2e}, max restarts {max_restarts}",
+        passed=worst_misfit <= 1e-8 and worst_unitarity <= 1e-12 and elapsed < 60.0,
+        measured=f"worst misfit {worst_misfit:.2e}, worst unitarity error {worst_unitarity:.2e}",
         expected="all four reference tables fit from the reference state",
-        tolerance="misfit 1e-8 within 64 restarts; runtime < 60 s",
+        tolerance="misfit 1e-8; each basis unitary within 1e-12; runtime < 60 s",
         elapsed_ms=elapsed * 1e3,
     )
 
@@ -563,33 +566,46 @@ def _check_p_value_context() -> CheckRow:
     )
 
 
-def _reference_t_tail(t: float, df: int, points: int = 200_001) -> float:
+def _t_tail_grid(points: int = 200_001) -> tuple:
+    """The quadrature grid of _reference_t_tail: sin theta and the
+    Simpson-weighted cos theta * h / 3 on ``points`` evenly spaced theta in
+    [0, pi/2], then two work buffers of the same length."""
+    thetas = np.linspace(0.0, math.pi / 2.0, points)
+    h = thetas[1] - thetas[0]
+    sines = np.sin(thetas)
+    weighted = np.cos(thetas, out=thetas)
+    weighted *= h / 3.0
+    weighted[1:-1:2] *= 4.0
+    weighted[2:-1:2] *= 2.0
+    return sines, weighted, np.empty(points), np.empty(points)
+
+
+def _reference_t_tail(t: float, df: int, points: int = 200_001, grid: tuple | None = None) -> float:
     """P(T > t) via the regularized incomplete beta function.
 
     For t >= 0 the tail equals I_x(df/2, 1/2) / 2 with x = df / (df + t^2).
     The substitution u = x sin^2(theta) removes both endpoint singularities,
-    leaving a smooth integrand for Simpson's rule.  Independent of the
-    cosine-power route used by the statistics module.
+    leaving a smooth integrand for a ``points``-point Simpson rule.
+    Independent of the cosine-power route used by the statistics module.
+    ``grid``, when given, is _t_tail_grid(points): callers evaluating many
+    (t, df) pairs build it once, and each call writes the integrand into its
+    work buffers, so no call allocates a grid-sized array.
     """
     if t < 0.0:
-        return 1.0 - _reference_t_tail(-t, df, points)
+        return 1.0 - _reference_t_tail(-t, df, points, grid)
     if t == 0.0:
         return 0.5  # x = 1 makes the integrand 0/0 at the endpoint; symmetry is exact
+    sines, weighted, integrand, root = grid if grid is not None else _t_tail_grid(points)
     a = df / 2.0
     x = df / (df + t * t)
-    thetas = np.linspace(0.0, math.pi / 2.0, points)
-    integrand = (
-        2.0
-        * x**a
-        * np.sin(thetas) ** (2.0 * a - 1.0)
-        * np.cos(thetas)
-        / np.sqrt(1.0 - x * np.sin(thetas) ** 2)
-    )
-    h = thetas[1] - thetas[0]
-    weights = np.ones(points)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    incomplete = float(np.sum(weights * integrand)) * h / 3.0
+    np.power(sines, 2.0 * a - 1.0, out=integrand)
+    np.multiply(sines, sines, out=root)
+    root *= -x
+    root += 1.0
+    np.sqrt(root, out=root)
+    integrand /= root
+    # einsum's own loop: a BLAS dot of this length would wake BLAS threads
+    incomplete = 2.0 * x**a * float(np.einsum("i,i", integrand, weighted))
     complete = math.gamma(a) * math.gamma(0.5) / math.gamma(a + 0.5)
     return 0.5 * incomplete / complete
 
@@ -598,7 +614,9 @@ def _check_t_tail_reference() -> CheckRow:
     points = ((0.534522483824849, 3), (2.0, 10), (1.2, 80), (2.66, 80), (0.0, 7), (-1.0, 5))
 
     def worst_dev():
-        return max(abs(student_t_tail(t, df) - _reference_t_tail(t, df)) for t, df in points)
+        grid = _t_tail_grid()
+        return max(abs(student_t_tail(t, df) - _reference_t_tail(t, df, grid=grid))
+                   for t, df in points)
 
     worst, elapsed = _timed(worst_dev)
     return CheckRow(

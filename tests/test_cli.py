@@ -338,9 +338,11 @@ def test_fit_basis_mode_converges_and_writes_reusable_model(tmp_path, capsys, st
     assert code == 0
     assert doc["mode"] == "basis"
     assert doc["state_file"]["sha256"] == sha256_of_file(state_file)
+    assert "restarts" not in doc  # the closed-form fit has none to report
     for key in ("AB", "AB'", "A'B", "A'B'"):
         assert doc["fits"][key]["converged"] is True
         assert doc["fits"][key]["misfit"] <= 1e-8
+        assert doc["fits"][key]["restarts_used"] == 1
     assert doc["output"]["sha256"] == sha256_of_file(out_path)
 
     # the written model file is a valid input again

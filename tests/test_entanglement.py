@@ -1,6 +1,8 @@
 """Tests for product/entangled structure relative to C^4 = C^2 (x) C^2 identifications."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from bellkit.entanglement import (
     schmidt_state,
     states_equal_up_to_phase,
 )
-from bellkit.hilbert import tensor, tensor_op
+from bellkit.hilbert import numerical_rank, tensor, tensor_op
 from bellkit.modelfit import reference_fixture, synthesize
 
 from oracles import random_state, random_unitary, singular_values_by_charpoly, svd2_closed_form
@@ -534,6 +536,56 @@ def test_search_finds_witness_beyond_the_first_block():
     assert result.trials == len(extra) + k
     assert np.array_equal(result.witness.matrix, iso.matrix)
     assert result.witness.name == "random"
+
+
+def _ginibre(rng, *shape):
+    return rng.standard_normal((*shape, 4, 4)) + 1j * rng.standard_normal((*shape, 4, 4))
+
+
+@pytest.mark.parametrize("rank_tol", [1e-12, 1e-7, 1e-3, 0.3])
+def test_product_verdict_matches_the_svd_rank_on_near_product_operators(rank_tol):
+    rng = np.random.default_rng(71)
+    n = 2000
+    a = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    b = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    products = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, 4, 4)
+    eps = 10.0 ** rng.uniform(-16.0, -1.0, n)
+    us = entanglement._haar_unitaries(_ginibre(rng, n))
+    # pulled back through each unitary, so that its transport is near product
+    near = us.conj().swapaxes(-1, -2) @ (products + eps[:, None, None] * _ginibre(rng, n)) @ us
+    near[0] = 0.0
+    verdicts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scale in (1.0, 1e-300, 1e299):
+            operators = scale * near
+            sigma = np.linalg.svd(reshuffle(us @ operators @ us.conj().swapaxes(-1, -2)),
+                                  compute_uv=False)
+            expected = numerical_rank(sigma, rank_tol) == 1
+            got = entanglement._transported_is_product(us, operators, rank_tol)
+            np.testing.assert_array_equal(got, expected)
+            assert not got[0]  # the zero operator has rank 0
+            verdicts.append(got)
+    if rank_tol < 0.3:
+        assert 0 < np.sum(verdicts) < np.size(verdicts)  # both verdicts occur
+
+
+def test_reference_search_rules_out_nearly_every_candidate_without_an_svd(monkeypatch):
+    _, models, _ = reference_fixture()
+    operators = [models[k].operator for k in ("AB", "AB'", "A'B", "A'B'")]
+    extra = [canonical_iso_of(models[k]) for k in ("AB", "AB'", "A'B", "A'B'")]
+    rows = []
+    svd = np.linalg.svd
+
+    def counting(m, *args, **kwargs):
+        rows.append(np.reshape(m, (-1, *np.shape(m)[-2:])).shape[0])
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    result = refute_common_product_iso(operators, extra_isos=extra, n_trials=600, seed=0)
+    monkeypatch.undo()
+    assert not result.found and result.trials == 604
+    assert sum(rows) <= 4
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_stacked_factorization_deviation_matches_every_trial():
 @pytest.mark.parametrize("seed, trials", QUARTET_SUITES)
 def test_stacked_ranks_marginals_and_chsh_match_every_trial(seed, trials):
     isos, families, states = verify._quartet_stack(np.random.default_rng(seed), trials)
-    ranks = verify._evolution_ranks(isos, families)
+    products = verify._evolution_products(isos, families)
     tables = verify._table_stack(families, states)
     marginal = verify._worst_marginal_deviation(tables)
     chsh_values = np.abs(verify._chsh_values(tables))
@@ -94,8 +94,8 @@ def test_stacked_ranks_marginals_and_chsh_match_every_trial(seed, trials):
             evolution = evolution_between(trial_families[src], trial_families[dst])
             transported = iso.transport(evolution.matrix)
             rank = entanglement._operator_schmidt_of_transported(transported).rank()
-            assert ranks[i, k] == rank, (i, src, dst)
-            assert (ranks[i, k] == 1) == is_product_evolution(evolution, iso), (i, src, dst)
+            assert products[i, k] == (rank == 1), (i, src, dst)
+            assert products[i, k] == is_product_evolution(evolution, iso), (i, src, dst)
         trial_tables = verify._trial_tables(trial_families, psi)
         deviation = max(row.deviation for row in marginal_deviations(trial_tables))
         assert abs(marginal[i] - deviation) <= verify.ROUTE_TOL, i
