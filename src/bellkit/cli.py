@@ -5,10 +5,16 @@ Exit codes separate failure classes so scripts can react: 0 success,
 required convergence failed.  Reports embed the input file hash, the seed,
 and the tool version — never timestamps — so identical invocations produce
 identical output, except the ``elapsed_ms`` of each verify-paper JSON row.
+
+``main(argv)`` may be called repeatedly in one process.  The argument
+parser and the identifications of the four built-in reference models are
+built on first use and then reused; a ``--model`` file is read on every
+call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -321,6 +327,18 @@ def cmd_verify_paper(args) -> int:
 # schmidt
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_isos() -> dict:
+    """canonical_iso_of each built-in reference model, keyed by experiment.
+    Built once per process; the matrices are read-only, as every call shares
+    them."""
+    _, models, _ = reference_fixture()
+    isos = {key: canonical_iso_of(models[key]) for key in EXPERIMENT_KEYS}
+    for iso in isos.values():
+        iso.matrix.flags.writeable = False
+    return isos
+
+
 def _resolve_iso(args, warnings: list):
     if args.iso == "canonical":
         return canonical_iso()
@@ -328,10 +346,9 @@ def _resolve_iso(args, warnings: list):
         key = args.iso.split(":", 1)[1]
         if key not in EXPERIMENT_KEYS:
             raise ValueError(f"unknown experiment {key!r}; expected one of {EXPERIMENT_KEYS}")
-        if args.model is not None:
-            _, models = _load_printing_warnings(load_model, args.model, args.strict, warnings)
-        else:
-            _, models, _ = reference_fixture()
+        if args.model is None:
+            return _reference_isos()[key]
+        _, models = _load_printing_warnings(load_model, args.model, args.strict, warnings)
         return canonical_iso_of(models[key])
     raise ValueError(f"unknown --iso {args.iso!r}; use 'canonical' or 'from-model:<experiment>'")
 
@@ -392,7 +409,10 @@ def cmd_schmidt(args) -> int:
 # parser and entry point
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and then reused:
+    each parse_args call starts from a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format (default: text)"

@@ -172,10 +172,13 @@ class OperatorSchmidt:
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
-        # Both sides divided by the largest entry, so that no square can overflow.
-        peak = float(np.max(np.abs(self.transported))) or 1.0
-        hs_sq = float(np.sum(np.abs(self.transported / peak) ** 2))
-        if abs(float(np.sum((self.sigma / peak) ** 2)) - hs_sq) > 1e-9 * hs_sq:
+        # Both sides scaled by the power of two that brings peak_part into
+        # [0.5, 1): exact, so no square can overflow and nothing is divided
+        # by a subnormal peak.
+        shift = -np.frexp(peak_part(self.transported))[1]
+        t = np.asarray(self.transported)
+        hs_sq = float(np.sum(np.ldexp(t.real, shift) ** 2 + np.ldexp(t.imag, shift) ** 2))
+        if abs(float(np.sum(np.ldexp(self.sigma, shift) ** 2)) - hs_sq) > 1e-9 * hs_sq:
             raise ValueError("sum sigma^2 must equal the squared Hilbert-Schmidt norm")
 
     def rank(self, rank_tol: float = 1e-7) -> int:

@@ -355,9 +355,10 @@ def _check_marginal_witnesses(dataset) -> CheckRow:
     )
 
 
-def _check_model_probabilities() -> CheckRow:
+def _check_model_probabilities(fixture: tuple | None = None) -> CheckRow:
+    state, models, dataset = fixture or reference_fixture()
+
     def worst_dev():
-        state, models, dataset = reference_fixture()
         worst = 0.0
         for key in EXPERIMENT_KEYS:
             table = probabilities_from_model(state, models[key])
@@ -377,9 +378,10 @@ def _check_model_probabilities() -> CheckRow:
     )
 
 
-def _check_operator_entries() -> CheckRow:
+def _check_operator_entries(fixture: tuple | None = None) -> CheckRow:
+    _, models, _ = fixture or reference_fixture()
+
     def worst_dev():
-        _, models, _ = reference_fixture()
         published = reference_published_operators()
         worst = 0.0
         for key in EXPERIMENT_KEYS:
@@ -458,9 +460,10 @@ def _check_shared_basis_evolutions(sets: int = 500) -> CheckRow:
     )
 
 
-def _check_own_basis_product_form() -> CheckRow:
+def _check_own_basis_product_form(fixture: tuple | None = None) -> CheckRow:
+    state, models, _ = fixture or reference_fixture()
+
     def run():
-        state, models, _ = reference_fixture()
         ranks = {}
         for key in EXPERIMENT_KEYS:
             iso = canonical_iso_of(models[key])
@@ -484,9 +487,11 @@ def _check_own_basis_product_form() -> CheckRow:
     )
 
 
-def _check_no_common_product_basis(n_trials: int = 10_000) -> CheckRow:
+def _check_no_common_product_basis(n_trials: int = 10_000,
+                                   fixture: tuple | None = None) -> CheckRow:
+    _, models, _ = fixture or reference_fixture()
+
     def run():
-        _, models, _ = reference_fixture()
         operators = [models[key].operator for key in EXPERIMENT_KEYS]
         canonical_ranks = [operator_schmidt(op).rank() for op in operators]
         extra = [canonical_iso_of(models[key]) for key in EXPERIMENT_KEYS]
@@ -533,9 +538,10 @@ def _check_tsirelson_bound(trials: int = 1000) -> CheckRow:
     )
 
 
-def _check_basis_fit_convergence() -> CheckRow:
+def _check_basis_fit_convergence(fixture: tuple | None = None) -> CheckRow:
+    state, _, dataset = fixture or reference_fixture()
+
     def run():
-        state, _, dataset = reference_fixture()
         fits = [fit_basis(state, dataset.tables[key], FitConfig(seed=0, target_misfit=1e-8))
                 for key in EXPERIMENT_KEYS]
         return (max(fit.misfit for fit in fits),
@@ -633,22 +639,24 @@ def _check_t_tail_reference() -> CheckRow:
 def run_verification(dataset=None) -> list:
     """All golden checks; rows 1-2 run on ``dataset`` (default: built-in).
 
-    Returns a list of CheckRow.  The aggregate verdict is
-    ``all(row.passed for row in rows)``.
+    The reference fixture is built once and shared by the rows that read
+    it; none of them changes it.  Returns a list of CheckRow.  The aggregate
+    verdict is ``all(row.passed for row in rows)``.
     """
+    fixture = reference_fixture()
     if dataset is None:
-        _, _, dataset = reference_fixture()
+        dataset = fixture[2]
     return [
         _check_chsh_values(dataset),
         _check_marginal_witnesses(dataset),
-        _check_model_probabilities(),
-        _check_operator_entries(),
+        _check_model_probabilities(fixture),
+        _check_operator_entries(fixture),
         _check_product_factorization(),
         _check_shared_basis_evolutions(),
-        _check_own_basis_product_form(),
-        _check_no_common_product_basis(),
+        _check_own_basis_product_form(fixture),
+        _check_no_common_product_basis(fixture=fixture),
         _check_tsirelson_bound(),
-        _check_basis_fit_convergence(),
+        _check_basis_fit_convergence(fixture),
         _check_p_value_context(),
         _check_t_tail_reference(),
     ]

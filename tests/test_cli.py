@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import bellkit
+from bellkit import cli
+from bellkit.bellstats import EXPERIMENT_KEYS
 from bellkit.cli import main
+from bellkit.entanglement import canonical_iso_of
 from bellkit.io import canonical_json, operator_to_dict, sha256_of_file, state_to_dict
 from bellkit.modelfit import load_model, reference_fixture
 
@@ -448,6 +451,22 @@ def test_schmidt_text_output(capsys, operator_file):
     assert "entanglement degree" in out
 
 
+def test_schmidt_operator_with_subnormal_entries(tmp_path, capsys):
+    # Pulled back from a product operator, then scaled below the smallest
+    # normal float; a RuntimeWarning raises here (pytest's filterwarnings).
+    rng = np.random.default_rng(9)
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    op = u.conj().T @ np.kron(sx, np.diag([1.0, -2.0])) @ u
+    path = tmp_path / "subnormal.json"
+    path.write_text(canonical_json(operator_to_dict(1e-310 * (op + op.conj().T) / 2)), encoding="utf-8")
+    code, doc = run_json(capsys, ["schmidt", "--operator", str(path), "--format", "json"])
+    assert code == 0
+    assert doc["rank"] > 1
+    assert 0.0 < doc["sigma"][0] < 1e-300
+    assert 0.0 < doc["entanglement_degree"] < 1.0
+
+
 def test_schmidt_rejects_unknown_iso_key(capsys, state_file):
     code = main(["schmidt", "--state", state_file, "--iso", "from-model:XY"])
     captured = capsys.readouterr()
@@ -527,3 +546,99 @@ def test_verify_paper_reports_are_deterministic(capsys):
 
     assert without_timings(run("--format", "json")) == without_timings(run("--format", "json"))
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# repeated calls in one process
+
+
+def _call(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of one in-process call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _loose_dataset(tmp_path) -> str:
+    """The probability form of the reference dataset with AB summing to 1.008:
+    within --tolerance 0.01, beyond the default 0.005."""
+    doc = json.loads(Path(PROBS_FILE).read_text(encoding="utf-8"))
+    doc["coincidence"]["AB"]["probabilities"][0] += 0.008
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+# Each case: calls made one after another in one process, and what each must
+# give: (exit code, the start of stdout, the start of stderr).
+REPEATED_CALLS = {
+    "tolerance-falls-back-to-default": [
+        (["analyze", "{loose}", "--tolerance", "0.01"], 0, "experiment:", ""),
+        (["analyze", "{loose}"], 3, "", "error: AB: probabilities sum to 1.008000"),
+    ],
+    "format-falls-back-to-text": [
+        (["schmidt", "--state", "{state}", "--format", "json"], 0, "{", ""),
+        (["schmidt", "--operator", "{operator}"], 0, "operator:", ""),
+    ],
+    "sources-stay-exclusive": [
+        (["schmidt", "--state", "{state}", "--operator", "{operator}"], 2, "", "usage: bellkit schmidt"),
+        (["schmidt", "--state", "{state}"], 0, "state:", ""),
+        (["schmidt", "--operator", "{operator}", "--state", "{state}"], 2, "", "usage: bellkit schmidt"),
+    ],
+    "version": [
+        (["--version"], 0, f"bellkit {bellkit.__version__}\n", ""),
+        (["--version"], 0, f"bellkit {bellkit.__version__}\n", ""),
+    ],
+    "usage-errors": [
+        (["analyze"], 2, "", "usage: bellkit analyze"),
+        (["analyze", COUNTS_FILE, "--format", "xml"], 2, "", "usage: bellkit analyze"),
+        ([], 2, "", "usage: bellkit"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_CALLS))
+def test_repeated_calls_share_no_parser_state(tmp_path, capsys, state_file, operator_file, case):
+    files = {"{loose}": _loose_dataset(tmp_path), "{state}": state_file, "{operator}": operator_file}
+    calls = [([files.get(arg, arg) for arg in argv], *expected) for argv, *expected in REPEATED_CALLS[case]]
+    in_one_process = [_call(capsys, argv) for argv, *_ in calls]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv, *_ in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_call(capsys, argv))
+    assert in_one_process == fresh
+    for (code, out, err), (_, want_code, want_out, want_err) in zip(in_one_process, calls):
+        assert code == want_code
+        assert out.startswith(want_out)
+        assert err.startswith(want_err)
+
+
+def test_built_in_identifications_are_the_fresh_ones():
+    cached = cli._reference_isos()
+    assert cli._reference_isos() is cached
+    _, models, _ = reference_fixture()
+    for key in EXPERIMENT_KEYS:
+        fresh = canonical_iso_of(models[key])
+        assert np.array_equal(cached[key].matrix, fresh.matrix), key
+        assert cached[key].name == fresh.name == f"from-model:{key}"
+        assert not cached[key].matrix.flags.writeable  # shared by every call
+
+
+def test_model_file_is_read_on_every_call(tmp_path, capsys, operator_file):
+    doc = json.loads((DATA / "reference_model.json").read_text(encoding="utf-8"))
+    path = tmp_path / "model.json"
+    argv = ["schmidt", "--operator", operator_file, "--iso", "from-model:AB", "--model", str(path),
+            "--format", "json"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, own = run_json(capsys, argv)
+    assert code == 0 and own["rank"] == 1
+    measurements = doc["measurements"]
+    measurements["AB"], measurements["A'B'"] = measurements["A'B'"], measurements["AB"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, swapped = run_json(capsys, argv)
+    assert code == 0 and swapped["rank"] > 1
+    assert swapped["sigma"] != own["sigma"]

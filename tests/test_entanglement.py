@@ -264,6 +264,38 @@ def test_operator_schmidt_reconstructs_transported_operator():
         np.testing.assert_allclose(dec.reconstruct(), iso.transport(op), atol=1e-9)
 
 
+def _subnormal_product_operator():
+    """A Hermitian operator pulled back from a product one, scaled into the
+    subnormal range, and the isomorphism it was pulled back through."""
+    rng = np.random.default_rng(9)
+    iso = random_isomorphism(rng)
+    ha = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    hb = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    op = iso.matrix.conj().T @ tensor_op(ha + ha.conj().T, hb + hb.conj().T) @ iso.matrix
+    return 1e-310 * (op + op.conj().T) / 2, iso
+
+
+def test_operator_schmidt_of_a_subnormal_product_operator():
+    op, iso = _subnormal_product_operator()
+    assert 0.0 < np.max(np.abs(op)) < np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert operator_schmidt(op, iso).rank() == 1
+        assert operator_schmidt(iso.transport(op)).rank() == 1
+        assert operator_schmidt(op).rank() > 1
+
+
+def test_hilbert_schmidt_check_rejects_a_wrong_sigma_at_subnormal_scale():
+    op, iso = _subnormal_product_operator()
+    dec = operator_schmidt(op, iso)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for factor in (1.0 + 1e-8, 2.0, 0.5):
+            with pytest.raises(ValueError, match="Hilbert-Schmidt"):
+                entanglement.OperatorSchmidt(sigma=factor * dec.sigma, factors_a=dec.factors_a,
+                                             factors_b=dec.factors_b, transported=dec.transported)
+
+
 # ---------------------------------------------------------------------------
 # entanglement degree
 

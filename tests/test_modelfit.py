@@ -189,6 +189,21 @@ class TestStateVector:
             StateVector(CVec(np.array([1.0, 0.0])))
 
 
+def test_reference_fixture_returns_fresh_objects():
+    state, models, dataset = reference_fixture()
+    pristine = (state.values.copy(), models["AB"].operator.copy(), dataset.tables["AB"].p11)
+    state.raw.values[0] = 7.0
+    models["AB"].operator[0, 0] = 99.0
+    del models["A'B'"]
+    dataset.tables["AB"].p11 = 0.5
+    again_state, again_models, again_dataset = reference_fixture()
+    assert again_state is not state and again_models is not models and again_dataset is not dataset
+    assert np.array_equal(again_state.values, pristine[0])
+    assert np.array_equal(again_models["AB"].operator, pristine[1])
+    assert sorted(again_models) == sorted(EXPERIMENT_KEYS)
+    assert again_dataset.tables["AB"].p11 == pristine[2]
+
+
 # ---------------------------------------------------------------------------
 # probabilities / expectations
 

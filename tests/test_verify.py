@@ -231,3 +231,23 @@ def test_disagreeing_per_trial_route_fails_the_row(monkeypatch, check, name, shi
     assert passing.passed and not row.passed
     assert row.measured == passing.measured
     assert "differs from the per-trial route by 1.00e-11" in row.note
+
+
+def test_run_verification_builds_the_reference_fixture_once_and_leaves_it_unchanged(monkeypatch):
+    original = verify.reference_fixture
+    built = []
+
+    def counting():
+        built.append(original())
+        return built[-1]
+
+    monkeypatch.setattr(verify, "reference_fixture", counting)
+    rows = verify.run_verification()
+    assert len(built) == 1
+    assert all(row.passed for row in rows)
+    # the rows share that one fixture, so none of them may change it
+    (state, models, dataset), (fresh_state, fresh_models, fresh_dataset) = built[0], original()
+    assert np.array_equal(state.values, fresh_state.values)
+    for key in fresh_models:
+        assert np.array_equal(models[key].operator, fresh_models[key].operator), key
+        assert np.array_equal(dataset.tables[key].probabilities, fresh_dataset.tables[key].probabilities), key
