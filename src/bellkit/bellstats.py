@@ -28,10 +28,12 @@ MARGINAL_PLAN = (
 
 
 def check_probabilities(probs, experiment: str, sum_tol: float = 1e-6) -> None:
-    """Raise ValueError unless every row of ``probs`` (shape (..., 4)) is
-    finite, lies in [0, 1] and sums to 1 within ``sum_tol``; the message
-    names ``experiment`` and the first offending row."""
-    rows = np.asarray(probs, dtype=float).reshape(-1, 4)
+    """Raise ValueError unless every row of ``probs`` (rows along the last
+    axis, of any length) is finite, lies in [0, 1] and sums to 1 within
+    ``sum_tol``; the message names ``experiment`` and the first offending
+    row."""
+    rows = np.asarray(probs, dtype=float)
+    rows = rows.reshape(-1, rows.shape[-1])
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():
         raise ValueError(f"{experiment}: probabilities must be finite, got {rows[bad][0]}")
@@ -141,7 +143,8 @@ class CoincidenceTable:
 
 @dataclass
 class SinglesTable:
-    """Single-measurement outcome probabilities, one (p1, p2) pair per side."""
+    """Single-measurement outcome probabilities, one (p1, p2) pair per side,
+    each checked as check_probabilities checks a table, within 1e-4."""
 
     probabilities: dict
     labels: dict = field(default_factory=dict)
@@ -150,10 +153,7 @@ class SinglesTable:
         for side, pair in self.probabilities.items():
             if len(pair) != 2:
                 raise ValueError(f"singles for {side} must be a pair")
-            if abs(pair[0] + pair[1] - 1.0) > 1e-4:
-                raise ValueError(
-                    f"singles for {side} sum to {pair[0] + pair[1]:.6f}, outside 1 +/- 1e-4"
-                )
+            check_probabilities(pair, f"singles for {side}", sum_tol=1e-4)
 
 
 @dataclass
@@ -311,6 +311,8 @@ def student_t_tail(t: float, df: int, points: int = 4001) -> float:
     The substitution t = sqrt(df) tan(theta) turns the tail integral into
     C * sqrt(df) * integral of cos^(df-1)(theta) over
     [atan(t/sqrt(df)), pi/2], evaluated by composite Simpson quadrature.
+    The grid ends where the integrand underflows, cos^(df-1) < e^-745, so
+    its ``points`` stay on the peak, whose width is about 1/sqrt(df).
     """
     if df < 1:
         raise ValueError("df must be at least 1")
@@ -318,8 +320,8 @@ def student_t_tail(t: float, df: int, points: int = 4001) -> float:
     norm_const = math.exp(math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0))
     norm_const /= math.sqrt(nu * math.pi)
     lo = math.atan(t / math.sqrt(nu))
-    hi = math.pi / 2.0
-    theta = np.linspace(lo, hi, points)
+    hi = math.acos(math.exp(-745.0 / (nu - 1.0))) if df > 1 else math.pi / 2.0
+    theta = np.linspace(lo, max(lo, hi), points)
     integrand = np.cos(theta) ** (nu - 1.0)
     weights = np.ones(points)
     weights[1:-1:2] = 4.0

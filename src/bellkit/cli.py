@@ -90,31 +90,34 @@ def _emit(report: dict, lines: list, fmt: str) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _print_warnings(warnings: list) -> None:
-    for message in warnings:
+def _read_file(read, path, args, warnings: list, **options):
+    """The content of one input file, as ``read(path, strict=args.strict,
+    **options)`` returns it with the file's warnings; each warning is printed
+    as a ``warning:`` line and appended to the report's ``warnings``."""
+    content, found = read(path, strict=args.strict, **options)
+    for message in found:
         print(f"warning: {message}", file=sys.stderr)
+    warnings += found
+    return content
 
 
-def _read_dataset(args, command: str) -> tuple:
-    """(dataset, report) for a dataset-file command: ``--tolerance`` is the
-    probability-sum slack, the file's warnings are printed and reported."""
+def _loaded(load):
+    """load_state or load_model as a ``read`` for _read_file."""
+    def read(path, strict):
+        found: list = []
+        return load(path, strict=strict, warnings=found), found
+    return read
+
+
+def _read_dataset(args, command: str, **options) -> tuple:
+    """(dataset, report) for a dataset-file command; ``options`` go to
+    parse_dataset_file."""
     seed = _seed_of(args)
-    sum_tol = args.tolerance if args.tolerance is not None else 0.005
-    dataset, warnings = parse_dataset_file(args.file, strict=args.strict, sum_tol=sum_tol)
-    _print_warnings(warnings)
+    warnings: list = []
+    dataset = _read_file(parse_dataset_file, args.file, args, warnings, **options)
     doc = _provenance(command, args.file, seed)
     doc["warnings"] = warnings
     return dataset, doc
-
-
-def _load_printing_warnings(load, path, strict: bool, warnings: list):
-    """``load_state`` or ``load_model`` on a file, its warnings printed and
-    appended to ``warnings``."""
-    found: list = []
-    result = load(path, strict=strict, warnings=found)
-    _print_warnings(found)
-    warnings += found
-    return result
 
 
 def _side_label(tables: dict, side: str, outcome: int, experiment: str) -> str:
@@ -128,7 +131,8 @@ def _side_label(tables: dict, side: str, outcome: int, experiment: str) -> str:
 
 
 def cmd_analyze(args) -> int:
-    dataset, doc = _read_dataset(args, "analyze")
+    sum_tol = args.tolerance if args.tolerance is not None else 0.005
+    dataset, doc = _read_dataset(args, "analyze", sum_tol=sum_tol)
     report = chsh(dataset)
 
     doc["experiment"] = dataset.name
@@ -206,12 +210,9 @@ def _write_fitted_model(path, state_vector, models: dict) -> dict:
 
 
 def cmd_fit(args) -> int:
-    seed = _seed_of(args)
-    dataset, warnings = parse_dataset_file(args.file, strict=args.strict)
-    _print_warnings(warnings)
-
-    doc = _provenance("fit", args.file, seed)
-    doc["warnings"] = warnings
+    dataset, doc = _read_dataset(args, "fit")
+    seed = doc["seed"]
+    target = args.tolerance if args.tolerance is not None else 1e-8
     lines = [f"input: {args.file} (sha256 {doc['input']['sha256'][:12]}...)"]
     all_converged = True
 
@@ -219,9 +220,8 @@ def cmd_fit(args) -> int:
         # The closed-form basis fit uses no restarts; --restarts is still
         # validated, but neither used nor reported.
         restarts = args.restarts if args.restarts is not None else 64
-        target = args.tolerance if args.tolerance is not None else 1e-8
         cfg = FitConfig(seed=seed, restarts=restarts, target_misfit=target)
-        state = _load_printing_warnings(load_state, args.state, args.strict, warnings)
+        state = _read_file(_loaded(load_state), args.state, args, doc["warnings"])
         doc["mode"] = "basis"
         doc["state_file"] = {"path": str(args.state), "sha256": sha256_of_file(args.state)}
         doc["fits"] = {}
@@ -245,7 +245,6 @@ def cmd_fit(args) -> int:
         fitted_state = state
     else:
         restarts = args.restarts if args.restarts is not None else 8
-        target = args.tolerance if args.tolerance is not None else 1e-8
         cfg = FitConfig(seed=seed, restarts=restarts, target_misfit=target)
         result = fit_state(dataset, cfg)
         all_converged = result.converged
@@ -297,7 +296,8 @@ def cmd_fit(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     if args.file is not None:
-        dataset, doc = _read_dataset(args, "verify-paper")
+        sum_tol = args.tolerance if args.tolerance is not None else 0.005
+        dataset, doc = _read_dataset(args, "verify-paper", sum_tol=sum_tol)
     else:
         dataset = None
         doc = _builtin_dataset_provenance("verify-paper", _seed_of(args))
@@ -348,7 +348,7 @@ def _resolve_iso(args, warnings: list):
             raise ValueError(f"unknown experiment {key!r}; expected one of {EXPERIMENT_KEYS}")
         if args.model is None:
             return _reference_isos()[key]
-        _, models = _load_printing_warnings(load_model, args.model, args.strict, warnings)
+        _, models = _read_file(_loaded(load_model), args.model, args, warnings)
         return canonical_iso_of(models[key])
     raise ValueError(f"unknown --iso {args.iso!r}; use 'canonical' or 'from-model:<experiment>'")
 
@@ -360,47 +360,31 @@ def cmd_schmidt(args) -> int:
     rank_tol = args.tolerance if args.tolerance is not None else 1e-7
 
     if args.state is not None:
-        state = _load_printing_warnings(load_state, args.state, args.strict, warnings)
+        kind, path = "state", args.state
+        state = _read_file(_loaded(load_state), path, args, warnings)
         decomposition = schmidt_state(state.values, iso)
-        rank = decomposition.rank(rank_tol)
-        doc = _provenance("schmidt", args.state, seed)
-        doc["warnings"] = warnings
-        doc["kind"] = "state"
-        doc["iso"] = iso.name
-        doc["coefficients"] = [float(c) for c in decomposition.coefficients]
-        doc["rank"] = rank
-        doc["product"] = rank == 1
-        lines = [
-            f"state: {args.state}",
-            f"identification: {iso.name}",
-            "coefficients: " + ", ".join(f"{c:.6f}" for c in decomposition.coefficients),
-            f"rank: {rank}",
-            f"verdict: {'product' if rank == 1 else 'entangled'} relative to this identification",
-        ]
+        field, label, values = "coefficients", "coefficients", decomposition.coefficients
+        extra, extra_lines = {}, []
     else:
-        matrix, file_warnings = parse_operator_file(args.operator, strict=args.strict)
-        _print_warnings(file_warnings)
-        warnings += file_warnings
-        operator = np.array(matrix)
+        kind, path = "operator", args.operator
+        operator = np.array(_read_file(parse_operator_file, path, args, warnings))
         decomposition = operator_schmidt(operator, iso)
-        rank = decomposition.rank(rank_tol)
+        field, label, values = "sigma", "schmidt coefficients", decomposition.sigma
         degree = measurement_entanglement_degree(operator, iso)
-        doc = _provenance("schmidt", args.operator, seed)
-        doc["warnings"] = warnings
-        doc["kind"] = "operator"
-        doc["iso"] = iso.name
-        doc["sigma"] = [float(s) for s in decomposition.sigma]
-        doc["rank"] = rank
-        doc["product"] = rank == 1
-        doc["entanglement_degree"] = degree
-        lines = [
-            f"operator: {args.operator}",
-            f"identification: {iso.name}",
-            "schmidt coefficients: " + ", ".join(f"{s:.6f}" for s in decomposition.sigma),
-            f"rank: {rank}",
-            f"verdict: {'product' if rank == 1 else 'entangled'} relative to this identification",
-            f"entanglement degree: {degree:.6f}",
-        ]
+        extra, extra_lines = {"entanglement_degree": degree}, [f"entanglement degree: {degree:.6f}"]
+    rank = decomposition.rank(rank_tol)
+    doc = _provenance("schmidt", path, seed)
+    doc.update(warnings=warnings, kind=kind, iso=iso.name)
+    doc[field] = [float(v) for v in values]
+    doc.update(rank=rank, product=rank == 1, **extra)
+    lines = [
+        f"{kind}: {path}",
+        f"identification: {iso.name}",
+        f"{label}: " + ", ".join(f"{v:.6f}" for v in values),
+        f"rank: {rank}",
+        f"verdict: {'product' if rank == 1 else 'entangled'} relative to this identification",
+        *extra_lines,
+    ]
     _emit(doc, lines, args.format)
     return EXIT_OK
 

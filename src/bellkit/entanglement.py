@@ -174,11 +174,14 @@ class OperatorSchmidt:
         self.sigma = np.asarray(self.sigma, dtype=float)
         # Both sides scaled by the power of two that brings peak_part into
         # [0.5, 1): exact, so no square can overflow and nothing is divided
-        # by a subnormal peak.
+        # by a subnormal peak.  Subnormal sigma are only kept to the spacing
+        # 2^-1074, which is 2^(shift - 1074) in these units.
         shift = -np.frexp(peak_part(self.transported))[1]
         t = np.asarray(self.transported)
         hs_sq = float(np.sum(np.ldexp(t.real, shift) ** 2 + np.ldexp(t.imag, shift) ** 2))
-        if abs(float(np.sum(np.ldexp(self.sigma, shift) ** 2)) - hs_sq) > 1e-9 * hs_sq:
+        sigma = np.ldexp(self.sigma, shift)
+        slack = 1e-9 * hs_sq + float(np.sum(sigma)) * 2.0 ** (int(shift) - 1074)
+        if abs(float(np.sum(sigma**2)) - hs_sq) > slack:
             raise ValueError("sum sigma^2 must equal the squared Hilbert-Schmidt norm")
 
     def rank(self, rank_tol: float = 1e-7) -> int:

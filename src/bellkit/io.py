@@ -125,13 +125,16 @@ def _number_list(value, length: int, location: str) -> list:
     return [_number(x, f"entry {i} must be a number", location) for i, x in enumerate(value)]
 
 
+def _labels(block: dict, name: str, location: str) -> tuple:
+    """Field ``name`` of ``block``: two outcome names, ("1", "2") when absent."""
+    labels = block.get(name, ["1", "2"])
+    if not isinstance(labels, list) or len(labels) != 2 or not all(isinstance(s, str) for s in labels):
+        raise ParseError(f"field {name!r} must be a list of two strings", location)
+    return tuple(labels)
+
+
 def _outcome_labels(block: dict, location: str):
-    a_labels = block.get("a_labels", ["1", "2"])
-    b_labels = block.get("b_labels", ["1", "2"])
-    for name, labels in (("a_labels", a_labels), ("b_labels", b_labels)):
-        if not isinstance(labels, list) or len(labels) != 2 or not all(isinstance(s, str) for s in labels):
-            raise ParseError(f"field {name!r} must be a list of two strings", location)
-    return tuple(a_labels), tuple(b_labels)
+    return _labels(block, "a_labels", location), _labels(block, "b_labels", location)
 
 
 # ---------------------------------------------------------------------------
@@ -194,25 +197,20 @@ def parse_dataset_doc(doc, strict: bool = False, sum_tol: float = 0.005):
         raw_singles = doc["singles"]
         if not isinstance(raw_singles, dict):
             raise ParseError("field 'singles' must be an object")
+        _check_unknown(raw_singles, SINGLES_KEYS, "singles", strict, warnings, noun="side")
         probabilities = {}
         labels = {}
         for side, entry in raw_singles.items():
-            location = f"singles.{side}"
             if side not in SINGLES_KEYS:
-                if strict:
-                    raise ParseError(f"unknown side {side!r}", "singles")
-                warnings.append(f"singles: unknown side {side!r}")
-                continue
+                continue  # reported above
+            location = f"singles.{side}"
             if not isinstance(entry, dict):
                 raise ParseError("entry must be an object", location)
             _check_unknown(entry, {"labels", "probabilities"}, location, strict, warnings)
             pair = _number_list(_require(entry, "probabilities", list, location), 2, location)
             probabilities[side] = tuple(pair)
             if "labels" in entry:
-                side_labels = entry["labels"]
-                if not isinstance(side_labels, list) or len(side_labels) != 2:
-                    raise ParseError("field 'labels' must be a list of two strings", location)
-                labels[side] = tuple(side_labels)
+                labels[side] = _labels(entry, "labels", location)
         singles = SinglesTable(probabilities=probabilities, labels=labels)
 
     dataset = ExperimentDataset(name=name, tables=tables, singles=singles, n_subjects=n_subjects)

@@ -355,8 +355,8 @@ def _check_marginal_witnesses(dataset) -> CheckRow:
     )
 
 
-def _check_model_probabilities(fixture: tuple | None = None) -> CheckRow:
-    state, models, dataset = fixture or reference_fixture()
+def _check_model_probabilities(fixture: tuple) -> CheckRow:
+    state, models, dataset = fixture
 
     def worst_dev():
         worst = 0.0
@@ -378,8 +378,8 @@ def _check_model_probabilities(fixture: tuple | None = None) -> CheckRow:
     )
 
 
-def _check_operator_entries(fixture: tuple | None = None) -> CheckRow:
-    _, models, _ = fixture or reference_fixture()
+def _check_operator_entries(fixture: tuple) -> CheckRow:
+    _, models, _ = fixture
 
     def worst_dev():
         published = reference_published_operators()
@@ -460,8 +460,8 @@ def _check_shared_basis_evolutions(sets: int = 500) -> CheckRow:
     )
 
 
-def _check_own_basis_product_form(fixture: tuple | None = None) -> CheckRow:
-    state, models, _ = fixture or reference_fixture()
+def _check_own_basis_product_form(fixture: tuple) -> CheckRow:
+    state, models, _ = fixture
 
     def run():
         ranks = {}
@@ -487,9 +487,8 @@ def _check_own_basis_product_form(fixture: tuple | None = None) -> CheckRow:
     )
 
 
-def _check_no_common_product_basis(n_trials: int = 10_000,
-                                   fixture: tuple | None = None) -> CheckRow:
-    _, models, _ = fixture or reference_fixture()
+def _check_no_common_product_basis(fixture: tuple, n_trials: int = 10_000) -> CheckRow:
+    _, models, _ = fixture
 
     def run():
         operators = [models[key].operator for key in EXPERIMENT_KEYS]
@@ -538,8 +537,8 @@ def _check_tsirelson_bound(trials: int = 1000) -> CheckRow:
     )
 
 
-def _check_basis_fit_convergence(fixture: tuple | None = None) -> CheckRow:
-    state, _, dataset = fixture or reference_fixture()
+def _check_basis_fit_convergence(fixture: tuple) -> CheckRow:
+    state, _, dataset = fixture
 
     def run():
         fits = [fit_basis(state, dataset.tables[key], FitConfig(seed=0, target_misfit=1e-8))
@@ -586,22 +585,21 @@ def _t_tail_grid(points: int = 200_001) -> tuple:
     return sines, weighted, np.empty(points), np.empty(points)
 
 
-def _reference_t_tail(t: float, df: int, points: int = 200_001, grid: tuple | None = None) -> float:
+def _reference_t_tail(t: float, df: int, grid: tuple) -> float:
     """P(T > t) via the regularized incomplete beta function.
 
     For t >= 0 the tail equals I_x(df/2, 1/2) / 2 with x = df / (df + t^2).
     The substitution u = x sin^2(theta) removes both endpoint singularities,
-    leaving a smooth integrand for a ``points``-point Simpson rule.
-    Independent of the cosine-power route used by the statistics module.
-    ``grid``, when given, is _t_tail_grid(points): callers evaluating many
-    (t, df) pairs build it once, and each call writes the integrand into its
-    work buffers, so no call allocates a grid-sized array.
+    leaving a smooth integrand for the Simpson rule of ``grid``, a
+    _t_tail_grid(): callers evaluating many (t, df) pairs build it once, and
+    each call writes the integrand into its work buffers.  Independent of
+    the cosine-power route used by the statistics module.
     """
     if t < 0.0:
-        return 1.0 - _reference_t_tail(-t, df, points, grid)
+        return 1.0 - _reference_t_tail(-t, df, grid)
     if t == 0.0:
         return 0.5  # x = 1 makes the integrand 0/0 at the endpoint; symmetry is exact
-    sines, weighted, integrand, root = grid if grid is not None else _t_tail_grid(points)
+    sines, weighted, integrand, root = grid
     a = df / 2.0
     x = df / (df + t * t)
     np.power(sines, 2.0 * a - 1.0, out=integrand)
@@ -621,7 +619,7 @@ def _check_t_tail_reference() -> CheckRow:
 
     def worst_dev():
         grid = _t_tail_grid()
-        return max(abs(student_t_tail(t, df) - _reference_t_tail(t, df, grid=grid))
+        return max(abs(student_t_tail(t, df) - _reference_t_tail(t, df, grid))
                    for t, df in points)
 
     worst, elapsed = _timed(worst_dev)
@@ -654,7 +652,7 @@ def run_verification(dataset=None) -> list:
         _check_product_factorization(),
         _check_shared_basis_evolutions(),
         _check_own_basis_product_form(fixture),
-        _check_no_common_product_basis(fixture=fixture),
+        _check_no_common_product_basis(fixture),
         _check_tsirelson_bound(),
         _check_basis_fit_convergence(fixture),
         _check_p_value_context(),

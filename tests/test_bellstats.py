@@ -20,6 +20,7 @@ from bellkit.bellstats import (
     counts_to_probabilities,
     expectation,
     marginal_deviations,
+    student_t_tail,
     t_test_vs_threshold,
 )
 
@@ -100,6 +101,10 @@ class TestSinglesAndDataset:
         SinglesTable({"A": (0.5309, 0.4691)})
         with pytest.raises(ValueError, match="sum to"):
             SinglesTable({"A": (0.6, 0.5)})
+
+    def test_singles_pair_must_lie_in_the_unit_interval(self):
+        with pytest.raises(ValueError, match=r"singles for A: probabilities must lie in \[0, 1\]"):
+            SinglesTable({"A": (1.5, -0.5)})
 
     def test_dataset_requires_all_four_experiments(self):
         tables = {k: CoincidenceTable.from_counts(k, COUNTS[k], 81) for k in ("AB", "AB'", "A'B")}
@@ -336,3 +341,9 @@ class TestTTest:
         res = t_test_vs_threshold([1.0, 1.5, 2.0, 1.2], 2.0)
         assert res.statistic < 0
         assert 0.5 < res.p_value < 1.0
+
+    @pytest.mark.parametrize("t", [-1.0, 1.2, 2.66])
+    def test_tail_at_large_df_is_the_normal_tail(self, t):
+        # At df = 10**7 the t and normal tails differ by about 1e-8; the
+        # peak of cos^(df-1) is about 3e-4 wide.
+        assert abs(student_t_tail(t, 10**7) - math.erfc(t / math.sqrt(2.0)) / 2.0) <= 1e-7

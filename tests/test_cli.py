@@ -277,18 +277,23 @@ def test_analyze_unknown_field_warns_then_strict_rejects(tmp_path, capsys):
     assert "unknown field 'lab_notes'" in captured.err
 
 
-# Each case: the command, with {state} and {model} standing for files that
-# carry an unknown field.
+# Each case: the command, with {dataset}, {state}, {model} and {operator}
+# standing for files that carry an unknown field.  Every input-file kind is
+# read by one command at least.
 UNKNOWN_FIELD_COMMANDS = {
+    "analyze-dataset": ["analyze", "{dataset}"],
+    "fit-dataset": ["fit", "{dataset}", "--state", "{clean_state}"],
     "schmidt-state": ["schmidt", "--state", "{state}"],
     "fit-state": ["fit", PROBS_FILE, "--restarts", "1", "--state", "{state}"],
     "schmidt-model": ["schmidt", "--state", "{clean_state}", "--iso", "from-model:AB", "--model", "{model}"],
+    "schmidt-operator": ["schmidt", "--operator", "{operator}"],
 }
 
 
-def _noted_argv(tmp_path, state_file, case) -> list:
+def _noted_argv(tmp_path, state_file, operator_file, case) -> list:
     files = {"{clean_state}": state_file}
-    for key, source in (("{state}", Path(state_file)), ("{model}", DATA / "reference_model.json")):
+    for key, source in (("{dataset}", Path(COUNTS_FILE)), ("{state}", Path(state_file)),
+                        ("{model}", DATA / "reference_model.json"), ("{operator}", Path(operator_file))):
         doc = json.loads(source.read_text(encoding="utf-8"))
         doc["note"] = "x"
         files[key] = str(tmp_path / f"noted_{source.name}")
@@ -297,8 +302,8 @@ def _noted_argv(tmp_path, state_file, case) -> list:
 
 
 @pytest.mark.parametrize("case", sorted(UNKNOWN_FIELD_COMMANDS))
-def test_state_and_model_file_warnings_are_printed(tmp_path, capsys, state_file, case):
-    argv = _noted_argv(tmp_path, state_file, case)
+def test_state_and_model_file_warnings_are_printed(tmp_path, capsys, state_file, operator_file, case):
+    argv = _noted_argv(tmp_path, state_file, operator_file, case)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 0
@@ -310,10 +315,36 @@ def test_state_and_model_file_warnings_are_printed(tmp_path, capsys, state_file,
 
 
 @pytest.mark.parametrize("case", sorted(UNKNOWN_FIELD_COMMANDS))
-def test_state_and_model_file_warnings_reach_the_json_report(tmp_path, capsys, state_file, case):
-    code, doc = run_json(capsys, [*_noted_argv(tmp_path, state_file, case), "--format", "json"])
+def test_state_and_model_file_warnings_reach_the_json_report(tmp_path, capsys, state_file,
+                                                             operator_file, case):
+    code, doc = run_json(capsys, [*_noted_argv(tmp_path, state_file, operator_file, case),
+                                  "--format", "json"])
     assert code == 0
     assert doc["warnings"] == ["unknown field 'note'"]
+
+
+# Each case: a change to the singles block of the reference dataset, the exit
+# code and the error line.
+BAD_SINGLES = {
+    "labels-not-strings": ("labels", [1, {"x": 2}], 2,
+                           "error: singles.A: field 'labels' must be a list of two strings\n"),
+    "probabilities-out-of-range": ("probabilities", [1.5, -0.5], 3,
+                                   "error: singles for A: probabilities must lie in [0, 1], "
+                                   "got [ 1.5 -0.5]\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SINGLES))
+@pytest.mark.parametrize("command", [["analyze"], ["fit", "--restarts", "1"], ["verify-paper"]])
+def test_singles_follow_the_coincidence_rules(tmp_path, capsys, command, case):
+    field, value, want_code, want_err = BAD_SINGLES[case]
+    doc = json.loads(Path(COUNTS_FILE).read_text(encoding="utf-8"))
+    doc["singles"]["A"][field] = value
+    path = tmp_path / "bad_singles.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([*command, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (want_code, "", want_err)
 
 
 def test_seed_flag_and_environment_default(capsys, monkeypatch):
@@ -465,6 +496,20 @@ def test_schmidt_operator_with_subnormal_entries(tmp_path, capsys):
     assert doc["rank"] > 1
     assert 0.0 < doc["sigma"][0] < 1e-300
     assert 0.0 < doc["entanglement_degree"] < 1.0
+
+
+@pytest.mark.parametrize("scale", [1e-318, 1e-321])
+def test_schmidt_operator_deep_in_the_subnormal_range(tmp_path, capsys, scale):
+    # sigma stored this deep keep only a few bits; the Hilbert-Schmidt
+    # check must allow for their spacing.
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    path = tmp_path / "deep.json"
+    path.write_text(canonical_json(operator_to_dict(scale * np.kron(sx, np.diag([1.0, -2.0])))),
+                    encoding="utf-8")
+    code, doc = run_json(capsys, ["schmidt", "--operator", str(path), "--format", "json"])
+    assert code == 0
+    assert doc["rank"] == 1
+    assert doc["sigma"][0] == pytest.approx(math.sqrt(10.0) * scale, rel=1e-2)
 
 
 def test_schmidt_rejects_unknown_iso_key(capsys, state_file):
