@@ -305,6 +305,26 @@ class TTestResult:
     two_sided: bool
 
 
+# From this df on, _half_gamma_ratio sums an asymptotic series: the lgamma
+# difference loses about 1e-13 relative at df = 1000 and 1e-8 at df = 10^8,
+# where the series is good to 2e-16.
+HALF_GAMMA_SERIES_DF = 1000.0
+
+
+def _half_gamma_ratio(nu: float) -> float:
+    """Gamma((nu + 1) / 2) / Gamma(nu / 2), the ratio in the t density.
+
+    From HALF_GAMMA_SERIES_DF on, with x = nu / 2, the series
+    sqrt(x) (1 - 1/(8x) + 1/(128x^2) + 5/(1024x^3) - 21/(32768x^4)), whose
+    next term is below 5e-17 there; below, exp of an lgamma difference.
+    """
+    if nu < HALF_GAMMA_SERIES_DF:
+        return math.exp(math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0))
+    inv = 2.0 / nu
+    series = 1.0 + inv * (-1 / 8 + inv * (1 / 128 + inv * (5 / 1024 - inv * 21 / 32768)))
+    return math.sqrt(nu / 2.0) * series
+
+
 def student_t_tail(t: float, df: int, points: int = 4001) -> float:
     """P(T > t) for Student's t with ``df`` degrees of freedom.
 
@@ -317,8 +337,7 @@ def student_t_tail(t: float, df: int, points: int = 4001) -> float:
     if df < 1:
         raise ValueError("df must be at least 1")
     nu = float(df)
-    norm_const = math.exp(math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0))
-    norm_const /= math.sqrt(nu * math.pi)
+    norm_const = _half_gamma_ratio(nu) / math.sqrt(nu * math.pi)
     lo = math.atan(t / math.sqrt(nu))
     hi = math.acos(math.exp(-745.0 / (nu - 1.0))) if df > 1 else math.pi / 2.0
     theta = np.linspace(lo, max(lo, hi), points)

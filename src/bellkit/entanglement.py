@@ -33,6 +33,10 @@ PRODUCT_LABELS = ((1, 1), (1, 2), (2, 1), (2, 2))
 # transports and reshuffles stay a few hundred kilobytes.
 SEARCH_BLOCK = 256
 
+# The index pairs (i, j), i < j, of a 4x4 matrix's rows or columns: its 2x2
+# minors are the 36 pairs of pairs.
+_PAIRS = np.triu_indices(4, 1)
+
 # Largest real or imaginary part of an operator entry that
 # Isomorphism.transport accepts.  The entries of U M U^dagger and the
 # singular values of its reshuffle stay below 16 * sqrt(2) times it, so they
@@ -94,16 +98,46 @@ def canonical_iso() -> Isomorphism:
 def _haar_unitaries(ginibre: np.ndarray) -> np.ndarray:
     """Haar-distributed unitaries from Ginibre samples of shape (..., 4, 4).
 
-    QR with the phases of R's diagonal moved into Q (Mezzadri 2007), so the
-    result does not depend on LAPACK's sign convention.
+    Returns the Q of Z = Q R with R upper triangular and a positive real
+    diagonal, which is Haar-distributed (Mezzadri 2007) and free of any
+    library's sign convention.  Classical Gram-Schmidt orthonormalizes the
+    columns first to last and projects each column against the ones before
+    it twice ("twice is enough"), so Q stays unitary to round-off for Z of
+    condition number up to about 1e12.  Every sum is spelled out term by
+    term in real arithmetic, with the stack on the last axis: a matrix takes
+    the same floating-point steps alone or anywhere in a stack of any size,
+    so its Q is bit-identical either way.
     """
-    q, r = np.linalg.qr(ginibre)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    z = np.asarray(ginibre)
+    # w[k, 0, p, i] is part p (real, imaginary) of entry i of column k, and
+    # w[k, 1] is i times that column, so that one product with a vector v
+    # gives the real and imaginary parts of <column k, v> together.
+    w = np.empty((4, 2, 2, 4, *z.shape[:-2]))
+    w[:, 0, 0] = np.moveaxis(z.real, (-1, -2), (0, 1))
+    w[:, 0, 1] = np.moveaxis(z.imag, (-1, -2), (0, 1))
+    for k in range(4):
+        v = w[k, 0]
+        for _ in range(2 if k else 0):
+            p = w[:k] * v
+            p = p[:, :, 0] + p[:, :, 1]
+            c = p[:, :, 0] + p[:, :, 1] + p[:, :, 2] + p[:, :, 3]  # <q_j, v> for j < k
+            d = c[:, :, None, None] * w[:k]
+            d = d[:, 0] + d[:, 1]  # <q_j, v> q_j
+            for j in range(k):
+                v -= d[j]
+        sq = v * v
+        sq = sq[0] + sq[1]
+        v /= np.sqrt(sq[0] + sq[1] + sq[2] + sq[3])
+        np.negative(v[1], out=w[k, 1, 0])
+        w[k, 1, 1] = v[0]
+    q = np.empty(z.shape, dtype=complex)
+    np.moveaxis(q.real, (-1, -2), (0, 1))[...] = w[:, 0, 0]
+    np.moveaxis(q.imag, (-1, -2), (0, 1))[...] = w[:, 0, 1]
+    return q
 
 
 def random_isomorphism(rng: np.random.Generator) -> Isomorphism:
-    """A Haar-distributed isomorphism (QR of a Ginibre sample)."""
+    """A Haar-distributed isomorphism (Gram-Schmidt of a Ginibre sample)."""
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     return Isomorphism(_haar_unitaries(z), name="random")
 
@@ -246,34 +280,72 @@ def reshuffle(matrix) -> np.ndarray:
     return t.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(t.shape)
 
 
+def _minor_sum(r: np.ndarray) -> np.ndarray:
+    """Sum of |m|^2 over the 36 2x2 minors m of each matrix r[:, :, k] of a
+    stack (4, 4, K): sum_{i<j} s_i^2 s_j^2 over its singular values s, by
+    Cauchy-Binet, with no cancellation between large terms."""
+    i, j = _PAIRS
+    a, b = r[i], r[j]  # rows i and j of each pair
+    minors = a[:, i] * b[:, j] - a[:, j] * b[:, i]
+    return np.sum(minors.real**2 + minors.imag**2, axis=(0, 1))
+
+
 def _transported_is_product(us: np.ndarray, operators: np.ndarray,
                             rank_tol: float = 1e-7) -> np.ndarray:
     """Whether U M U^dagger has operator-Schmidt rank 1, for each unitary of a
     stack (..., 4, 4), with one operator M or a matching stack of them.
 
     Each operator is first scaled by a power of two that brings its
-    peak_part into [0.5, 1).  That changes no rank, and keeps every square
-    finite for entries up to the float maximum.  With R the reshuffle of
-    the transport, F = ||R||_F^2 and G = R^dagger R,
-    e2 = (F^2 - ||G||_F^2) / 2 = sum_{i<j} s_i^2 s_j^2 over the singular
-    values s, so s_1^2 s_2^2 <= e2 <= 6 s_1^2 s_2^2 and
-    F >= s_1^2.  An entry with e2 > c F^2, c = max(1e-6, 100 rank_tol^2),
-    thus has s_2 / s_1 > sqrt(c / 6) > 4 rank_tol: it is not product, with
-    room for round-off.  Only the other entries, zero operators among them,
-    go through np.linalg.svd and numerical_rank.
+    peak_part into [0.5, 1): that changes no rank and keeps every square
+    finite.  The stack moves to the last axis, so every product over it is
+    elementwise; a shared M is one flat matrix product.  With s the singular
+    values of the reshuffle R of the transport, F = sum s_i^2 and
+    e2 = sum_{i<j} s_i^2 s_j^2, two bounds settle nearly every entry:
+
+    * Not product: e2 > c F^2, c = max(1e-6, 100 rank_tol^2), proves
+      s_2 / s_1 > sqrt(c / 6) > 4 rank_tol, as s_1^2 s_2^2 <= e2 <=
+      6 s_1^2 s_2^2 and F >= s_1^2.  This e2 is sum_{p<q} (G_pp G_qq -
+      |G_pq|^2) over the Gram matrix G = R R^dagger; the floor on c absorbs
+      its round-off, a few 1e-16 F^2.
+    * Product: for the entries left, e2 from the exact 2x2 minors of R
+      (_minor_sum) with 64 e2 < rank_tol^2 F^2 proves s_2 / s_1 <
+      rank_tol / 2, as s_1^2 >= F / 4 gives (s_2 / s_1)^2 <= 16 e2 / F^2.
+      The factor 2 absorbs the round-off of R, e2 and the SVD.
+
+    Only the entries between the two bounds, zero operators among them, go
+    through np.linalg.svd and numerical_rank.
     """
-    operators = np.asarray(operators)
-    peaks = np.maximum(np.abs(operators.real), np.abs(operators.imag)).max(axis=(-2, -1))
-    shift = -np.frexp(peaks)[1][..., None, None]
-    scaled = np.ldexp(operators.real, shift) + 1j * np.ldexp(operators.imag, shift)
-    r = reshuffle(us @ scaled @ us.conj().swapaxes(-1, -2))
-    f = np.sum(r.real**2 + r.imag**2, axis=(-2, -1))
-    g = r.conj().swapaxes(-1, -2) @ r
-    e2 = 0.5 * (f**2 - np.sum(g.real**2 + g.imag**2, axis=(-2, -1)))
+    shape = np.shape(us)[:-2]
+    ut = np.reshape(us, (-1, 4, 4)).transpose(2, 1, 0).copy()  # ut[c, a] = U[a, c]
+    parts = np.ascontiguousarray(operators, dtype=complex).view(float)
+    shift = -np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
+    scaled = np.ldexp(parts, shift[..., None, None]).view(complex)
+    if scaled.ndim == 2:
+        um = (scaled.T @ ut.reshape(4, -1)).reshape(ut.shape)  # um[c, a] = (U M)[a, c]
+    else:
+        m = np.reshape(scaled, (-1, 4, 4)).transpose(1, 2, 0).copy()
+        um = m[0, :, None] * ut[0]
+        for d in range(1, 4):
+            um += m[d, :, None] * ut[d]
+    uc = ut.conj()
+    t = um[0, :, None] * uc[0]  # t[a, b] = (U M U^dagger)[a, b]
+    for c in range(1, 4):
+        t += um[c, :, None] * uc[c]
+    r = t.reshape(2, 2, 2, 2, -1).transpose(0, 2, 1, 3, 4).reshape(4, 4, -1)  # reshuffle
+    i, j = _PAIRS
+    norms = np.sum(r.real**2 + r.imag**2, axis=1)  # G_pp
+    f = norms[0] + norms[1] + norms[2] + norms[3]
+    g = r[i] * r[j].conj()
+    g = g[:, 0] + g[:, 1] + g[:, 2] + g[:, 3]  # G_pq, p < q
+    e2 = np.sum(norms[i] * norms[j] - (g.real**2 + g.imag**2), axis=0)
     product = ~(e2 > max(1e-6, 100.0 * rank_tol**2) * f**2)
-    unsettled = r[product]
-    product[product] = numerical_rank(np.linalg.svd(unsettled, compute_uv=False), rank_tol) == 1
-    return product
+    left = np.flatnonzero(product)
+    if left.size:
+        left = left[~(64.0 * _minor_sum(r[..., left]) < rank_tol**2 * f[left] ** 2)]
+    if left.size:
+        sigma = np.linalg.svd(np.moveaxis(r[..., left], -1, 0), compute_uv=False)
+        product[left] = numerical_rank(sigma, rank_tol) == 1
+    return product.reshape(shape)
 
 
 def _operator_schmidt_of_transported(transported: np.ndarray) -> OperatorSchmidt:
@@ -458,18 +530,17 @@ def refute_common_product_iso(operators, extra_isos=(), n_trials: int = 10_000,
     Candidates are the supplied ``extra_isos`` (typically each measurement's
     own canonical identification) followed by ``n_trials`` seeded
     Haar-random isomorphisms, drawn exactly as ``random_isomorphism`` draws
-    them from ``np.random.default_rng(seed)``.  They are tested in blocks of
+    them from ``np.random.default_rng(seed)``: _haar_unitaries gives each
+    the same bits in a block as alone.  They are tested in blocks of
     SEARCH_BLOCK: each operator in turn is transported through the
     candidates still alive, reshuffled, and kept only where its operator
-    Schmidt rank is 1.  Most candidates are ruled out without an SVD: with
-    F the squared Frobenius norm of the reshuffle R and
-    e2 = (F^2 - ||R^dagger R||_F^2) / 2 = sum_{i<j} s_i^2 s_j^2, a candidate
-    with e2 > max(1e-6, 100 rank_tol^2) F^2 has s_2 / s_1 > 4 rank_tol, so
-    rank above 1.  Only the others go through the SVD (see
-    _transported_is_product).  The witness is the first candidate that survives
-    every operator and ``trials`` is its 1-based position in the candidate
-    order; when none survives, ``trials`` counts every candidate.  A
-    not-found result is evidence — not proof — that no such isomorphism
+    Schmidt rank is 1 (see _transported_is_product).  A Gram-matrix bound
+    rules out nearly every candidate as entangled, a bound on the exact 2x2
+    minors proves rank 1 for product ones, and only candidates between the
+    two bounds go through an SVD.  The witness is the first candidate that
+    survives every operator and ``trials`` is its 1-based position in the
+    candidate order; when none survives, ``trials`` counts every candidate.
+    A not-found result is evidence — not proof — that no such isomorphism
     exists.
     """
     ops = [_values(op) for op in operators]

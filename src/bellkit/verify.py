@@ -21,12 +21,15 @@ own and run through the public per-trial functions; a row fails when the
 two routes differ by more than ``ROUTE_TOL`` in that trial's families,
 state or property value.
 
-Where shared-basis-evolutions and no-common-product-basis test
-operator-Schmidt rank, a Gram-matrix bound rules out rank 1 without an SVD
-for clearly entangled operators (entanglement._transported_is_product);
-only the rest go through the SVD.  t-tail-reference builds its
-200,001-point Simpson grid once per row and evaluates each (t, df) point in
-that grid's two work buffers.
+The suites' Haar-random isomorphisms come from an elementwise Gram-Schmidt
+(entanglement._haar_unitaries) that gives each trial the same bits in a
+stack as alone.  Where shared-basis-evolutions and no-common-product-basis
+test operator-Schmidt rank, entanglement._transported_is_product settles
+nearly every operator without an SVD: a Gram-matrix bound rules out rank 1
+for clearly entangled ones, and a bound on the exact 2x2 minors of the
+reshuffle proves rank 1 for product ones.  t-tail-reference compares the
+statistics module's quadrature with the closed-form finite sums of
+Abramowitz & Stegun 26.7.3-26.7.4.
 """
 from __future__ import annotations
 
@@ -571,63 +574,42 @@ def _check_p_value_context() -> CheckRow:
     )
 
 
-def _t_tail_grid(points: int = 200_001) -> tuple:
-    """The quadrature grid of _reference_t_tail: sin theta and the
-    Simpson-weighted cos theta * h / 3 on ``points`` evenly spaced theta in
-    [0, pi/2], then two work buffers of the same length."""
-    thetas = np.linspace(0.0, math.pi / 2.0, points)
-    h = thetas[1] - thetas[0]
-    sines = np.sin(thetas)
-    weighted = np.cos(thetas, out=thetas)
-    weighted *= h / 3.0
-    weighted[1:-1:2] *= 4.0
-    weighted[2:-1:2] *= 2.0
-    return sines, weighted, np.empty(points), np.empty(points)
+def _reference_t_tail(t: float, df: int) -> float:
+    """P(T > t) from the finite sums of Abramowitz & Stegun 26.7.3-26.7.4.
 
-
-def _reference_t_tail(t: float, df: int, grid: tuple) -> float:
-    """P(T > t) via the regularized incomplete beta function.
-
-    For t >= 0 the tail equals I_x(df/2, 1/2) / 2 with x = df / (df + t^2).
-    The substitution u = x sin^2(theta) removes both endpoint singularities,
-    leaving a smooth integrand for the Simpson rule of ``grid``, a
-    _t_tail_grid(): callers evaluating many (t, df) pairs build it once, and
-    each call writes the integrand into its work buffers.  Independent of
-    the cosine-power route used by the statistics module.
+    With theta = atan(t / sqrt(df)), A = P(|T| < |t|), carrying the sign of
+    t, is sin(theta) [1 + 1/2 cos^2 + (1*3)/(2*4) cos^4 + ...] for even df and
+    (2/pi) (theta + sin(theta) [cos + 2/3 cos^3 + (2*4)/(3*5) cos^5 + ...])
+    for odd df, with terms up to cos^(df-2) theta, and P(T > t) = (1 - A)/2.
+    Exact up to round-off, and independent of the quadrature of the
+    statistics module; 1 - A cancels in the far tail, so it serves only
+    tails well away from 0.
     """
-    if t < 0.0:
-        return 1.0 - _reference_t_tail(-t, df, grid)
-    if t == 0.0:
-        return 0.5  # x = 1 makes the integrand 0/0 at the endpoint; symmetry is exact
-    sines, weighted, integrand, root = grid
-    a = df / 2.0
-    x = df / (df + t * t)
-    np.power(sines, 2.0 * a - 1.0, out=integrand)
-    np.multiply(sines, sines, out=root)
-    root *= -x
-    root += 1.0
-    np.sqrt(root, out=root)
-    integrand /= root
-    # einsum's own loop: a BLAS dot of this length would wake BLAS threads
-    incomplete = 2.0 * x**a * float(np.einsum("i,i", integrand, weighted))
-    complete = math.gamma(a) * math.gamma(0.5) / math.gamma(a + 0.5)
-    return 0.5 * incomplete / complete
+    theta = math.atan(t / math.sqrt(df))
+    cos = math.cos(theta)
+    odd = df % 2
+    term, series = (cos if odd else 1.0), 0.0
+    for m in range(1, df // 2 + 1):
+        series += term
+        term *= cos * cos * (2 * m - 1 + odd) / (2 * m + odd)
+    a = math.sin(theta) * series
+    if odd:
+        a = 2.0 / math.pi * (theta + a)
+    return 0.5 * (1.0 - a)
 
 
 def _check_t_tail_reference() -> CheckRow:
     points = ((0.534522483824849, 3), (2.0, 10), (1.2, 80), (2.66, 80), (0.0, 7), (-1.0, 5))
 
     def worst_dev():
-        grid = _t_tail_grid()
-        return max(abs(student_t_tail(t, df) - _reference_t_tail(t, df, grid))
-                   for t, df in points)
+        return max(abs(student_t_tail(t, df) - _reference_t_tail(t, df)) for t, df in points)
 
     worst, elapsed = _timed(worst_dev)
     return CheckRow(
         name="t-tail-reference",
         passed=worst <= 1e-6,
         measured=f"worst tail-probability disagreement {worst:.2e}",
-        expected="two independent integration routes agree",
+        expected="the quadrature agrees with the closed-form finite sum",
         tolerance="1e-6",
         note=f"checked at {len(points)} (t, df) points including df = 80",
         elapsed_ms=elapsed * 1e3,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellkit import bellstats
 from bellkit.bellstats import (
     EXPERIMENT_KEYS,
     TSIRELSON_BOUND,
@@ -347,3 +348,15 @@ class TestTTest:
         # At df = 10**7 the t and normal tails differ by about 1e-8; the
         # peak of cos^(df-1) is about 3e-4 wide.
         assert abs(student_t_tail(t, 10**7) - math.erfc(t / math.sqrt(2.0)) / 2.0) <= 1e-7
+
+    @pytest.mark.parametrize("nu, ratio", [
+        # Gamma((nu + 1) / 2) / Gamma(nu / 2) to 40 digits, evaluated offline
+        # with mpmath; 1000 is where the asymptotic series takes over.
+        (1000, 22.3550903046986241391311117447920093003),
+        (10**5, 223.6062387336833746710795564478843725076),
+        (10**6, 707.1066044098743248784966928933544687325),
+        (10**7, 2236.06792159809095768576157358929288633),
+        (10**8, 7071.067794187805736441842699320577153688),
+    ])
+    def test_density_constant_at_large_df(self, nu, ratio):
+        assert abs(bellstats._half_gamma_ratio(float(nu)) / ratio - 1.0) <= 1e-14

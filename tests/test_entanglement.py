@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bellkit import entanglement
+from bellkit import entanglement, verify
 from bellkit.entanglement import (
     Evolution,
     Isomorphism,
@@ -24,7 +24,7 @@ from bellkit.entanglement import (
     schmidt_state,
     states_equal_up_to_phase,
 )
-from bellkit.hilbert import numerical_rank, tensor, tensor_op
+from bellkit.hilbert import numerical_rank, tensor, tensor_op, unitary_deviation
 from bellkit.modelfit import reference_fixture, synthesize
 
 from oracles import random_state, random_unitary, singular_values_by_charpoly, svd2_closed_form
@@ -96,6 +96,41 @@ def test_random_isomorphism_is_the_phase_fixed_qr_factor():
         assert np.max(np.abs(np.tril(r, -1))) <= 1e-12
         assert np.max(np.abs(np.diag(r).imag)) <= 1e-12
         assert np.all(np.diag(r).real > 0.0)
+
+
+def _phase_fixed_qr(z):
+    """LAPACK's Q with the phases of R's diagonal moved into it."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def test_haar_unitaries_match_the_phase_fixed_qr():
+    z = _ginibre(np.random.default_rng(8), 2000)
+    q = entanglement._haar_unitaries(z)
+    assert np.max(unitary_deviation(q)) <= 1e-14
+    assert np.max(np.abs(q - _phase_fixed_qr(z))) <= 1e-12
+
+
+def test_haar_unitaries_stay_unitary_at_condition_number_1e12():
+    rng = np.random.default_rng(9)
+    n = 500
+    left = _phase_fixed_qr(_ginibre(rng, n))
+    right = _phase_fixed_qr(_ginibre(rng, n))
+    z = left @ (np.array([1.0, 1e-4, 1e-8, 1e-12])[:, None] * right)
+    assert np.min(np.linalg.cond(z)) > 1e11
+    assert np.max(unitary_deviation(entanglement._haar_unitaries(z))) <= 1e-14
+
+
+def test_haar_unitaries_are_bit_identical_alone_and_in_any_stack():
+    z = _ginibre(np.random.default_rng(10), 400)
+    full = entanglement._haar_unitaries(z)
+    for k in (0, 5, 399):
+        assert np.array_equal(entanglement._haar_unitaries(z[k]), full[k]), k
+    for lo, hi in ((0, 2), (3, 67), (100, 356), (250, 400)):
+        assert np.array_equal(entanglement._haar_unitaries(z[lo:hi]), full[lo:hi]), (lo, hi)
+    nested = entanglement._haar_unitaries(z.reshape(20, 20, 4, 4))
+    assert np.array_equal(nested.reshape(400, 4, 4), full)
 
 
 def test_isomorphism_requires_unitary_matrix():
@@ -602,10 +637,8 @@ def test_product_verdict_matches_the_svd_rank_on_near_product_operators(rank_tol
         assert 0 < np.sum(verdicts) < np.size(verdicts)  # both verdicts occur
 
 
-def test_reference_search_rules_out_nearly_every_candidate_without_an_svd(monkeypatch):
-    _, models, _ = reference_fixture()
-    operators = [models[k].operator for k in ("AB", "AB'", "A'B", "A'B'")]
-    extra = [canonical_iso_of(models[k]) for k in ("AB", "AB'", "A'B", "A'B'")]
+def _svd_rows(monkeypatch):
+    """Record the number of matrices each np.linalg.svd call receives."""
     rows = []
     svd = np.linalg.svd
 
@@ -614,6 +647,32 @@ def test_reference_search_rules_out_nearly_every_candidate_without_an_svd(monkey
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return rows
+
+
+def test_shared_basis_evolutions_are_proved_product_without_an_svd(monkeypatch):
+    isos, families, _ = verify._quartet_stack(np.random.default_rng(102), 500)
+    rows = _svd_rows(monkeypatch)
+    products = verify._evolution_products(isos, families)
+    monkeypatch.undo()
+    assert products.shape == (500, 2) and products.all()
+    assert sum(rows) == 0
+
+
+def test_minor_sum_is_the_sum_of_products_of_squared_singular_value_pairs():
+    rng = np.random.default_rng(73)
+    m = _ginibre(rng, 1000) * 10.0 ** rng.uniform(-3.0, 3.0, (1000, 1, 1))
+    s2 = np.linalg.svd(m, compute_uv=False) ** 2
+    e2 = sum(s2[:, a] * s2[:, b] for a in range(4) for b in range(a + 1, 4))
+    got = entanglement._minor_sum(np.moveaxis(m, 0, -1))
+    assert np.max(np.abs(got / e2 - 1.0)) <= 1e-12
+
+
+def test_reference_search_rules_out_nearly_every_candidate_without_an_svd(monkeypatch):
+    _, models, _ = reference_fixture()
+    operators = [models[k].operator for k in ("AB", "AB'", "A'B", "A'B'")]
+    extra = [canonical_iso_of(models[k]) for k in ("AB", "AB'", "A'B", "A'B'")]
+    rows = _svd_rows(monkeypatch)
     result = refute_common_product_iso(operators, extra_isos=extra, n_trials=600, seed=0)
     monkeypatch.undo()
     assert not result.found and result.trials == 604
