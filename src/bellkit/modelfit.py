@@ -8,8 +8,9 @@ models keep both the raw vectors and their orthonormal repair.
 fit_basis is exact: one Householder reflection maps the state onto the
 square roots of the target probabilities.  fit_state solves its
 least-squares problem by a batched Levenberg iteration over its seeded
-restarts, in blocks of a fixed size.  FitConfig sets seed, budgets and
-target misfit; fit_basis uses only the target misfit.
+restarts, in blocks of a fixed size, with the residuals' exact Jacobian.
+FitConfig sets seed, budgets and target misfit; fit_basis uses only the
+target misfit.
 """
 from __future__ import annotations
 
@@ -289,8 +290,8 @@ class StateFitResult:
     nonincreasing.  ``restarts_used`` is the index of the first start that
     reaches the target misfit plus 1, or the number of starts if none does.
     ``iterations`` is the most batched iterations any block of starts ran,
-    and ``evaluations`` counts the residual vectors evaluated over all
-    starts.
+    and ``evaluations`` counts the points where residuals and Jacobian were
+    evaluated: each start's first point and one per iteration it ran.
     """
 
     state: StateVector
@@ -304,9 +305,15 @@ class StateFitResult:
     seed: int
 
 
-# Pauli products s_mu (x) s_nu for mu, nu in (I, X, Y, Z), as rows (mu, nu, i).
+# Pauli products P = s_mu (x) s_nu (row 4 mu + nu of the 16) ordered as m = (mu, 0),
+# n = (0, nu), t = (mu, nu) for mu, nu in (X, Y, Z), and their real forms
+# M = [[Re P, -Im P], [Im P, Re P]]: z^dagger P z = x.M x for x = (Re z, Im z).
 _PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
-_PAULI_PRODUCTS = np.array([np.kron(s, t) for s in _PAULI for t in _PAULI], dtype=complex).reshape(64, 4)
+_PRODUCTS = np.array([np.kron(s, t) for s in _PAULI for t in _PAULI])[
+    [4, 8, 12, 1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15]]
+_REAL_FORMS = np.block([[_PRODUCTS.real, -_PRODUCTS.imag], [_PRODUCTS.imag, _PRODUCTS.real]]).reshape(120, 8).T
+# table k's rows 3k..3k+2 and its direction columns 8+6k..13+6k of the Jacobian
+_OWN_ROWS, _OWN_COLUMNS = np.arange(12).reshape(4, 3, 1), 8 + np.arange(24).reshape(4, 1, 6)
 
 
 def _signature(target: np.ndarray) -> tuple:
@@ -315,34 +322,41 @@ def _signature(target: np.ndarray) -> tuple:
     return (t11 + t12 - t21 - t22, t11 - t12 + t21 - t22, t11 - t12 - t21 + t22)
 
 
-def _state_residuals(params: np.ndarray, signatures: np.ndarray) -> np.ndarray:
-    """The 12 residuals of fit_state at each row of ``params`` (..., 32).
+def _state_residuals(params: np.ndarray, signatures: np.ndarray) -> tuple:
+    """The 12 residuals r (B, 12) fit_state documents, and their Jacobian J (B, 12, 32).
 
-    ``params[..., :8]`` holds the real and imaginary parts of z in C^4, and
-    psi = z / |z|.  Each table k then has two Bloch directions a and b,
-    unnormalized, in ``params[..., 8 + 6k:14 + 6k]``.  With the correlations
-    c[mu, nu] = <psi| s_mu (x) s_nu |psi>, the marginal Bloch vectors are
-    m = c[1:, 0] and n = c[0, 1:] and the correlation matrix is t = c[1:, 1:].
-    Table k contributes (a.m - ra, b.n - rb, a.t.b - rc) / 2 for its
-    signature (ra, rb, rc).
+    ``params`` (B, 32) holds x = (Re z, Im z), then table k's directions a
+    and b in ``params[:, 8 + 6k:14 + 6k]``.  A correlation c = x.M x / x.x
+    has gradient 2 (M x - c x) / x.x, and a unit direction u = d / |d| has
+    derivative (I - u u^T) / |d|, so table k's rows are zero in the other
+    tables' direction columns.
     """
-    z = params[..., :4] + 1j * params[..., 4:8]
-    psi = z / np.linalg.norm(z, axis=-1, keepdims=True)
-    ops_psi = (psi @ _PAULI_PRODUCTS.T).reshape(*psi.shape[:-1], 16, 4)
-    c = np.einsum("...i,...ui->...u", psi.conj(), ops_psi).real.reshape(*psi.shape[:-1], 4, 4)
-    directions = params[..., 8:].reshape(*params.shape[:-1], 4, 2, 3)
-    directions = directions / np.linalg.norm(directions, axis=-1, keepdims=True)
-    a, b = directions[..., 0, :], directions[..., 1, :]
-    fitted = np.stack([
-        np.einsum("...kx,...x->...k", a, c[..., 1:, 0]),
-        np.einsum("...ky,...y->...k", b, c[..., 0, 1:]),
-        np.einsum("...kx,...xy,...ky->...k", a, c[..., 1:, 1:], b),
-    ], axis=-1)
-    return (0.5 * (fitted - signatures)).reshape(*params.shape[:-1], 12)
+    count = params.shape[0]
+    x = params[:, :8]
+    xx = np.einsum("bi,bi->b", x, x)[:, None]
+    mx = (x @ _REAL_FORMS).reshape(count, 15, 8)
+    c = np.einsum("bui,bi->bu", mx, x) / xx
+    dc = (mx - c[:, :, None] * x[:, None, :]) * (2.0 / xx[:, :, None])
+    t = c[:, 6:].reshape(count, 3, 3)
+    directions = params[:, 8:].reshape(count, 4, 2, 3)
+    norms = np.linalg.norm(directions, axis=-1, keepdims=True)
+    units = directions / norms
+    a, b = units[:, :, 0], units[:, :, 1]
+    # weights[:, k, j] @ c is table k's fitted value j; grads its gradient in (a, b)
+    weights, grads = np.zeros((count, 4, 3, 15)), np.zeros((count, 4, 3, 2, 3))
+    weights[:, :, 0, :3], weights[:, :, 1, 3:6] = a, b
+    weights[:, :, 2, 6:] = (a[..., :, None] * b[..., None, :]).reshape(count, 4, 9)
+    grads[:, :, 0, 0], grads[:, :, 1, 1] = c[:, None, :3], c[:, None, 3:6]
+    grads[:, :, 2, 0], grads[:, :, 2, 1] = b @ t.transpose(0, 2, 1), a @ t
+    grads -= np.einsum("bkjsx,bksx->bkjs", grads, units)[..., None] * units[:, :, None]
+    weights = weights.reshape(count, 12, 15)
+    jac = np.zeros((count, 12, 32))
+    jac[:, :, :8] = weights @ dc
+    jac[:, _OWN_ROWS, _OWN_COLUMNS] = (grads / norms[:, :, None]).reshape(count, 4, 3, 6)
+    return 0.5 * ((weights @ c[:, :, None])[..., 0] - signatures.reshape(12)), 0.5 * jac
 
 
 # Levenberg's method as fit_state runs it.
-_JACOBIAN_STEP = 1e-7
 _INITIAL_DAMPING = 1e-3
 _STALL_ITERATIONS = 8
 _MIN_DECREASE = 1e-10
@@ -351,39 +365,43 @@ _BLOCK_STARTS = 256
 
 
 def _levenberg(residuals, params: np.ndarray, cfg: FitConfig) -> tuple:
-    """Minimize |residuals(p)|^2 from every row of ``params`` (B, P) at once.
+    """Minimize |r(p)|^2 from every row of ``params`` (B, P) at once.
 
-    Each iteration takes a forward-difference Jacobian J at every start
-    still running and solves (J^T J + lam I) delta = -J^T r.  A step is
-    kept only when it lowers the objective; lam is then multiplied by 0.3,
-    otherwise by 10.  Starts stop by the rule fit_state documents.
-    Returns (params, objectives, history, evaluations): history[k] holds
-    every start's objective after iteration k.
+    ``residuals(p)`` returns r (B, R) and its Jacobian J (B, R, P) at the
+    rows of p.  Each iteration solves the damped Gauss-Newton step of every
+    start still running in dual form, delta = -J^T (J J^T + lam I)^-1 r, an
+    R x R system, and evaluates r and J once, at the trial points.  A step
+    is kept only when it lowers the objective; lam is then multiplied by
+    0.3, otherwise by 10 and the start keeps its r and J.  Starts stop by
+    the rule fit_state documents.  Returns (params, objectives, history,
+    evaluations): history[k] holds every start's objective after iteration
+    k, and evaluations counts the points at which ``residuals`` ran.
     """
-    count, size = params.shape
-    r = residuals(params)
+    count = params.shape[0]
+    r, jac = residuals(params)
     f = np.einsum("bi,bi->b", r, r)
     damping = np.full(count, _INITIAL_DAMPING)
     stalled = np.zeros(count, dtype=int)
     history = [f.copy()]
     evaluations = count
-    shifts = np.eye(size) * _JACOBIAN_STEP
+    identity = np.eye(r.shape[1])
     while len(history) <= cfg.max_iterations:
         run = np.flatnonzero((f > cfg.target_misfit) & (stalled < _STALL_ITERATIONS))
         if run.size == 0:
             break
-        p, r_run, f_run = params[run], r[run], f[run]
-        jac_t = (residuals(p[:, None, :] + shifts) - r_run[:, None, :]) / _JACOBIAN_STEP
-        normal = jac_t @ jac_t.transpose(0, 2, 1) + damping[run, None, None] * np.eye(size)
-        trial = p - np.linalg.solve(normal, jac_t @ r_run[..., None])[..., 0]
-        r_trial = residuals(trial)
+        p, r_run, jac_run, f_run = params[run], r[run], jac[run], f[run]
+        jac_t = jac_run.transpose(0, 2, 1)
+        dual = jac_run @ jac_t + damping[run, None, None] * identity
+        trial = p - (jac_t @ np.linalg.solve(dual, r_run[..., None]))[..., 0]
+        r_trial, jac_trial = residuals(trial)
         f_trial = np.einsum("bi,bi->b", r_trial, r_trial)
-        evaluations += run.size * (size + 1)
+        evaluations += run.size
         accept = f_trial < f_run
         stalled[run] = np.where(f_run - f_trial > _MIN_DECREASE * f_run, 0, stalled[run] + 1)
         damping[run] *= np.where(accept, 0.3, 10.0)
         kept = run[accept]
-        params[kept], r[kept], f[kept] = trial[accept], r_trial[accept], f_trial[accept]
+        params[kept], r[kept], jac[kept], f[kept] = (
+            trial[accept], r_trial[accept], jac_trial[accept], f_trial[accept])
         history.append(f.copy())
     return params, f, np.array(history), evaluations
 
@@ -420,15 +438,17 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
     product-basis misfit at the candidate state — the same quantity as
     running fit_basis restricted to U_a (x) U_b bases.  A state reaches
     objective ~0 exactly when the whole dataset admits a representation by
-    that state and four product measurements; a dataset violating the
-    marginal law has strictly positive objective for every state.
+    that state and four product measurements.  Each table has its own
+    directions, so the marginal law is not imposed: data violating it can
+    reach ~0, and a positive objective is what the starts found, not a proof.
 
     For projectors along unit Bloch directions a and b, a table's misfit is
     ((a.m - ra)^2 + (b.n - rb)^2 + (a.t.b - rc)^2) / 4, where m, n and t are
     the state's marginal Bloch vectors and correlation matrix and (ra, rb,
     rc) the table's signature.  So the objective is the squared norm of 12
     residuals in 32 smooth parameters: psi = z / |z| with z in C^4, and per
-    table two unnormalized R^3 directions divided by their norms.
+    table two unnormalized R^3 directions divided by their norms, with an
+    exact Jacobian evaluated alongside the residuals.
 
     The ``cfg.restarts`` starts, drawn as standard normals from
     ``cfg.seed``, run through Levenberg's damped Gauss-Newton method in

@@ -403,7 +403,7 @@ def test_fit_state_mode_reports_objective_and_is_deterministic(capsys):
     assert norm == pytest.approx(1.0, abs=1e-9)
     assert doc["state"]["phases_deg"][0] == 0.0
     assert 1 <= doc["iterations"] <= 400
-    assert doc["evaluations"] >= 2 + 33 * doc["iterations"]
+    assert 2 + doc["iterations"] <= doc["evaluations"] <= 2 + 2 * doc["iterations"]
 
     code2, doc2 = run_json(capsys, argv)
     assert code2 == 0
