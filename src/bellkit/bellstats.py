@@ -325,14 +325,18 @@ def _half_gamma_ratio(nu: float) -> float:
     return math.sqrt(nu / 2.0) * series
 
 
-def student_t_tail(t: float, df: int, points: int = 4001) -> float:
+# Simpson nodes of student_t_tail's quadrature grid (odd, so the panels pair up).
+T_TAIL_POINTS = 4001
+
+
+def student_t_tail(t: float, df: int) -> float:
     """P(T > t) for Student's t with ``df`` degrees of freedom.
 
     The substitution t = sqrt(df) tan(theta) turns the tail integral into
     C * sqrt(df) * integral of cos^(df-1)(theta) over
     [atan(t/sqrt(df)), pi/2], evaluated by composite Simpson quadrature.
     The grid ends where the integrand underflows, cos^(df-1) < e^-745, so
-    its ``points`` stay on the peak, whose width is about 1/sqrt(df).
+    its T_TAIL_POINTS nodes stay on the peak, whose width is about 1/sqrt(df).
     """
     if df < 1:
         raise ValueError("df must be at least 1")
@@ -340,9 +344,9 @@ def student_t_tail(t: float, df: int, points: int = 4001) -> float:
     norm_const = _half_gamma_ratio(nu) / math.sqrt(nu * math.pi)
     lo = math.atan(t / math.sqrt(nu))
     hi = math.acos(math.exp(-745.0 / (nu - 1.0))) if df > 1 else math.pi / 2.0
-    theta = np.linspace(lo, max(lo, hi), points)
+    theta = np.linspace(lo, max(lo, hi), T_TAIL_POINTS)
     integrand = np.cos(theta) ** (nu - 1.0)
-    weights = np.ones(points)
+    weights = np.ones(T_TAIL_POINTS)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     integral = float(np.dot(weights, integrand)) * (theta[1] - theta[0]) / 3.0

@@ -370,7 +370,7 @@ def cmd_schmidt(args) -> int:
         operator = np.array(_read_file(parse_operator_file, path, args, warnings))
         decomposition = operator_schmidt(operator, iso)
         field, label, values = "sigma", "schmidt coefficients", decomposition.sigma
-        degree = measurement_entanglement_degree(operator, iso)
+        degree = measurement_entanglement_degree(decomposition)
         extra, extra_lines = {"entanglement_degree": degree}, [f"entanglement degree: {degree:.6f}"]
     rank = decomposition.rank(rank_tol)
     doc = _provenance("schmidt", path, seed)

@@ -245,11 +245,6 @@ class Evolution:
         check_unitary(self.matrix, "evolution operator")
 
 
-def apply_iso(iso: Isomorphism, state) -> np.ndarray:
-    """Coefficients of a state over the product basis of ``iso``."""
-    return iso.apply(state)
-
-
 def reshuffle(matrix) -> np.ndarray:
     """Rearrange a 4x4 operator so tensor factors become outer factors.
 
@@ -398,9 +393,12 @@ def measurement_entanglement_degree(operator, iso: Isomorphism | None = None) ->
     """How far a measurement is from product form: 1 - sigma_1^2 / sum sigma^2.
 
     Zero exactly for product measurements; approaches 1 - 1/k when k Schmidt
-    coefficients are equal.
+    coefficients are equal.  ``operator`` may also be its OperatorSchmidt,
+    already computed; ``iso`` is then not used.
     """
-    sigma = operator_schmidt(operator, iso).sigma
+    if not isinstance(operator, OperatorSchmidt):
+        operator = operator_schmidt(operator, iso)
+    sigma = operator.sigma
     if sigma[0] == 0.0:
         raise ValueError("entanglement degree undefined for the zero operator")
     # Scaled by the largest coefficient, so that no square can overflow.
@@ -412,13 +410,10 @@ def evolution_between(source_model, target_model) -> Evolution:
 
     Eigenvectors pair by outcome position (11 to 11, 12 to 12, and so on).
     """
-    src = _model_eigenvectors(source_model)
-    dst = _model_eigenvectors(target_model)
-    matrix = np.zeros((4, 4), dtype=complex)
-    for s, d in zip(src, dst):
-        matrix += np.outer(d, s.conj())
+    src = np.column_stack(_model_eigenvectors(source_model))
+    dst = np.column_stack(_model_eigenvectors(target_model))
     return Evolution(
-        matrix=matrix,
+        matrix=dst @ src.conj().T,
         source=str(getattr(source_model, "experiment", "source")),
         target=str(getattr(target_model, "experiment", "target")),
     )

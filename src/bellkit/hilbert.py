@@ -20,20 +20,8 @@ REPAIR_ORDER = (0, 1, 3, 2)
 _ALLOWED_DIMS = (2, 4)
 
 
-class ConvergenceError(RuntimeError):
-    """Iterative routine failed to reach its tolerance; carries the residual.
-
-    No bellkit routine raises it since the SVD became numpy's; it stays
-    exported so that code catching it keeps working.
-    """
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 def _values(x) -> np.ndarray:
-    """Components of anything with ``values`` (CVec, CMat, StateVector) or of
+    """Components of anything with ``values`` (CVec, StateVector) or of
     an array-like, as a complex ndarray."""
     return np.asarray(getattr(x, "values", x), dtype=complex)
 
@@ -139,30 +127,6 @@ class CVec:
 
 
 @dataclass
-class CMat:
-    """A complex 2x2 or 4x4 matrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError("CMat must be square")
-        if self.values.shape[0] not in _ALLOWED_DIMS:
-            raise ValueError(f"CMat dimension must be 2 or 4, got {self.values.shape[0]}")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def is_hermitian(self, tol: float = 1e-9) -> bool:
-        return is_hermitian(self.values, tol)
-
-    def is_unitary(self, tol: float = 1e-9) -> bool:
-        return unitary_deviation(self.values) <= tol
-
-
-@dataclass
 class SVDResult:
     """Singular value decomposition M = u @ diag(sigma) @ vh.
 
@@ -197,11 +161,6 @@ def tensor(u, v) -> np.ndarray:
 def tensor_op(a, b) -> np.ndarray:
     """Tensor product of two operators in the same component ordering."""
     return np.kron(_values(a), _values(b))
-
-
-def inner(u, v) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    return complex(np.vdot(_values(u), _values(v)))
 
 
 def gram(vectors) -> np.ndarray:

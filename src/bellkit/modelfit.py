@@ -111,11 +111,9 @@ def _unit_state(state) -> np.ndarray:
 
 
 def _spectral_sum(eigenvalues, vectors) -> np.ndarray:
-    """The operator sum(lambda_k |v_k><v_k|)."""
-    operator = np.zeros((4, 4), dtype=complex)
-    for lam, v in zip(eigenvalues, vectors):
-        operator += lam * np.outer(v, v.conj())
-    return operator
+    """The operator sum(lambda_k |v_k><v_k|), as (V * lambda) @ V^dagger."""
+    v = np.column_stack(vectors)
+    return (v * np.asarray(eigenvalues)) @ v.conj().T
 
 
 def synthesize(eigenvectors, eigenvalues=_EIGENVALUE_PATTERN, experiment: str = "",

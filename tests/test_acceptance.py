@@ -17,7 +17,6 @@ import pytest
 from bellkit import (
     EXPERIMENT_KEYS,
     TSIRELSON_BOUND,
-    apply_iso,
     canonical_iso_of,
     chsh,
     marginal_deviations,
@@ -137,8 +136,8 @@ def test_criterion_07_own_basis_product_form_and_contextual_images():
         ranks[key] = operator_schmidt(model.operator, iso).rank(rank_tol=1e-7)
     assert all(rank == 1 for rank in ranks.values()), ranks
 
-    image_ab = apply_iso(canonical_iso_of(models["AB"]), state.values)
-    image_abp = apply_iso(canonical_iso_of(models["AB'"]), state.values)
+    image_ab = canonical_iso_of(models["AB"]).apply(state.values)
+    image_abp = canonical_iso_of(models["AB'"]).apply(state.values)
     assert not states_equal_up_to_phase(image_ab, image_abp)
     overlap = abs(np.vdot(image_ab, image_abp))
     assert overlap < 0.99

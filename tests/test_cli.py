@@ -482,6 +482,17 @@ def test_schmidt_text_output(capsys, operator_file):
     assert "entanglement degree" in out
 
 
+def test_schmidt_operator_decomposes_once(capsys, monkeypatch, operator_file):
+    # The entanglement degree reuses the decomposition the report prints.
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    code = main(["schmidt", "--operator", operator_file])
+    assert code == 0
+    assert "entanglement degree: 0.074770" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_schmidt_operator_with_subnormal_entries(tmp_path, capsys):
     # Pulled back from a product operator, then scaled below the smallest
     # normal float; a RuntimeWarning raises here (pytest's filterwarnings).

@@ -10,7 +10,6 @@ from bellkit import entanglement, verify
 from bellkit.entanglement import (
     Evolution,
     Isomorphism,
-    apply_iso,
     canonical_iso,
     canonical_iso_of,
     check_factorization,
@@ -52,7 +51,7 @@ def product_measurement(rng, iso):
 
 
 def test_canonical_iso_sends_first_basis_vector_to_label_11():
-    image = apply_iso(canonical_iso(), np.array([1.0, 0, 0, 0]))
+    image = canonical_iso().apply(np.array([1.0, 0, 0, 0]))
     np.testing.assert_allclose(image, [1, 0, 0, 0], atol=1e-12)
 
 
@@ -60,7 +59,7 @@ def test_iso_from_model_maps_eigenvectors_to_product_basis():
     _, models, _ = reference_fixture()
     iso = canonical_iso_of(models["AB"])
     for k, vec in enumerate(models["AB"].eigenvectors):
-        image = apply_iso(iso, vec.values)
+        image = iso.apply(vec.values)
         expected = np.zeros(4)
         expected[k] = 1.0
         np.testing.assert_allclose(np.abs(image), expected, atol=1e-9)
@@ -70,7 +69,7 @@ def test_iso_from_model_maps_eigenvectors_to_product_basis():
 def test_apply_iso_coefficients_are_inner_products():
     state, models, _ = reference_fixture()
     iso = canonical_iso_of(models["AB"])
-    image = apply_iso(iso, state.values)
+    image = iso.apply(state.values)
     for k, vec in enumerate(models["AB"].eigenvectors):
         assert image[k] == pytest.approx(np.vdot(vec.values, state.values), abs=1e-9)
 
@@ -450,8 +449,8 @@ def test_states_equal_up_to_phase_rejects_orthogonal():
 
 def test_reference_contextual_images_differ():
     state, models, _ = reference_fixture()
-    image_ab = apply_iso(canonical_iso_of(models["AB"]), state.values)
-    image_abp = apply_iso(canonical_iso_of(models["AB'"]), state.values)
+    image_ab = canonical_iso_of(models["AB"]).apply(state.values)
+    image_abp = canonical_iso_of(models["AB'"]).apply(state.values)
     assert not states_equal_up_to_phase(image_ab, image_abp)
     overlap = abs(np.vdot(image_ab, image_abp))
     assert overlap == pytest.approx(REFERENCE_CONTEXT_OVERLAP, abs=5e-6)

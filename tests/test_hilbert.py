@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit import hilbert
-from bellkit.hilbert import CMat, CVec, SVDResult, gram, inner, orthonormalize, svd, tensor, tensor_op
+from bellkit.hilbert import CVec, SVDResult, gram, orthonormalize, svd, tensor, tensor_op
 
 from oracles import random_state, random_unitary, singular_values_by_charpoly, svd2_closed_form
 
@@ -18,19 +18,6 @@ def test_tensor_plus_minus_example():
     u = np.array([1.0, 1.0]) / math.sqrt(2)
     v = np.array([1.0, -1.0]) / math.sqrt(2)
     np.testing.assert_allclose(tensor(u, v), np.array([1, -1, 1, -1]) / 2.0, atol=1e-15)
-
-
-def test_inner_orthogonal_example():
-    u = np.array([1.0, 1.0j]) / math.sqrt(2)
-    v = np.array([1.0, -1.0j]) / math.sqrt(2)
-    assert abs(inner(u, v)) <= 1e-15
-
-
-def test_inner_conjugate_linear_first_argument():
-    rng = np.random.default_rng(7)
-    u, v = random_state(rng, 4), random_state(rng, 4)
-    assert inner(2j * u, v) == pytest.approx(-2j * inner(u, v))
-    assert inner(u, 2j * v) == pytest.approx(2j * inner(u, v))
 
 
 def test_svd_against_charpoly_oracle():
@@ -143,16 +130,6 @@ def test_tensor_op_mixed_product_invariant():
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
-    st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
-)
-def test_cauchy_schwarz(u, v):
-    u, v = np.array(u), np.array(v)
-    assert abs(inner(u, v)) <= np.linalg.norm(u) * np.linalg.norm(v) + 1e-12
-
-
 def test_gram_of_orthonormal_family_is_identity():
     rng = np.random.default_rng(55)
     q = random_unitary(rng, 4)
@@ -212,19 +189,6 @@ class TestCVec:
     def test_normalize_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero vector"):
             CVec(np.zeros(2)).normalized()
-
-
-class TestCMat:
-    def test_flags(self):
-        h = np.array([[1.0, 1j], [-1j, 0.5]])
-        assert CMat(h).is_hermitian()
-        assert not CMat(h).is_unitary()
-        u = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert CMat(u).is_unitary()
-
-    def test_must_be_square(self):
-        with pytest.raises(ValueError, match="square"):
-            CMat(np.ones((2, 4)))
 
 
 class TestSVDResultValidation:

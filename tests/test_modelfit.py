@@ -85,6 +85,17 @@ def test_synthesize_canonical_basis_gives_diagonal_operator():
     np.testing.assert_allclose(model.operator, np.diag([1.0, -1.0, -1.0, 1.0]), atol=1e-12)
 
 
+def test_synthesize_weights_each_projector_by_its_eigenvalue():
+    rng = np.random.default_rng(31)
+    eigenvalues = (0.3, -1.7, 2.5, 0.0)
+    for _ in range(20):
+        q = random_unitary(rng, 4)
+        model = synthesize([q[:, k] for k in range(4)], eigenvalues=eigenvalues)
+        expected = sum(lam * np.outer(v.values, v.values.conj())
+                       for lam, v in zip(eigenvalues, model.eigenvectors))
+        np.testing.assert_allclose(model.operator, expected, atol=1e-14)
+
+
 def test_synthesize_reference_operators_match_printed_matrices():
     _, models, _ = reference_fixture()
     for key, model in models.items():
