@@ -1,115 +1,89 @@
 """bellkit — CHSH statistics, entanglement structure, and model fitting
-for two-part coincidence experiments on a 4-dimensional complex state space."""
+for two-part coincidence experiments on a 4-dimensional complex state space.
+
+Every name in ``__all__`` loads on first use (PEP 562): ``import bellkit``
+imports no submodule, and ``bellkit.reference_fixture`` imports only
+modelfit and the modules it needs, not verify or entanglement.  Submodules
+are reachable the same way, as ``bellkit.verify``.  ``bellkit.cli`` still
+imports every module when it loads, because its commands bind their callees
+by name at import time.
+"""
 
 __version__ = "0.1.0"
 
-from .bellstats import (
-    EXPERIMENT_KEYS,
-    TSIRELSON_BOUND,
-    ChshReport,
-    CoincidenceTable,
-    ExperimentDataset,
-    SinglesTable,
-    TTestResult,
-    chsh,
-    counts_to_probabilities,
-    expectation,
-    marginal_deviations,
-    student_t_tail,
-    t_test_vs_threshold,
-)
-from .entanglement import (
-    Evolution,
-    Isomorphism,
-    OperatorSchmidt,
-    SchmidtDecomposition,
-    canonical_iso,
-    canonical_iso_of,
-    check_factorization,
-    evolution_between,
-    is_product_evolution,
-    measurement_entanglement_degree,
-    operator_schmidt,
-    random_isomorphism,
-    refute_common_product_iso,
-    reshuffle,
-    schmidt_state,
-    states_equal_up_to_phase,
-)
-from .hilbert import CVec, gram, orthonormalize, svd, tensor, tensor_op
-from .io import ParseError, parse_dataset_file, write_dataset_file
-from .modelfit import (
-    FitConfig,
-    FitResult,
-    ObservableModel,
-    StateFitResult,
-    StateVector,
-    expectation_from_model,
-    fit_basis,
-    fit_state,
-    load_model,
-    load_state,
-    probabilities_from_model,
-    reference_fixture,
-    reference_published_operators,
-    synthesize,
-)
-from .verify import CheckRow, run_verification
+# Each submodule and the names it exports, in the order of __all__.
+_EXPORTS = {
+    "bellstats": (
+        "EXPERIMENT_KEYS",
+        "TSIRELSON_BOUND",
+        "ChshReport",
+        "CoincidenceTable",
+        "ExperimentDataset",
+        "SinglesTable",
+        "TTestResult",
+        "chsh",
+        "counts_to_probabilities",
+        "expectation",
+        "marginal_deviations",
+        "student_t_tail",
+        "t_test_vs_threshold",
+    ),
+    "entanglement": (
+        "Evolution",
+        "Isomorphism",
+        "OperatorSchmidt",
+        "SchmidtDecomposition",
+        "canonical_iso",
+        "canonical_iso_of",
+        "check_factorization",
+        "evolution_between",
+        "is_product_evolution",
+        "measurement_entanglement_degree",
+        "operator_schmidt",
+        "random_isomorphism",
+        "refute_common_product_iso",
+        "reshuffle",
+        "schmidt_state",
+        "states_equal_up_to_phase",
+    ),
+    "hilbert": ("CVec", "gram", "orthonormalize", "svd", "tensor", "tensor_op"),
+    "io": ("ParseError", "parse_dataset_file", "write_dataset_file"),
+    "modelfit": (
+        "FitConfig",
+        "FitResult",
+        "ObservableModel",
+        "StateFitResult",
+        "StateVector",
+        "expectation_from_model",
+        "fit_basis",
+        "fit_state",
+        "load_model",
+        "load_state",
+        "probabilities_from_model",
+        "reference_fixture",
+        "reference_published_operators",
+        "synthesize",
+    ),
+    "verify": ("CheckRow", "run_verification"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "EXPERIMENT_KEYS",
-    "TSIRELSON_BOUND",
-    "ChshReport",
-    "CoincidenceTable",
-    "ExperimentDataset",
-    "SinglesTable",
-    "TTestResult",
-    "chsh",
-    "counts_to_probabilities",
-    "expectation",
-    "marginal_deviations",
-    "student_t_tail",
-    "t_test_vs_threshold",
-    "Evolution",
-    "Isomorphism",
-    "OperatorSchmidt",
-    "SchmidtDecomposition",
-    "canonical_iso",
-    "canonical_iso_of",
-    "check_factorization",
-    "evolution_between",
-    "is_product_evolution",
-    "measurement_entanglement_degree",
-    "operator_schmidt",
-    "random_isomorphism",
-    "refute_common_product_iso",
-    "reshuffle",
-    "schmidt_state",
-    "states_equal_up_to_phase",
-    "CVec",
-    "gram",
-    "orthonormalize",
-    "svd",
-    "tensor",
-    "tensor_op",
-    "ParseError",
-    "parse_dataset_file",
-    "write_dataset_file",
-    "FitConfig",
-    "FitResult",
-    "ObservableModel",
-    "StateFitResult",
-    "StateVector",
-    "expectation_from_model",
-    "fit_basis",
-    "fit_state",
-    "load_model",
-    "load_state",
-    "probabilities_from_model",
-    "reference_fixture",
-    "reference_published_operators",
-    "synthesize",
-    "CheckRow",
-    "run_verification",
-]
+__all__ = ["__version__", *_OWNER]
+
+
+def __getattr__(name):
+    """Import the submodule that owns ``name``, or the submodule ``name``
+    itself, and keep the value in the package namespace."""
+    owner = _OWNER.get(name, name if name in _EXPORTS else None)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The import binds the submodule in this namespace.  __import__ and not
+    # importlib.import_module, because only the former shows in -X importtime.
+    __import__(f"{__name__}.{owner}")
+    value = globals()[owner] if owner == name else getattr(globals()[owner], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -139,10 +139,10 @@ class SVDResult:
     vh: np.ndarray
 
     def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        if np.any(self.sigma < -1e-12):
+        sigma = self.sigma = np.asarray(self.sigma, dtype=float)
+        if np.count_nonzero(sigma < -1e-12):
             raise ValueError("singular values must be nonnegative")
-        if np.any(np.diff(self.sigma) > 1e-12):
+        if np.count_nonzero(sigma[..., 1:] - sigma[..., :-1] > 1e-12):
             raise ValueError("singular values must be sorted descending")
 
     def reconstruct(self) -> np.ndarray:
@@ -237,7 +237,7 @@ def svd(matrix) -> SVDResult:
     m = _values(matrix)
     if m.ndim != 2:
         raise ValueError("svd expects a matrix")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("svd expects finite entries")
     u, sigma, vh = np.linalg.svd(m, full_matrices=False)
     return SVDResult(u=u, sigma=sigma, vh=vh)

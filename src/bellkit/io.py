@@ -13,7 +13,6 @@ canonical form.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 
@@ -34,6 +33,9 @@ class ParseError(ValueError):
 
 
 def sha256_of_file(path) -> str:
+    # imported here: hashlib costs milliseconds to load, and only the CLI hashes files
+    import hashlib
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 

@@ -91,6 +91,40 @@ class TestCoincidenceTable:
         with pytest.raises(ValueError, match=r"AB: probabilities sum to 2\.000000"):
             check_probabilities(rows, "AB")
 
+    def test_stack_check_reports_non_finite_before_out_of_range(self):
+        rows = np.array([[1.5, -0.5, 0.0, 0.0], [np.nan, 0.5, 0.25, 0.25]])
+        with pytest.raises(ValueError, match=r"^AB: probabilities must be finite, got \[ nan 0\.5  0\.25 0\.25\]$"):
+            check_probabilities(rows, "AB")
+
+    def test_whole_stack_check_matches_a_row_by_row_scan(self):
+        def scan(rows, sum_tol):
+            for test, message in (
+                (lambda r: not np.isfinite(r).all(), lambda r: f"must be finite, got {r}"),
+                (lambda r: ((r < -1e-12) | (r > 1.0 + 1e-12)).any(), lambda r: f"must lie in [0, 1], got {r}"),
+                (lambda r: abs(r.sum() - 1.0) > sum_tol,
+                 lambda r: f"sum to {r.sum():.6f}, outside 1 +/- {sum_tol}"),
+            ):
+                for row in rows:
+                    if test(row):
+                        return f"AB: probabilities {message(row)}"
+            return None
+
+        edges = [0.0, 0.25, 0.5, 1.0, -1e-12, -2e-12, 1.0 + 1e-12, 1.0 + 2e-12, 0.5 + 1e-6, 0.5 + 2e-6,
+                 np.nan, np.inf, -np.inf]
+        rng = np.random.default_rng(7)
+        for _ in range(400):
+            rows = np.full((3, 4), 0.25)
+            for _ in range(rng.integers(0, 4)):
+                i, j = rng.integers(0, 3), rng.integers(0, 4)
+                rows[i, j], rows[i, (j + 1) % 4] = rng.choice(edges), rng.choice(edges)
+            for sum_tol in (1e-6, 1e-4):
+                try:
+                    check_probabilities(rows, "AB", sum_tol)
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == scan(rows, sum_tol), rows
+
     def test_from_counts(self):
         t = CoincidenceTable.from_counts("AB", (4, 51, 21, 5), 81)
         np.testing.assert_allclose(t.probabilities, np.array([4, 51, 21, 5]) / 81.0, atol=1e-15)
