@@ -46,7 +46,7 @@ _EXPORTS = {
         "schmidt_state",
         "states_equal_up_to_phase",
     ),
-    "hilbert": ("CVec", "gram", "orthonormalize", "svd", "tensor", "tensor_op"),
+    "hilbert": ("gram", "orthonormalize", "svd", "tensor", "tensor_op"),
     "io": ("ParseError", "parse_dataset_file", "write_dataset_file"),
     "modelfit": (
         "FitConfig",

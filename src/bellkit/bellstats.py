@@ -86,9 +86,9 @@ class CoincidenceTable:
     n : int, optional
         Number of trials; required when counts are given.
     sum_tol : float
-        Allowed deviation of the probability sum from 1.  Use 0.005 for
-        tables transcribed from rounded sources, the tight default
-        otherwise.
+        Allowed deviation of the probability sum from 1, in [0, 1).  Use
+        0.005 for tables transcribed from rounded sources, the tight
+        default otherwise.
     """
 
     experiment: str
@@ -103,6 +103,8 @@ class CoincidenceTable:
     sum_tol: float = 1e-6
 
     def __post_init__(self):
+        if not 0.0 <= self.sum_tol < 1.0:
+            raise ValueError(f"probability-sum tolerance must lie in [0, 1), got {self.sum_tol}")
         probs = self.probabilities
         check_probabilities(probs, self.experiment, self.sum_tol)
         if len(self.a_labels) != 2 or len(self.b_labels) != 2:

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .bellstats import EXPERIMENT_KEYS, TSIRELSON_BOUND, chsh
 from .entanglement import canonical_iso, canonical_iso_of, measurement_entanglement_degree, operator_schmidt, schmidt_state
+from .hilbert import polar_deg
 from .io import (
     ParseError,
     canonical_json,
@@ -188,22 +189,17 @@ def cmd_analyze(args) -> int:
 # fit
 
 
-def _polar_entry(vec) -> tuple:
-    return [float(a) for a in vec.amplitudes], [float(p) for p in vec.phases_deg]
-
-
 def _write_fitted_model(path, state_vector, models: dict) -> dict:
-    amplitudes, phases = _polar_entry(state_vector.raw)
     entries = {
         key: {
             "a_labels": model.a_labels,
             "b_labels": model.b_labels,
             "eigenvalues": model.eigenvalues,
-            "eigenvectors": [_polar_entry(v) for v in model.eigenvectors],
+            "eigenvectors": [polar_deg(v) for v in model.eigenvectors],
         }
         for key, model in models.items()
     }
-    doc = model_to_dict((amplitudes, phases, state_vector.provenance), entries)
+    doc = model_to_dict((*polar_deg(state_vector.raw), state_vector.provenance), entries)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(doc))
     return {"path": str(path), "sha256": sha256_of_file(path)}
@@ -254,10 +250,10 @@ def cmd_fit(args) -> int:
         doc["converged"] = result.converged
         doc["iterations"] = result.iterations
         doc["evaluations"] = result.evaluations
-        amplitudes, phases = _polar_entry(result.state.raw)
+        amplitudes, phases = polar_deg(result.state.raw)
         doc["state"] = {
-            "amplitudes": amplitudes,
-            "phases_deg": phases,
+            "amplitudes": amplitudes.tolist(),
+            "phases_deg": phases.tolist(),
             "provenance": result.state.provenance,
         }
         doc["fits"] = {

@@ -157,8 +157,9 @@ def canonical_iso_of(measurement) -> Isomorphism:
     vecs = _model_eigenvectors(measurement)
     if len(vecs) != 4:
         raise ValueError("need four eigenvectors")
-    dev = float(np.max(np.abs(gram(vecs) - np.eye(4))))
-    if dev > 0.05:
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation fails the bound
+        dev = float(np.max(np.abs(gram(vecs) - np.eye(4))))
+    if not dev <= 0.05:
         raise ValueError(
             f"eigenvectors deviate from orthonormality by {dev:.4f}, beyond repair tolerance 0.05"
         )
@@ -180,7 +181,7 @@ class SchmidtDecomposition:
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         total = float(np.sum(self.coefficients**2))
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"Schmidt coefficients must satisfy sum c^2 = 1, got {total}")
 
     def rank(self, rank_tol: float = 1e-7) -> int:
@@ -215,7 +216,7 @@ class OperatorSchmidt:
         hs_sq = float(np.sum(np.ldexp(t.real, shift) ** 2 + np.ldexp(t.imag, shift) ** 2))
         sigma = np.ldexp(self.sigma, shift)
         slack = 1e-9 * hs_sq + float(np.sum(sigma)) * 2.0 ** (int(shift) - 1074)
-        if abs(float(np.sum(sigma**2)) - hs_sq) > slack:
+        if not abs(float(np.sum(sigma**2)) - hs_sq) <= slack:
             raise ValueError("sum sigma^2 must equal the squared Hilbert-Schmidt norm")
 
     def rank(self, rank_tol: float = 1e-7) -> int:

@@ -1,9 +1,9 @@
 """Complex Hilbert-space primitives for 2- and 4-dimensional problems.
 
-Vectors are stored rectangular (complex ndarray) internally; the canonical
-external representation is polar — amplitude >= 0 with phase in degrees in
-[0, 360) — because that is how measurement bases are written down and
-exchanged in data files.
+Vectors are plain complex ndarrays.  Their external representation is
+polar — amplitude >= 0 with phase in degrees in [0, 360) — because that is
+how measurement bases are written down and exchanged in data files;
+from_polar_deg and polar_deg convert between the two.
 """
 from __future__ import annotations
 
@@ -17,12 +17,10 @@ import numpy as np
 # calibrated package-wide convention for repairing rounded bases.
 REPAIR_ORDER = (0, 1, 3, 2)
 
-_ALLOWED_DIMS = (2, 4)
-
 
 def _values(x) -> np.ndarray:
-    """Components of anything with ``values`` (CVec, StateVector) or of
-    an array-like, as a complex ndarray."""
+    """Components of anything with ``values`` (a StateVector) or of an
+    array-like, as a complex ndarray."""
     return np.asarray(getattr(x, "values", x), dtype=complex)
 
 
@@ -53,8 +51,9 @@ def unitary_deviation(matrix):
 def check_unitary(matrix, what: str) -> None:
     """Raise ValueError naming ``what`` unless the matrix, or every matrix of
     a stack, is unitary within 1e-9."""
-    dev = float(np.max(unitary_deviation(matrix)))
-    if dev > 1e-9:
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation fails the bound
+        dev = float(np.max(unitary_deviation(matrix)))
+    if not dev <= 1e-9:
         raise ValueError(f"{what} is not unitary (deviation {dev:.3e})")
 
 
@@ -66,64 +65,28 @@ def numerical_rank(sigma, rank_tol: float = 1e-7):
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
-@dataclass
-class CVec:
-    """A complex vector of dimension 2 or 4.
+def from_polar_deg(amplitudes, phases_deg) -> np.ndarray:
+    """The complex vector with the given amplitudes >= 0 and phases in degrees."""
+    amps = np.asarray(amplitudes, dtype=float)
+    phs = np.asarray(phases_deg, dtype=float)
+    if amps.shape != phs.shape:
+        raise ValueError("amplitudes and phases must have the same length")
+    if (amps < 0).any():
+        raise ValueError("amplitudes must be nonnegative")
+    # Norms and Gram matrices square the amplitudes; keep the squares finite.
+    if (amps > 1e150).any():
+        raise ValueError(f"amplitudes must be at most 1e150, got {amps.max():.6g}")
+    return amps * np.exp(1j * np.radians(phs))
 
-    Attributes
-    ----------
-    values : np.ndarray
-        Rectangular complex components.
-    """
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex).reshape(-1)
-        if self.values.shape[0] not in _ALLOWED_DIMS:
-            raise ValueError(f"CVec dimension must be 2 or 4, got {self.values.shape[0]}")
-
-    @classmethod
-    def from_polar_deg(cls, amplitudes, phases_deg) -> "CVec":
-        """Build a vector from amplitudes >= 0 and phases in degrees."""
-        amps = np.asarray(amplitudes, dtype=float)
-        phs = np.asarray(phases_deg, dtype=float)
-        if amps.shape != phs.shape:
-            raise ValueError("amplitudes and phases must have the same length")
-        if (amps < 0).any():
-            raise ValueError("amplitudes must be nonnegative")
-        # Norms and Gram matrices square the amplitudes; keep the squares finite.
-        if (amps > 1e150).any():
-            raise ValueError(f"amplitudes must be at most 1e150, got {amps.max():.6g}")
-        return cls(amps * np.exp(1j * np.radians(phs)))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    @property
-    def phases_deg(self) -> np.ndarray:
-        """Phases in [0, 360); zero-amplitude entries report phase 0."""
-        phases = np.degrees(np.angle(self.values)) % 360.0
-        # a phase just below 0 rounds to 360.0 under the modulo
-        return np.where((np.abs(self.values) == 0.0) | (phases == 360.0), 0.0, phases)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    def is_unit(self, tol: float = 1e-9) -> bool:
-        """Whether the norm is within ``tol`` of 1 (0.02 for rounded sources)."""
-        return abs(self.norm() - 1.0) <= tol
-
-    def normalized(self) -> "CVec":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return CVec(self.values / n)
+def polar_deg(vector) -> tuple:
+    """(amplitudes, phases in degrees in [0, 360)) of a complex vector;
+    zero-amplitude entries report phase 0."""
+    v = _values(vector)
+    amplitudes = np.abs(v)
+    phases = np.degrees(np.angle(v)) % 360.0
+    # a phase just below 0 rounds to 360.0 under the modulo
+    return amplitudes, np.where((amplitudes == 0.0) | (phases == 360.0), 0.0, phases)
 
 
 @dataclass
@@ -169,42 +132,24 @@ def gram(vectors) -> np.ndarray:
     return v.conj() @ v.T
 
 
-def orthonormalize(vectors, order=None, tol: float = 1e-6):
-    """Gram-Schmidt repair of a near-orthonormal family.
+def orthonormalize(vectors):
+    """Gram-Schmidt repair of a near-orthonormal family, as a list of arrays.
 
-    Vectors are processed in ``order`` (defaults to REPAIR_ORDER for four
-    vectors, natural order otherwise) but returned at their original
-    positions, so outcome labels keep their meaning.
-
-    Parameters
-    ----------
-    vectors : sequence of array-like
-        Near-orthonormal family.
-    order : sequence of int, optional
-        Processing order; a permutation of range(len(vectors)).
-    tol : float
-        A residual norm at or below ``tol`` marks the family as linearly
-        dependent beyond repair.
-
-    Returns
-    -------
-    list of np.ndarray
-        Orthonormal vectors, original positions preserved.
+    Four vectors are processed in REPAIR_ORDER, any other number in natural
+    order, and returned at their original positions, so outcome labels keep
+    their meaning.  A residual norm not above 1e-6 marks the family as
+    linearly dependent beyond repair (ValueError).
     """
     vs = [_values(v) for v in vectors]
     k = len(vs)
-    if order is None:
-        order = REPAIR_ORDER if k == 4 else tuple(range(k))
-    if sorted(order) != list(range(k)):
-        raise ValueError("order must be a permutation of the vector indices")
     out: list = [None] * k
     done: list = []
-    for idx in order:
+    for idx in REPAIR_ORDER if k == 4 else range(k):
         w = vs[idx].copy()
         for u in done:
             w = w - np.vdot(u, w) * u
         residual = np.linalg.norm(w)
-        if residual <= tol:
+        if not residual > 1e-6:
             raise ValueError(
                 f"vector {idx} is linearly dependent on the others "
                 f"(residual {residual:.3e}); family is beyond repair"

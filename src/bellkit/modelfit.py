@@ -24,7 +24,7 @@ import numpy as np
 
 from . import io
 from .bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset
-from .hilbert import CVec, _values, gram, is_hermitian, orthonormalize, tensor
+from .hilbert import _values, from_polar_deg, gram, is_hermitian, orthonormalize, tensor
 
 _EIGENVALUE_PATTERN = (1.0, -1.0, -1.0, 1.0)
 
@@ -33,9 +33,9 @@ _EIGENVALUE_PATTERN = (1.0, -1.0, -1.0, 1.0)
 class ObservableModel:
     """A four-outcome measurement: eigenbasis, eigenvalues, operator.
 
-    ``eigenvectors_raw`` holds the vectors as supplied (possibly rounded);
-    ``eigenvectors`` their orthonormal repair.  Golden tests can target
-    either form.
+    ``eigenvectors_raw`` holds the vectors as supplied (possibly rounded) and
+    ``eigenvectors`` their orthonormal repair, each a list of four complex
+    4-vectors.  Golden tests can target either form.
     """
 
     experiment: str
@@ -51,15 +51,15 @@ class ObservableModel:
             raise ValueError("model needs four eigenvectors")
         if len(self.eigenvalues) != 4:
             raise ValueError("model needs four eigenvalues")
-        repaired = [v.values for v in self.eigenvectors]
-        if np.max(np.abs(gram(repaired) - np.eye(4))) > 1e-9:
+        repaired = self.eigenvectors
+        if not np.max(np.abs(gram(repaired) - np.eye(4))) <= 1e-9:
             raise ValueError("repaired eigenvectors must be orthonormal within 1e-9")
-        if np.max(np.abs(_spectral_sum(self.eigenvalues, repaired) - self.operator)) > 1e-9:
+        if not np.max(np.abs(_spectral_sum(self.eigenvalues, repaired) - self.operator)) <= 1e-9:
             raise ValueError("operator does not match its spectral synthesis")
         if not is_hermitian(self.operator):
             raise ValueError("operator must be Hermitian")
         if all(abs(lam) == 1.0 for lam in self.eigenvalues):
-            if np.max(np.abs(self.operator @ self.operator - np.eye(4))) > 1e-9:
+            if not np.max(np.abs(self.operator @ self.operator - np.eye(4))) <= 1e-9:
                 raise ValueError("operator of a +/-1 measurement must square to the identity")
 
     @property
@@ -71,32 +71,33 @@ class ObservableModel:
 class StateVector:
     """A unit state with a provenance tag.
 
+    ``raw`` keeps the as-given components, a complex array of shape (4,).
     Provenance "reference" admits rounded published amplitudes (norm within
     0.02 of 1); "fitted" and "user" require unit norm within 1e-9.  The
     ``values`` property always returns the exactly normalized vector used in
-    computations; ``raw`` keeps the as-given components.
+    computations.
     """
 
-    raw: CVec
+    raw: np.ndarray
     provenance: str = "user"
 
     def __post_init__(self):
-        if not isinstance(self.raw, CVec):
-            self.raw = CVec(np.asarray(self.raw, dtype=complex))
-        if self.raw.dim != 4:
+        self.raw = np.asarray(self.raw, dtype=complex)
+        if self.raw.shape != (4,):
             raise ValueError("state must have dimension 4")
         if self.provenance not in ("reference", "fitted", "user"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         tol = 0.02 if self.provenance == "reference" else 1e-9
-        if not self.raw.is_unit(tol):
+        with np.errstate(over="ignore"):  # an overflowing norm fails the bound
+            norm = np.linalg.norm(self.raw)
+        if not abs(norm - 1.0) <= tol:
             raise ValueError(
-                f"state norm {self.raw.norm():.6f} outside 1 +/- {tol} for "
-                f"provenance {self.provenance!r}"
+                f"state norm {norm:.6f} outside 1 +/- {tol} for provenance {self.provenance!r}"
             )
 
     @property
     def values(self) -> np.ndarray:
-        return self.raw.values / self.raw.norm()
+        return self.raw / np.linalg.norm(self.raw)
 
 
 def _unit_state(state) -> np.ndarray:
@@ -127,28 +128,32 @@ def synthesize(eigenvectors, eigenvalues=_EIGENVALUE_PATTERN, experiment: str = 
     Raises
     ------
     ValueError
-        If the family's Gram matrix deviates from the identity by more than
-        0.05 before repair; the message names the worst pair.
+        If the family is not four 4-vectors, if an eigenvalue is not finite or
+        exceeds 1e150 in magnitude, or if the family's Gram matrix deviates
+        from the identity by more than 0.05 before repair; the message then
+        names the worst pair.
     """
-    raw = [v if isinstance(v, CVec) else CVec(np.asarray(v, dtype=complex)) for v in eigenvectors]
-    if len(raw) != 4:
-        raise ValueError("need four eigenvectors")
+    raw = [np.asarray(v, dtype=complex) for v in eigenvectors]
+    if len(raw) != 4 or any(v.shape != (4,) for v in raw):
+        raise ValueError("need four eigenvectors of dimension 4")
     eigenvalues = tuple(float(lam) for lam in eigenvalues)
-    g = gram([v.values for v in raw])
-    dev = np.abs(g - np.eye(4))
+    if not np.max(np.abs(eigenvalues)) <= 1e150:
+        raise ValueError(f"eigenvalues must be finite, at most 1e150 in magnitude, got {eigenvalues}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation fails the bound
+        dev = np.abs(gram(raw) - np.eye(4))
     worst = tuple(int(k) for k in np.unravel_index(int(np.argmax(dev)), dev.shape))
-    if dev[worst] > 0.05:
+    if not dev[worst] <= 0.05:
         raise ValueError(
             f"eigenvectors are not orthonormal within 0.05 before repair: "
             f"worst pair {worst} deviates by {dev[worst]:.4f}"
         )
-    repaired_values = orthonormalize([v.values for v in raw])
+    repaired = orthonormalize(raw)
     return ObservableModel(
         experiment=experiment,
         eigenvectors_raw=raw,
-        eigenvectors=[CVec(v) for v in repaired_values],
+        eigenvectors=repaired,
         eigenvalues=eigenvalues,
-        operator=_spectral_sum(eigenvalues, repaired_values),
+        operator=_spectral_sum(eigenvalues, repaired),
         a_labels=tuple(a_labels),
         b_labels=tuple(b_labels),
     )
@@ -157,7 +162,7 @@ def synthesize(eigenvectors, eigenvalues=_EIGENVALUE_PATTERN, experiment: str = 
 def probabilities_from_model(state, model: ObservableModel) -> CoincidenceTable:
     """Outcome probabilities |<v_k|state>|^2 over the repaired basis."""
     psi = _unit_state(state)
-    probs = np.array([abs(np.vdot(v.values, psi)) ** 2 for v in model.eigenvectors])
+    probs = np.array([abs(np.vdot(v, psi)) ** 2 for v in model.eigenvectors])
     return CoincidenceTable(
         model.experiment or "model",
         *probs,
@@ -214,9 +219,9 @@ class FitResult:
     target_misfit: float
 
     def __post_init__(self):
-        if self.misfit < 0:
+        if not self.misfit >= 0:
             raise ValueError("misfit must be nonnegative")
-        if self.converged and self.misfit > self.target_misfit:
+        if self.converged and not self.misfit <= self.target_misfit:
             raise ValueError("converged result must meet the target misfit")
 
 
@@ -226,7 +231,9 @@ def _normalized_target(target, sum_tol: float = 0.005) -> np.ndarray:
         if probs.size != 4:
             raise ValueError("target must have four probabilities")
         target = CoincidenceTable("target", *probs, sum_tol=sum_tol)
-    probs = target.probabilities
+    # Tables admit entries down to -1e-12 (round-off); none may reach the
+    # square root in fit_basis.
+    probs = np.maximum(target.probabilities, 0.0)
     # Rounded published rows can sum to 0.999; probabilities over an
     # orthonormal basis sum to exactly 1, so fitting is well posed only for
     # a normalized target.
@@ -482,7 +489,7 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
     z = winner[:4] + 1j * winner[4:8]
     # the global phase is free: make the first component real and nonnegative
     z = np.concatenate([[abs(z[0])], z[1:] * np.exp(-1j * np.angle(z[0]))])
-    state = StateVector(CVec(z / np.linalg.norm(z)), provenance="fitted")
+    state = StateVector(z / np.linalg.norm(z), provenance="fitted")
     per_experiment = {}
     for table, target, (a, b) in zip(tables, targets, winner[8:].reshape(4, 2, 3)):
         model = _product_model_from_angles([*_angles_of(a), *_angles_of(b)], table)
@@ -507,7 +514,7 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
 
 def _state_from_content(block: dict) -> StateVector:
     return StateVector(
-        CVec.from_polar_deg(block["amplitudes"], block["phases_deg"]),
+        from_polar_deg(block["amplitudes"], block["phases_deg"]),
         provenance=block["provenance"],
     )
 
@@ -517,7 +524,7 @@ def _model_from_content(content: dict) -> tuple:
     state = None if content["state"] is None else _state_from_content(content["state"])
     models = {
         key: synthesize(
-            [CVec.from_polar_deg(v["amplitudes"], v["phases_deg"]) for v in block["eigenvectors"]],
+            [from_polar_deg(v["amplitudes"], v["phases_deg"]) for v in block["eigenvectors"]],
             eigenvalues=tuple(block["eigenvalues"]),
             experiment=key,
             a_labels=tuple(block["a_labels"]),

@@ -403,11 +403,14 @@ def _check_operator_entries(fixture: tuple) -> CheckRow:
     )
 
 
-def _check_product_factorization(trials: int = 1000) -> CheckRow:
+FACTORIZATION_PAIRS = 1000
+
+
+def _check_product_factorization() -> CheckRow:
     seed = 101
 
     def run():
-        _, families, states = _pair_stack(np.random.default_rng(seed), trials)
+        _, families, states = _pair_stack(np.random.default_rng(seed), FACTORIZATION_PAIRS)
         deviations = _factorization_deviations(families, states)
         i = int(np.argmax(deviations))
         _, family, state = _random_product_pair(_redraw(seed, i, PAIR_LAYOUT))
@@ -422,16 +425,19 @@ def _check_product_factorization(trials: int = 1000) -> CheckRow:
         measured=f"worst joint-vs-marginal-product deviation {worst:.2e}",
         expected="joint probabilities factorize for product state/measurement pairs",
         tolerance="1e-10; runtime < 1 s",
-        note=f"{trials} seeded random pairs{disagreement}",
+        note=f"{FACTORIZATION_PAIRS} seeded random pairs{disagreement}",
         elapsed_ms=elapsed * 1e3,
     )
 
 
-def _check_shared_basis_evolutions(sets: int = 500) -> CheckRow:
+EVOLUTION_QUARTETS = 500
+
+
+def _check_shared_basis_evolutions() -> CheckRow:
     seed = 102
 
     def run():
-        isos, families, states = _quartet_stack(np.random.default_rng(seed), sets)
+        isos, families, states = _quartet_stack(np.random.default_rng(seed), EVOLUTION_QUARTETS)
         non_product = np.sum(~_evolution_products(isos, families), axis=1)
         marginal = _worst_marginal_deviation(_table_stack(families, states))
         i = int(np.argmax(non_product) if non_product.any() else np.argmax(marginal))
@@ -458,7 +464,8 @@ def _check_shared_basis_evolutions(sets: int = 500) -> CheckRow:
         expected="evolutions between same-basis product measurements are product; "
         "marginals stay put",
         tolerance="rank tolerance 1e-7, marginals 1e-10; runtime < 5 s",
-        note=f"{sets} seeded measurement quartets = {2 * sets} evolution pairs{disagreement}",
+        note=f"{EVOLUTION_QUARTETS} seeded measurement quartets = "
+        f"{2 * EVOLUTION_QUARTETS} evolution pairs{disagreement}",
         elapsed_ms=elapsed * 1e3,
     )
 
@@ -490,14 +497,17 @@ def _check_own_basis_product_form(fixture: tuple) -> CheckRow:
     )
 
 
-def _check_no_common_product_basis(fixture: tuple, n_trials: int = 10_000) -> CheckRow:
+SEARCH_TRIALS = 10_000
+
+
+def _check_no_common_product_basis(fixture: tuple) -> CheckRow:
     _, models, _ = fixture
 
     def run():
         operators = [models[key].operator for key in EXPERIMENT_KEYS]
         canonical_ranks = [operator_schmidt(op).rank() for op in operators]
         extra = [canonical_iso_of(models[key]) for key in EXPERIMENT_KEYS]
-        result = refute_common_product_iso(operators, extra_isos=extra, n_trials=n_trials, seed=0)
+        result = refute_common_product_iso(operators, extra_isos=extra, n_trials=SEARCH_TRIALS, seed=0)
         return canonical_ranks, result
 
     (canonical_ranks, result), elapsed = _timed(run)
@@ -510,17 +520,20 @@ def _check_no_common_product_basis(fixture: tuple, n_trials: int = 10_000) -> Ch
         ),
         expected="entangled under the canonical identification; randomized search finds "
         "no identification rendering all four product",
-        tolerance=f"rank tolerance 1e-7; {n_trials} random candidates plus the four own bases",
+        tolerance=f"rank tolerance 1e-7; {SEARCH_TRIALS} random candidates plus the four own bases",
         note="a not-found result is evidence, not proof",
         elapsed_ms=elapsed * 1e3,
     )
 
 
-def _check_tsirelson_bound(trials: int = 1000) -> CheckRow:
+TSIRELSON_MODELS = 1000
+
+
+def _check_tsirelson_bound() -> CheckRow:
     seed = 103
 
     def run():
-        _, families, states = _quartet_stack(np.random.default_rng(seed), trials)
+        _, families, states = _quartet_stack(np.random.default_rng(seed), TSIRELSON_MODELS)
         values = np.abs(_chsh_values(_table_stack(families, states)))
         i = int(np.argmax(values))
         _, trial_families, psi = _random_quartet(_redraw(seed, i, QUARTET_LAYOUT))
@@ -535,7 +548,7 @@ def _check_tsirelson_bound(trials: int = 1000) -> CheckRow:
         measured=f"largest |CHSH| {worst:.6f}",
         expected=f"|CHSH| <= 2*sqrt(2) = {TSIRELSON_BOUND:.6f} for product models",
         tolerance="1e-9 slack",
-        note=f"{trials} seeded single-identification product models{disagreement}",
+        note=f"{TSIRELSON_MODELS} seeded single-identification product models{disagreement}",
         elapsed_ms=elapsed * 1e3,
     )
 

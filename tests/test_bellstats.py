@@ -73,6 +73,12 @@ class TestCoincidenceTable:
         with pytest.raises(ValueError, match="finite"):
             CoincidenceTable("AB", bad, 0.5, 0.25, 0.25)
 
+    @pytest.mark.parametrize("sum_tol", [-0.1, 1.0, 2.0, math.inf, math.nan])
+    def test_sum_tolerance_must_lie_in_0_1(self, sum_tol):
+        # a tolerance of 1 or more would admit the all-zero table, NaN any sum
+        with pytest.raises(ValueError, match=r"tolerance must lie in \[0, 1\)"):
+            CoincidenceTable("AB", 0.0, 0.0, 0.0, 0.0, sum_tol=sum_tol)
+
     def test_rounded_source_tolerance(self):
         t = CoincidenceTable("A'B", *ROUNDED["A'B"], sum_tol=0.005)  # sums to 0.999
         assert t.probabilities.sum() == pytest.approx(0.999)

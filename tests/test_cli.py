@@ -14,8 +14,8 @@ from bellkit import cli
 from bellkit.bellstats import EXPERIMENT_KEYS
 from bellkit.cli import main
 from bellkit.entanglement import canonical_iso_of
-from bellkit.io import canonical_json, operator_to_dict, sha256_of_file, state_to_dict
-from bellkit.modelfit import load_model, reference_fixture
+from bellkit.io import canonical_json, operator_to_dict, parse_dataset_file, sha256_of_file, state_to_dict
+from bellkit.modelfit import FitConfig, fit_basis, fit_state, load_model, load_state, reference_fixture
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "bellkit" / "data"
 COUNTS_FILE = str(DATA / "reference_dataset_counts.json")
@@ -429,6 +429,35 @@ def test_fit_state_mode_writes_model_with_fitted_state(tmp_path, capsys):
     assert state.provenance == "fitted"
     assert abs(np.linalg.norm(state.values) - 1.0) <= 1e-9
     assert set(models) == {"AB", "AB'", "A'B", "A'B'"}
+
+
+@pytest.mark.parametrize("mode", ["basis", "state"])
+def test_fit_out_reloads_to_the_fitted_state_and_eigenvectors(tmp_path, capsys, state_file, mode):
+    out_path = tmp_path / "fitted.json"
+    dataset, _ = parse_dataset_file(COUNTS_FILE)
+    if mode == "basis":
+        argv = ["fit", COUNTS_FILE, "--state", state_file, "--out", str(out_path)]
+        state = load_state(state_file)
+        cfg = FitConfig(seed=0, target_misfit=1e-8)
+        models = {key: fit_basis(state, dataset.tables[key], cfg, experiment=key).model
+                  for key in EXPERIMENT_KEYS}
+    else:
+        argv = ["fit", COUNTS_FILE, "--restarts", "1", "--seed", "0", "--out", str(out_path)]
+        result = fit_state(dataset, FitConfig(seed=0, restarts=1, target_misfit=1e-8))
+        state = result.state
+        models = {key: model for key, (model, _) in result.per_experiment.items()}
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    reloaded_state, reloaded_models = load_model(out_path, strict=True)
+    assert reloaded_state.provenance == state.provenance
+    assert np.max(np.abs(reloaded_state.raw - state.raw)) <= 1e-12
+    assert list(reloaded_models) == list(EXPERIMENT_KEYS)
+    for key, model in models.items():
+        reloaded = reloaded_models[key]
+        assert reloaded.eigenvalues == model.eigenvalues
+        for written in (reloaded.eigenvectors_raw, reloaded.eigenvectors):
+            assert np.max(np.abs(np.array(written) - np.array(model.eigenvectors))) <= 1e-12
 
 
 def test_fit_truncated_file_parse_exit(tmp_path, capsys):

@@ -59,7 +59,7 @@ def test_iso_from_model_maps_eigenvectors_to_product_basis():
     _, models, _ = reference_fixture()
     iso = canonical_iso_of(models["AB"])
     for k, vec in enumerate(models["AB"].eigenvectors):
-        image = iso.apply(vec.values)
+        image = iso.apply(vec)
         expected = np.zeros(4)
         expected[k] = 1.0
         np.testing.assert_allclose(np.abs(image), expected, atol=1e-9)
@@ -71,7 +71,7 @@ def test_apply_iso_coefficients_are_inner_products():
     iso = canonical_iso_of(models["AB"])
     image = iso.apply(state.values)
     for k, vec in enumerate(models["AB"].eigenvectors):
-        assert image[k] == pytest.approx(np.vdot(vec.values, state.values), abs=1e-9)
+        assert image[k] == pytest.approx(np.vdot(vec, state.values), abs=1e-9)
 
 
 def test_apply_iso_preserves_norm():
@@ -398,7 +398,7 @@ def test_evolution_reference_ab_to_ab_prime_maps_eigenvectors():
     evo = evolution_between(models["AB"], models["AB'"])
     assert evo.source == "AB" and evo.target == "AB'"
     for src, dst in zip(models["AB"].eigenvectors, models["AB'"].eigenvectors):
-        np.testing.assert_allclose(evo.matrix @ src.values, dst.values, atol=1e-9)
+        np.testing.assert_allclose(evo.matrix @ src, dst, atol=1e-9)
 
 
 def test_evolution_requires_unitary():
@@ -538,8 +538,8 @@ def test_shared_iso_product_pair_has_product_evolution_and_stable_marginals():
         assert is_product_evolution(evo, iso)
         # the shared side's marginal is measurement-independent
         psi = random_state(rng, 4)
-        p = [abs(np.vdot(v.values, psi)) ** 2 for v in first.eigenvectors]
-        q = [abs(np.vdot(v.values, psi)) ** 2 for v in second.eigenvectors]
+        p = [abs(np.vdot(v, psi)) ** 2 for v in first.eigenvectors]
+        q = [abs(np.vdot(v, psi)) ** 2 for v in second.eigenvectors]
         assert p[0] + p[1] == pytest.approx(q[0] + q[1], abs=1e-10)
         assert p[2] + p[3] == pytest.approx(q[2] + q[3], abs=1e-10)
 

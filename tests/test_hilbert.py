@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit import hilbert
-from bellkit.hilbert import CVec, SVDResult, gram, orthonormalize, svd, tensor, tensor_op
+from bellkit.hilbert import SVDResult, from_polar_deg, gram, orthonormalize, polar_deg, svd, tensor, tensor_op
+from bellkit.modelfit import StateVector, synthesize
 
 from oracles import random_state, random_unitary, singular_values_by_charpoly, svd2_closed_form
 
@@ -142,23 +143,27 @@ def test_gram_of_reference_eigenbasis_near_identity():
     from bellkit.modelfit import reference_fixture
 
     _, models, _ = reference_fixture()
-    raw = [v.values for v in models["AB"].eigenvectors_raw]
-    dev = np.max(np.abs(gram(raw) - np.eye(4)))
+    dev = np.max(np.abs(gram(models["AB"].eigenvectors_raw) - np.eye(4)))
     assert dev <= 0.05
     assert dev > 0.0  # rounded inputs are not exactly orthonormal
 
 
 class TestCVec:
+    """Complex vectors are plain arrays: their polar form (from_polar_deg,
+    polar_deg) and the dimension and norm checks of StateVector and
+    synthesize."""
+
     def test_polar_round_trip(self):
-        v = CVec.from_polar_deg([0.23, 0.62, 0.75, 0.0], [13.93, 16.72, 9.69, 194.15])
-        np.testing.assert_allclose(v.amplitudes, [0.23, 0.62, 0.75, 0.0], atol=1e-15)
-        np.testing.assert_allclose(v.phases_deg[:3], [13.93, 16.72, 9.69], atol=1e-12)
-        assert v.phases_deg[3] == 0.0  # zero amplitude carries no phase
+        v = from_polar_deg([0.23, 0.62, 0.75, 0.0], [13.93, 16.72, 9.69, 194.15])
+        amplitudes, phases = polar_deg(v)
+        np.testing.assert_allclose(amplitudes, [0.23, 0.62, 0.75, 0.0], atol=1e-15)
+        np.testing.assert_allclose(phases[:3], [13.93, 16.72, 9.69], atol=1e-12)
+        assert phases[3] == 0.0  # zero amplitude carries no phase
 
     def test_phase_just_below_zero_reports_zero_not_360(self):
-        v = CVec(np.array([1.0, 0, 0, 0]) * np.exp(-1e-17j))
-        np.testing.assert_array_equal(v.phases_deg, [0.0, 0.0, 0.0, 0.0])
-        assert 359.9 < CVec(np.array([np.exp(-1e-9j), 0.0])).phases_deg[0] < 360.0
+        _, phases = polar_deg(np.array([1.0, 0, 0, 0]) * np.exp(-1e-17j))
+        np.testing.assert_array_equal(phases, [0.0, 0.0, 0.0, 0.0])
+        assert 359.9 < polar_deg(np.array([np.exp(-1e-9j), 0.0]))[1][0] < 360.0
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -166,29 +171,46 @@ class TestCVec:
         st.lists(st.floats(min_value=0.0, max_value=359.99), min_size=4, max_size=4),
     )
     def test_polar_round_trip_property(self, amps, phases):
-        v = CVec.from_polar_deg(amps, phases)
-        np.testing.assert_allclose(v.amplitudes, amps, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(v.phases_deg, phases, rtol=1e-9, atol=1e-9)
+        back_amps, back_phases = polar_deg(from_polar_deg(amps, phases))
+        np.testing.assert_allclose(back_amps, amps, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(back_phases, phases, rtol=1e-9, atol=1e-9)
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            CVec.from_polar_deg([-0.1, 0, 0, 0], [0, 0, 0, 0])
+            from_polar_deg([-0.1, 0, 0, 0], [0, 0, 0, 0])
+
+    def test_amplitude_above_1e150_rejected(self):
+        assert abs(from_polar_deg([1e150, 0, 0, 0], [90, 0, 0, 0])[0]) == pytest.approx(1e150)
+        with pytest.raises(ValueError, match="at most 1e150, got 2e\\+150"):
+            from_polar_deg([2e150, 0, 0, 0], [0, 0, 0, 0])
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="same length"):
+            from_polar_deg([1.0, 0, 0, 0], [0, 0, 0])
 
     def test_dimension_validation(self):
-        with pytest.raises(ValueError, match="dimension"):
-            CVec(np.ones(3))
+        with pytest.raises(ValueError, match="dimension 4"):
+            StateVector(np.ones(3) / math.sqrt(3))
+        with pytest.raises(ValueError, match="dimension 4"):
+            StateVector(np.eye(2) / math.sqrt(2))  # four components, not a 4-vector
+        with pytest.raises(ValueError, match="four eigenvectors of dimension 4"):
+            synthesize(list(np.eye(3)) + [np.zeros(3)])
+        with pytest.raises(ValueError, match="four eigenvectors of dimension 4"):
+            synthesize(list(np.eye(4))[:3])
 
     def test_unit_flag(self):
-        v = CVec(np.array([1.0, 0.0, 0.0, 0.0]))
-        assert v.is_unit()
-        w = CVec.from_polar_deg([0.23, 0.62, 0.75, 0.0], [13.93, 16.72, 9.69, 194.15])
-        assert not w.is_unit(tol=1e-9)
-        assert w.is_unit(tol=0.02)  # rounded source tolerance
-        assert w.normalized().is_unit(tol=1e-12)
+        assert np.array_equal(StateVector(np.array([1.0, 0.0, 0.0, 0.0])).values, [1, 0, 0, 0])
+        rounded = from_polar_deg([0.23, 0.62, 0.75, 0.0], [13.93, 16.72, 9.69, 194.15])
+        for provenance in ("user", "fitted"):
+            with pytest.raises(ValueError, match="outside 1 \\+/- 1e-09"):
+                StateVector(rounded, provenance=provenance)
+        state = StateVector(rounded, provenance="reference")  # rounded source tolerance
+        assert np.linalg.norm(state.values) == pytest.approx(1.0, abs=1e-12)
 
     def test_normalize_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="zero vector"):
-            CVec(np.zeros(2)).normalized()
+        for provenance in ("reference", "fitted", "user"):
+            with pytest.raises(ValueError, match="state norm 0.000000 outside"):
+                StateVector(np.zeros(4), provenance=provenance)
 
 
 class TestSVDResultValidation:
@@ -222,11 +244,6 @@ class TestOrthonormalize:
         e = np.eye(4, dtype=complex)
         with pytest.raises(ValueError, match="beyond repair"):
             orthonormalize([e[:, 0], e[:, 0], e[:, 2], e[:, 3]])
-
-    def test_bad_order_rejected(self):
-        e = np.eye(4, dtype=complex)
-        with pytest.raises(ValueError, match="permutation"):
-            orthonormalize([e[:, k] for k in range(4)], order=(0, 1, 2, 2))
 
 
 def test_repair_order_constant():

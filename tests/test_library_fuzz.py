@@ -1,0 +1,169 @@
+"""Library-level robustness: constructors reject non-finite input, and every
+object they accept goes through the downstream functions cleanly.
+
+``tests/test_fuzz.py`` does the same for the command line.
+"""
+from __future__ import annotations
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bellkit.bellstats import (
+    EXPERIMENT_KEYS,
+    CoincidenceTable,
+    ExperimentDataset,
+    chsh,
+    marginal_deviations,
+)
+from bellkit.entanglement import (
+    Evolution,
+    Isomorphism,
+    OperatorSchmidt,
+    SchmidtDecomposition,
+    canonical_iso_of,
+    operator_schmidt,
+    schmidt_state,
+)
+from bellkit.hilbert import check_unitary, orthonormalize
+from bellkit.modelfit import (
+    FitResult,
+    ObservableModel,
+    StateVector,
+    fit_basis,
+    probabilities_from_model,
+    synthesize,
+)
+
+from oracles import random_state, random_unitary
+
+NAN = math.nan
+NAN_VECTORS = [np.full(4, NAN)] * 4
+NAN_MATRIX = np.full((4, 4), NAN)
+UNIT_FACTORS = [np.eye(2) / math.sqrt(2)] * 4
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: check_unitary(NAN_MATRIX, "matrix"), "matrix is not unitary"),
+    (lambda: Isomorphism(NAN_MATRIX), "isomorphism matrix is not unitary"),
+    (lambda: Evolution(NAN_MATRIX, "AB", "AB'"), "evolution operator is not unitary"),
+    (lambda: orthonormalize(NAN_VECTORS), "beyond repair"),
+    (lambda: canonical_iso_of(NAN_VECTORS), "deviate from orthonormality by nan"),
+    (lambda: synthesize(NAN_VECTORS), "not orthonormal within 0.05 before repair"),
+    (lambda: ObservableModel("AB", NAN_VECTORS, NAN_VECTORS, (1, -1, -1, 1), np.diag([1.0, -1, -1, 1])),
+     "repaired eigenvectors must be orthonormal"),
+    (lambda: SchmidtDecomposition([NAN, NAN], np.eye(2), np.eye(2)), "sum c\\^2 = 1"),
+    (lambda: OperatorSchmidt([NAN] * 4, UNIT_FACTORS, UNIT_FACTORS, np.eye(4)), "sum sigma\\^2"),
+    (lambda: FitResult(NAN, True, np.eye(4), None, [NAN], 1, 1, 0, 1e-10), "misfit must be nonnegative"),
+    (lambda: CoincidenceTable("AB", 0.0, 0.0, 0.0, 0.0, sum_tol=NAN), "tolerance must lie in \\[0, 1\\)"),
+], ids=["check_unitary", "Isomorphism", "Evolution", "orthonormalize", "canonical_iso_of", "synthesize",
+        "ObservableModel", "SchmidtDecomposition", "OperatorSchmidt", "FitResult", "CoincidenceTable"])
+def test_nan_fails_every_bound_check(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+# Any double, with the values at the edges of what the constructors accept
+# drawn more often.
+EDGES = (NAN, math.inf, -math.inf, 0.0, -0.0, -1e-12, -2e-12, 1.0 + 1e-12, 5e-324, 1e-300,
+         1e150, 2e150, 1e300, 1.7976931348623157e308)
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGES)
+
+
+def _spoil(draw, values: list, make=lambda x: x) -> list:
+    """Replace up to two entries of ``values`` by arbitrary doubles."""
+    values = list(values)
+    for index in draw(st.sets(st.integers(0, len(values) - 1), max_size=2)):
+        values[index] = make(draw(ANY_FLOAT))
+    return values
+
+
+@st.composite
+def tables(draw, key: str):
+    """A CoincidenceTable, or None where its constructor refuses the draw."""
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(-2, 50), min_size=4, max_size=4))
+        n = draw(st.sampled_from([sum(counts)]) | st.integers(-2, 200))
+        build = lambda: CoincidenceTable.from_counts(key, counts, n)  # noqa: E731
+    else:
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+        total = sum(weights)
+        probs = _spoil(draw, [w / total for w in weights] if total > 0 else weights)
+        sum_tol = draw(st.sampled_from([1e-9, 1e-6, 0.005]) | ANY_FLOAT)
+        build = lambda: CoincidenceTable(key, *probs, sum_tol=sum_tol)  # noqa: E731
+    try:
+        return build()
+    except ValueError:
+        return None
+
+
+@st.composite
+def states(draw):
+    """A StateVector, or None where its constructor refuses the draw."""
+    psi = random_state(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 4)
+    scale = draw(st.sampled_from([1.0]) | st.floats(0.97, 1.03))
+    raw = _spoil(draw, psi * scale, lambda x: complex(x, draw(ANY_FLOAT)))
+    try:
+        return StateVector(raw, provenance=draw(st.sampled_from(["reference", "fitted", "user"])))
+    except ValueError:
+        return None
+
+
+@st.composite
+def models(draw):
+    """An ObservableModel from synthesize, or None where it refuses the draw."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = random_unitary(rng, 4).T + draw(st.floats(0.0, 0.02)) * rng.standard_normal((4, 4))
+    vectors = [_spoil(draw, v, lambda x: complex(x, draw(ANY_FLOAT))) for v in basis]
+    eigenvalues = _spoil(draw, draw(st.sampled_from([(1.0, -1.0, -1.0, 1.0), (0.3, -1.7, 2.5, 0.0)])))
+    try:
+        return synthesize(vectors, eigenvalues=eigenvalues, experiment="AB")
+    except ValueError:
+        return None
+
+
+def _finite(*values) -> bool:
+    return all(np.isfinite(np.asarray(v, dtype=complex)).all() for v in values)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.fixed_dictionaries({key: tables(key) for key in EXPERIMENT_KEYS}), states(), models())
+def test_whatever_a_constructor_accepts_every_downstream_function_accepts(drawn_tables, state, model):
+    accepted = {key: table for key, table in drawn_tables.items() if table is not None}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if len(accepted) == 4:
+            dataset = ExperimentDataset("fuzz", accepted)
+            report = chsh(dataset)
+            assert _finite(report.chsh, report.tsirelson_gap, list(report.e_values.values()))
+            rows = marginal_deviations(dataset)
+            assert _finite([(row.lhs, row.rhs, row.deviation) for row in rows])
+        if state is not None:
+            assert _finite(schmidt_state(state).coefficients)
+            for table in accepted.values():
+                fit = fit_basis(state, table)
+                assert _finite(fit.misfit, fit.matrix, fit.model.operator)
+        if model is not None:
+            decomposition = operator_schmidt(model.operator)
+            assert _finite(decomposition.sigma)
+        if state is not None and model is not None:
+            assert _finite(probabilities_from_model(state, model).probabilities)
+
+
+def test_the_fuzzed_constructors_accept_some_draws():
+    """Guard against a strategy that only ever draws refused inputs."""
+    found = {"table": False, "state": False, "model": False}
+
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(tables("AB"), states(), models())
+    def probe(table, state, model):
+        found["table"] |= table is not None
+        found["state"] |= state is not None
+        found["model"] |= model is not None
+
+    probe()
+    assert all(found.values()), found

@@ -10,7 +10,7 @@ import pytest
 import bellkit.modelfit as modelfit
 from bellkit import io
 from bellkit.bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset, chsh
-from bellkit.hilbert import CVec, gram, tensor
+from bellkit.hilbert import from_polar_deg, gram, polar_deg, tensor
 from bellkit.modelfit import (
     FitConfig,
     ObservableModel,
@@ -91,7 +91,7 @@ def test_synthesize_weights_each_projector_by_its_eigenvalue():
     for _ in range(20):
         q = random_unitary(rng, 4)
         model = synthesize([q[:, k] for k in range(4)], eigenvalues=eigenvalues)
-        expected = sum(lam * np.outer(v.values, v.values.conj())
+        expected = sum(lam * np.outer(v, v.conj())
                        for lam, v in zip(eigenvalues, model.eigenvectors))
         np.testing.assert_allclose(model.operator, expected, atol=1e-14)
 
@@ -144,21 +144,26 @@ def test_synthesize_rejects_far_from_orthonormal_family():
         synthesize(vecs)
 
 
+@pytest.mark.parametrize("eigenvalue", [np.inf, -np.inf, np.nan, 2e150])
+def test_synthesize_rejects_eigenvalues_beyond_1e150(eigenvalue):
+    with pytest.raises(ValueError, match="eigenvalues must be finite, at most 1e150"):
+        synthesize(np.eye(4), eigenvalues=(1.0, -1.0, eigenvalue, 1.0))
+    assert synthesize(np.eye(4), eigenvalues=(1.0, -1.0, -1e150, 1.0)).operator[2, 2] == -1e150
+
+
 def test_synthesize_accepts_rounded_but_repairable_family():
     _, models, _ = reference_fixture()
     for model in models.values():
-        repaired = [v.values for v in model.eigenvectors]
-        assert np.max(np.abs(gram(repaired) - np.eye(4))) <= 1e-9
-        raw = [v.values for v in model.eigenvectors_raw]
-        assert np.max(np.abs(gram(raw) - np.eye(4))) > 0.0
+        assert np.max(np.abs(gram(model.eigenvectors) - np.eye(4))) <= 1e-9
+        assert np.max(np.abs(gram(model.eigenvectors_raw) - np.eye(4))) > 0.0
 
 
 def test_observable_model_rejects_mismatched_operator():
     with pytest.raises(ValueError, match="spectral synthesis"):
         ObservableModel(
             experiment="x",
-            eigenvectors_raw=[CVec(v) for v in np.eye(4)],
-            eigenvectors=[CVec(v) for v in np.eye(4)],
+            eigenvectors_raw=list(np.eye(4, dtype=complex)),
+            eigenvectors=list(np.eye(4, dtype=complex)),
             eigenvalues=(1, -1, -1, 1),
             operator=np.eye(4, dtype=complex),
         )
@@ -181,29 +186,29 @@ def test_outcome_labels_combine_sides():
 class TestStateVector:
     def test_reference_provenance_accepts_rounded_norm(self):
         state = StateVector(
-            CVec.from_polar_deg((0.23, 0.62, 0.75, 0.0), (13.93, 16.72, 9.69, 194.15)),
+            from_polar_deg((0.23, 0.62, 0.75, 0.0), (13.93, 16.72, 9.69, 194.15)),
             provenance="reference",
         )
-        assert state.raw.norm() == pytest.approx(0.99990, abs=1e-4)
+        assert np.linalg.norm(state.raw) == pytest.approx(0.99990, abs=1e-4)
         assert np.linalg.norm(state.values) == pytest.approx(1.0, abs=1e-12)
 
     def test_fitted_provenance_requires_unit_norm(self):
         with pytest.raises(ValueError, match="provenance 'fitted'"):
-            StateVector(CVec(np.array([0.23, 0.62, 0.75, 0.0])), provenance="fitted")
+            StateVector(np.array([0.23, 0.62, 0.75, 0.0]), provenance="fitted")
 
     def test_unknown_provenance(self):
         with pytest.raises(ValueError, match="unknown provenance"):
-            StateVector(CVec(np.array([1.0, 0, 0, 0])), provenance="published")
+            StateVector(np.array([1.0, 0, 0, 0]), provenance="published")
 
     def test_dimension_check(self):
         with pytest.raises(ValueError, match="dimension 4"):
-            StateVector(CVec(np.array([1.0, 0.0])))
+            StateVector(np.array([1.0, 0.0]))
 
 
 def test_reference_fixture_returns_fresh_objects():
     state, models, dataset = reference_fixture()
     pristine = (state.values.copy(), models["AB"].operator.copy(), dataset.tables["AB"].p11)
-    state.raw.values[0] = 7.0
+    state.raw[0] = 7.0
     models["AB"].operator[0, 0] = 99.0
     del models["A'B'"]
     dataset.tables["AB"].p11 = 0.5
@@ -255,7 +260,7 @@ def test_probabilities_sum_to_one_and_carry_labels():
 def test_probabilities_reject_a_cvec_that_is_not_unit():
     model = synthesize(np.eye(4))
     with pytest.raises(ValueError, match="unit vector"):
-        probabilities_from_model(CVec(np.array([2.0, 0, 0, 0])), model)
+        probabilities_from_model(np.array([2.0, 0, 0, 0]), model)
 
 
 def test_expectation_eigenstate_is_its_eigenvalue():
@@ -323,6 +328,15 @@ def test_fit_basis_rejects_invalid_target():
 def test_fit_basis_rejects_nan_target():
     with pytest.raises(ValueError, match="finite"):
         fit_basis(np.array([1.0, 0, 0, 0]), (np.nan, 0.5, 0.5, 0.0))
+
+
+def test_fit_basis_takes_a_table_with_a_round_off_negative_entry():
+    # tables admit entries down to -1e-12; the fit treats them as 0
+    table = CoincidenceTable("AB", -1e-12, 0.5, 0.25, 0.25 + 1e-12)
+    result = fit_basis(np.array([0.5, 0.5, 0.5, 0.5]), table)
+    assert result.converged
+    np.testing.assert_allclose(probabilities_from_model([0.5, 0.5, 0.5, 0.5], result.model).probabilities,
+                               [0.0, 0.5, 0.25, 0.25], atol=1e-11)
 
 
 def test_fit_basis_trace_is_monotone_nonincreasing():
@@ -461,7 +475,7 @@ def test_fit_state_degenerate_dataset_gives_basis_aligned_state():
     schmidt = np.linalg.svd(result.state.values.reshape(2, 2), compute_uv=False)
     assert schmidt[1] <= 0.02
     for model, _ in result.per_experiment.values():
-        overlap = abs(np.vdot(model.eigenvectors[0].values, result.state.values))
+        overlap = abs(np.vdot(model.eigenvectors[0], result.state.values))
         assert overlap >= 0.999
 
 
@@ -669,17 +683,16 @@ def test_exact_jacobian_reaches_the_forward_difference_objective(reference_state
 class TestReferenceFixture:
     def test_state_amplitudes_and_phases(self):
         state, _, _ = reference_fixture()
-        np.testing.assert_allclose(state.raw.amplitudes, (0.23, 0.62, 0.75, 0.0), atol=1e-12)
-        np.testing.assert_allclose(
-            state.raw.phases_deg[:3], (13.93, 16.72, 9.69), atol=1e-9
-        )
+        amplitudes, phases = polar_deg(state.raw)
+        np.testing.assert_allclose(amplitudes, (0.23, 0.62, 0.75, 0.0), atol=1e-12)
+        np.testing.assert_allclose(phases[:3], (13.93, 16.72, 9.69), atol=1e-9)
         assert state.provenance == "reference"
 
     def test_ab_prime_fourth_eigenvector(self):
         _, models, _ = reference_fixture()
-        vec = models["AB'"].eigenvectors_raw[3]
-        assert vec.amplitudes[3] == pytest.approx(0.93, abs=1e-12)
-        assert vec.phases_deg[3] == pytest.approx(85.52, abs=1e-9)
+        amplitudes, phases = polar_deg(models["AB'"].eigenvectors_raw[3])
+        assert amplitudes[3] == pytest.approx(0.93, abs=1e-12)
+        assert phases[3] == pytest.approx(85.52, abs=1e-9)
 
     def test_dataset_chsh_matches_published_value(self):
         _, _, dataset = reference_fixture()
@@ -709,7 +722,7 @@ class TestReferenceFixture:
         assert warnings == []
         assert dataset == file_dataset
         assert state.provenance == file_state.provenance == "reference"
-        np.testing.assert_array_equal(state.raw.values, file_state.raw.values)
+        np.testing.assert_array_equal(state.raw, file_state.raw)
         assert list(models) == list(file_models) == list(EXPERIMENT_KEYS)
         for key, model in models.items():
             other = file_models[key]
@@ -718,7 +731,7 @@ class TestReferenceFixture:
             )
             np.testing.assert_array_equal(model.operator, other.operator)
             for v, w in zip(model.eigenvectors_raw, other.eigenvectors_raw):
-                np.testing.assert_array_equal(v.values, w.values)
+                np.testing.assert_array_equal(v, w)
 
     def test_fixture_builds_fresh_objects_on_every_call(self):
         first_state, first_models, first_dataset = reference_fixture()

@@ -21,7 +21,7 @@ EXPORTED = [
     "canonical_iso_of", "check_factorization", "evolution_between", "is_product_evolution",
     "measurement_entanglement_degree", "operator_schmidt", "random_isomorphism",
     "refute_common_product_iso", "reshuffle", "schmidt_state", "states_equal_up_to_phase",
-    "CVec", "gram", "orthonormalize", "svd", "tensor", "tensor_op",
+    "gram", "orthonormalize", "svd", "tensor", "tensor_op",
     "ParseError", "parse_dataset_file", "write_dataset_file",
     "FitConfig", "FitResult", "ObservableModel", "StateFitResult", "StateVector",
     "expectation_from_model", "fit_basis", "fit_state", "load_model", "load_state",
