@@ -27,6 +27,14 @@ MARGINAL_PLAN = (
 )
 
 
+def check_sum_tolerance(sum_tol: float) -> float:
+    """Return ``sum_tol`` if it lies in [0, 1), the range of a
+    probability-sum tolerance; raise ValueError otherwise, NaN included."""
+    if not 0.0 <= sum_tol < 1.0:
+        raise ValueError(f"probability-sum tolerance must lie in [0, 1), got {sum_tol}")
+    return sum_tol
+
+
 def check_probabilities(probs, experiment: str, sum_tol: float = 1e-6) -> None:
     """Raise ValueError unless every row of ``probs`` (rows along the last
     axis, of any length) is finite, lies in [0, 1] and sums to 1 within
@@ -103,8 +111,7 @@ class CoincidenceTable:
     sum_tol: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 <= self.sum_tol < 1.0:
-            raise ValueError(f"probability-sum tolerance must lie in [0, 1), got {self.sum_tol}")
+        check_sum_tolerance(self.sum_tol)
         probs = self.probabilities
         check_probabilities(probs, self.experiment, self.sum_tol)
         if len(self.a_labels) != 2 or len(self.b_labels) != 2:

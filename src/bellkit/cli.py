@@ -24,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .bellstats import EXPERIMENT_KEYS, TSIRELSON_BOUND, chsh
+from .bellstats import EXPERIMENT_KEYS, TSIRELSON_BOUND, check_sum_tolerance, chsh
 from .entanglement import canonical_iso, canonical_iso_of, measurement_entanglement_degree, operator_schmidt, schmidt_state
 from .hilbert import polar_deg
 from .io import (
@@ -132,7 +132,7 @@ def _side_label(tables: dict, side: str, outcome: int, experiment: str) -> str:
 
 
 def cmd_analyze(args) -> int:
-    sum_tol = args.tolerance if args.tolerance is not None else 0.005
+    sum_tol = check_sum_tolerance(args.tolerance if args.tolerance is not None else 0.005)
     dataset, doc = _read_dataset(args, "analyze", sum_tol=sum_tol)
     report = chsh(dataset)
 
@@ -209,14 +209,14 @@ def cmd_fit(args) -> int:
     dataset, doc = _read_dataset(args, "fit")
     seed = doc["seed"]
     target = args.tolerance if args.tolerance is not None else 1e-8
+    restarts = args.restarts if args.restarts is not None else 8
+    # The closed-form basis fit uses only the target misfit; --restarts is
+    # still validated in basis mode, but neither used nor reported.
+    cfg = FitConfig(seed=seed, restarts=restarts, target_misfit=target)
     lines = [f"input: {args.file} (sha256 {doc['input']['sha256'][:12]}...)"]
     all_converged = True
 
     if args.state is not None:
-        # The closed-form basis fit uses no restarts; --restarts is still
-        # validated, but neither used nor reported.
-        restarts = args.restarts if args.restarts is not None else 64
-        cfg = FitConfig(seed=seed, restarts=restarts, target_misfit=target)
         state = _read_file(_loaded(load_state), args.state, args, doc["warnings"])
         doc["mode"] = "basis"
         doc["state_file"] = {"path": str(args.state), "sha256": sha256_of_file(args.state)}
@@ -224,7 +224,7 @@ def cmd_fit(args) -> int:
         models = {}
         lines += [f"state: {args.state}", f"mode: basis fits, seed {seed}", ""]
         for key in EXPERIMENT_KEYS:
-            result = fit_basis(state, dataset.tables[key], cfg, experiment=key)
+            result = fit_basis(state, dataset.tables[key], target, experiment=key)
             models[key] = result.model
             all_converged &= result.converged
             doc["fits"][key] = {
@@ -240,8 +240,6 @@ def cmd_fit(args) -> int:
             )
         fitted_state = state
     else:
-        restarts = args.restarts if args.restarts is not None else 8
-        cfg = FitConfig(seed=seed, restarts=restarts, target_misfit=target)
         result = fit_state(dataset, cfg)
         all_converged = result.converged
         doc["mode"] = "state"
@@ -291,8 +289,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    # refused out of range even without a file, where no table reads it
+    sum_tol = check_sum_tolerance(args.tolerance if args.tolerance is not None else 0.005)
     if args.file is not None:
-        sum_tol = args.tolerance if args.tolerance is not None else 0.005
         dataset, doc = _read_dataset(args, "verify-paper", sum_tol=sum_tol)
     else:
         dataset = None
@@ -480,7 +479,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # argparse drops a "--" given as a value (--tolerance=--), leaving [].
+    if [] in vars(args).values():
+        parser.error("'--' is not a value")
     try:
         return args.func(args)
     except ParseError as exc:

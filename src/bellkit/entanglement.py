@@ -345,11 +345,11 @@ def _transported_is_product(us: np.ndarray, operators: np.ndarray,
 
 
 def _operator_schmidt_of_transported(transported: np.ndarray) -> OperatorSchmidt:
-    res = svd(reshuffle(transported))
-    factors_a = [res.u[:, k].reshape(2, 2) for k in range(4)]
-    factors_b = [res.vh[k, :].reshape(2, 2) for k in range(4)]
+    u, sigma, vh = svd(reshuffle(transported))
+    factors_a = [u[:, k].reshape(2, 2) for k in range(4)]
+    factors_b = [vh[k, :].reshape(2, 2) for k in range(4)]
     return OperatorSchmidt(
-        sigma=res.sigma, factors_a=factors_a, factors_b=factors_b, transported=transported
+        sigma=sigma, factors_a=factors_a, factors_b=factors_b, transported=transported
     )
 
 
@@ -360,11 +360,11 @@ def schmidt_state(state, iso: Isomorphism | None = None) -> SchmidtDecomposition
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("schmidt_state expects a unit state")
     coeffs = iso.apply(psi).reshape(2, 2)
-    res = svd(coeffs)
+    u, sigma, vh = svd(coeffs)
     return SchmidtDecomposition(
-        coefficients=res.sigma,
-        left=res.u,
-        right=res.vh.T,  # column k holds the second-factor components
+        coefficients=sigma,
+        left=u,
+        right=vh.T,  # column k holds the second-factor components
         iso_name=iso.name,
     )
 

@@ -7,8 +7,6 @@ from_polar_deg and polar_deg convert between the two.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Processing order used when re-orthonormalizing a four-outcome basis:
@@ -59,7 +57,10 @@ def check_unitary(matrix, what: str) -> None:
 
 def numerical_rank(sigma, rank_tol: float = 1e-7):
     """Number of singular values above ``rank_tol`` times the largest, along
-    the last axis of a descending ``sigma`` (one rank per row of a stack)."""
+    the last axis of a descending ``sigma`` (one rank per row of a stack).
+    ValueError unless ``rank_tol`` lies in [0, 1), NaN included."""
+    if not 0.0 <= rank_tol < 1.0:
+        raise ValueError(f"rank tolerance must lie in [0, 1), got {rank_tol}")
     sigma = np.asarray(sigma)
     ranks = np.sum(sigma > rank_tol * sigma[..., :1], axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
@@ -76,6 +77,8 @@ def from_polar_deg(amplitudes, phases_deg) -> np.ndarray:
     # Norms and Gram matrices square the amplitudes; keep the squares finite.
     if (amps > 1e150).any():
         raise ValueError(f"amplitudes must be at most 1e150, got {amps.max():.6g}")
+    if not (np.isfinite(amps).all() and np.isfinite(phs).all()):
+        raise ValueError("amplitudes and phases must be finite")
     return amps * np.exp(1j * np.radians(phs))
 
 
@@ -87,33 +90,6 @@ def polar_deg(vector) -> tuple:
     phases = np.degrees(np.angle(v)) % 360.0
     # a phase just below 0 rounds to 360.0 under the modulo
     return amplitudes, np.where((amplitudes == 0.0) | (phases == 360.0), 0.0, phases)
-
-
-@dataclass
-class SVDResult:
-    """Singular value decomposition M = u @ diag(sigma) @ vh.
-
-    ``sigma`` is nonnegative and sorted descending; ``u`` and ``vh`` have
-    orthonormal columns/rows.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    vh: np.ndarray
-
-    def __post_init__(self):
-        sigma = self.sigma = np.asarray(self.sigma, dtype=float)
-        if np.count_nonzero(sigma < -1e-12):
-            raise ValueError("singular values must be nonnegative")
-        if np.count_nonzero(sigma[..., 1:] - sigma[..., :-1] > 1e-12):
-            raise ValueError("singular values must be sorted descending")
-
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ np.diag(self.sigma) @ self.vh
-
-    def rank(self, rank_tol: float = 1e-7) -> int:
-        """Number of singular values above ``rank_tol`` relative to the largest."""
-        return numerical_rank(self.sigma, rank_tol)
 
 
 def tensor(u, v) -> np.ndarray:
@@ -160,29 +136,16 @@ def orthonormalize(vectors):
     return out
 
 
-def svd(matrix) -> SVDResult:
-    """Thin singular value decomposition by numpy (LAPACK).
-
-    Parameters
-    ----------
-    matrix : array-like
-        Input matrix M (m x n), real or complex.
-
-    Returns
-    -------
-    SVDResult
-        With u (m x k), sigma (k,) and vh (k x n), k = min(m, n), and
-        M = u @ diag(sigma) @ vh.
-
-    Raises
-    ------
-    ValueError
-        If the input is not 2-D or has a NaN or infinite entry.
+def svd(matrix) -> tuple:
+    """Thin singular value decomposition by numpy (LAPACK): numpy's factors
+    (u, sigma, vh) of M = u @ diag(sigma) @ vh.  For an m x n input and
+    k = min(m, n), u (m x k) and vh (k x n) have orthonormal columns and
+    rows, and sigma (k,) is nonnegative and sorted descending.  ValueError
+    if the input is not 2-D or has a NaN or infinite entry.
     """
     m = _values(matrix)
     if m.ndim != 2:
         raise ValueError("svd expects a matrix")
     if not np.isfinite(m).all():
         raise ValueError("svd expects finite entries")
-    u, sigma, vh = np.linalg.svd(m, full_matrices=False)
-    return SVDResult(u=u, sigma=sigma, vh=vh)
+    return np.linalg.svd(m, full_matrices=False)

@@ -6,11 +6,11 @@ self-adjoint operator they synthesize.  Published bases arrive rounded, so
 models keep both the raw vectors and their orthonormal repair.
 
 fit_basis is exact: one Householder reflection maps the state onto the
-square roots of the target probabilities.  fit_state solves its
-least-squares problem by a batched Levenberg iteration over its seeded
-restarts, in blocks of a fixed size, with the residuals' exact Jacobian.
-FitConfig sets seed, budgets and target misfit; fit_basis uses only the
-target misfit.
+square roots of the target probabilities, and it takes only a target
+misfit.  fit_state solves its least-squares problem by a batched Levenberg
+iteration over its seeded restarts, in blocks of a fixed size, with the
+residuals' exact Jacobian; FitConfig sets its seed, budgets and target
+misfit.
 """
 from __future__ import annotations
 
@@ -186,7 +186,7 @@ def expectation_from_model(state, model: ObservableModel) -> float:
 
 @dataclass
 class FitConfig:
-    """Seed, budgets, and target misfit of the seeded searches."""
+    """Seed, budgets, and target misfit of fit_state's search."""
 
     seed: int = 0
     max_iterations: int = 400
@@ -194,8 +194,8 @@ class FitConfig:
     target_misfit: float = 1e-10
 
     def __post_init__(self):
-        if self.target_misfit <= 0:
-            raise ValueError("target_misfit must be positive")
+        if not 0.0 < self.target_misfit < math.inf:  # NaN fails it too
+            raise ValueError(f"target_misfit must be finite and positive, got {self.target_misfit}")
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValueError("restarts and max_iterations must be at least 1")
 
@@ -204,25 +204,20 @@ class FitConfig:
 class FitResult:
     """Outcome of fit_basis.
 
-    The fit is one closed-form step, so ``trace`` is ``[misfit]`` and
-    ``restarts_used`` and ``iterations`` are both 1.
+    The fit is one closed-form step, so ``restarts_used`` and ``iterations``
+    are both 1.
     """
 
     misfit: float
     converged: bool
     matrix: np.ndarray
     model: ObservableModel | None
-    trace: list
-    restarts_used: int
-    iterations: int
-    seed: int
-    target_misfit: float
+    restarts_used = 1
+    iterations = 1
 
     def __post_init__(self):
         if not self.misfit >= 0:
             raise ValueError("misfit must be nonnegative")
-        if self.converged and not self.misfit <= self.target_misfit:
-            raise ValueError("converged result must meet the target misfit")
 
 
 def _normalized_target(target, sum_tol: float = 0.005) -> np.ndarray:
@@ -240,7 +235,7 @@ def _normalized_target(target, sum_tol: float = 0.005) -> np.ndarray:
     return probs / probs.sum()
 
 
-def fit_basis(state, target, cfg: FitConfig | None = None, experiment: str = "") -> FitResult:
+def fit_basis(state, target, target_misfit: float = 1e-10, experiment: str = "") -> FitResult:
     """Find an eigenbasis whose outcome probabilities match a target table.
 
     Closed form by one Householder reflection (Householder 1958).  Let
@@ -252,12 +247,10 @@ def fit_basis(state, target, cfg: FitConfig | None = None, experiment: str = "")
     close to q, and no special case when <q|state> = 0.
 
     ``misfit`` is sum_k (|<u_k|state>|^2 - target_k)^2 over the columns of
-    ``matrix``, at round-off level.  Of ``cfg`` only ``target_misfit`` is
-    used; ``restarts``, ``max_iterations`` and ``seed`` are ignored, and
-    ``seed`` is only reported.  A target misfit below round-off is reported
-    as not converged, not raised.
+    ``matrix``, at round-off level; ``converged`` says whether it is at most
+    ``target_misfit``.  A target misfit below round-off is reported as not
+    converged, not raised.
     """
-    cfg = cfg or FitConfig()
     psi = _unit_state(state)
     t = _normalized_target(target)
     labels = {}
@@ -273,14 +266,9 @@ def fit_basis(state, target, cfg: FitConfig | None = None, experiment: str = "")
     misfit = float(np.dot(d, d))
     return FitResult(
         misfit=misfit,
-        converged=misfit <= cfg.target_misfit,
+        converged=misfit <= target_misfit,
         matrix=matrix,
         model=synthesize(list(matrix.T), experiment=experiment, **labels),
-        trace=[misfit],
-        restarts_used=1,
-        iterations=1,
-        seed=cfg.seed,
-        target_misfit=cfg.target_misfit,
     )
 
 
@@ -307,7 +295,6 @@ class StateFitResult:
     restarts_used: int
     iterations: int
     evaluations: int
-    seed: int
 
 
 # Pauli products P = s_mu (x) s_nu (row 4 mu + nu of the 16) ordered as m = (mu, 0),
@@ -505,7 +492,6 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
         restarts_used=int(reached[0]) + 1 if reached.size else cfg.restarts,
         iterations=iterations,
         evaluations=evaluations,
-        seed=cfg.seed,
     )
 
 

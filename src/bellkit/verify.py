@@ -68,7 +68,6 @@ from .entanglement import (
 )
 from .hilbert import check_unitary, tensor, unitary_deviation
 from .modelfit import (
-    FitConfig,
     fit_basis,
     probabilities_from_model,
     reference_fixture,
@@ -557,7 +556,7 @@ def _check_basis_fit_convergence(fixture: tuple) -> CheckRow:
     state, _, dataset = fixture
 
     def run():
-        fits = [fit_basis(state, dataset.tables[key], FitConfig(seed=0, target_misfit=1e-8))
+        fits = [fit_basis(state, dataset.tables[key], target_misfit=1e-8)
                 for key in EXPERIMENT_KEYS]
         return (max(fit.misfit for fit in fits),
                 max(unitary_deviation(fit.matrix) for fit in fits))

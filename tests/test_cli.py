@@ -438,8 +438,7 @@ def test_fit_out_reloads_to_the_fitted_state_and_eigenvectors(tmp_path, capsys, 
     if mode == "basis":
         argv = ["fit", COUNTS_FILE, "--state", state_file, "--out", str(out_path)]
         state = load_state(state_file)
-        cfg = FitConfig(seed=0, target_misfit=1e-8)
-        models = {key: fit_basis(state, dataset.tables[key], cfg, experiment=key).model
+        models = {key: fit_basis(state, dataset.tables[key], 1e-8, experiment=key).model
                   for key in EXPERIMENT_KEYS}
     else:
         argv = ["fit", COUNTS_FILE, "--restarts", "1", "--seed", "0", "--out", str(out_path)]
@@ -577,6 +576,37 @@ def test_schmidt_requires_a_source():
 
 
 # ---------------------------------------------------------------------------
+# --tolerance ranges
+
+
+TOLERANCE_REFUSALS = [
+    *[(["fit", COUNTS_FILE, "--restarts", "1"], value, "target_misfit must be finite and positive")
+      for value in ("nan", "inf")],
+    *[(["fit", COUNTS_FILE, "--state", "{state}"], value, "target_misfit must be finite and positive")
+      for value in ("nan", "inf")],
+    *[(source, value, "rank tolerance must lie in [0, 1)")
+      for source in (["schmidt", "--state", "{state}"], ["schmidt", "--operator", "{operator}"])
+      for value in ("nan", "inf", "-1", "1")],
+    (["analyze", COUNTS_FILE], "nan", "probability-sum tolerance must lie in [0, 1)"),
+    (["verify-paper"], "nan", "probability-sum tolerance must lie in [0, 1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, value, message", TOLERANCE_REFUSALS,
+    ids=[f"{' '.join(a for a in argv if not a.startswith(('/', '{')))} {v}" for argv, v, _ in TOLERANCE_REFUSALS],
+)
+def test_tolerance_outside_its_range_exits_3(capsys, state_file, operator_file, argv, value, message):
+    files = {"{state}": state_file, "{operator}": operator_file}
+    code = main([files.get(arg, arg) for arg in argv] + [f"--tolerance={value}"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+# ---------------------------------------------------------------------------
 # verify-paper
 
 
@@ -683,6 +713,14 @@ REPEATED_CALLS = {
         ([], 2, "", "usage: bellkit"),
     ],
 }
+
+
+@pytest.mark.parametrize("option", ["--tolerance=--", "--seed=--", "--format=--", "--iso=--", "--model=--"])
+def test_double_dash_as_an_option_value_is_a_usage_error(capsys, state_file, option):
+    code, out, err = _call(capsys, ["schmidt", "--state", state_file, option])
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: '--' is not a value\n") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", sorted(REPEATED_CALLS))

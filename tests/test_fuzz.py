@@ -1,16 +1,22 @@
-"""Property test: no input file makes the command line crash or report a NaN.
+"""Property tests: no input file and no flag value makes the command line
+crash or report a NaN.
 
 Valid documents of each file kind are mutated (fields replaced, removed or
 added; out-of-range literals spliced in) or replaced by damaged bytes, then
 run through ``analyze``, ``schmidt --state``, ``schmidt --operator`` and
-``schmidt --operator --iso from-model:AB --model``.
+``schmidt --operator --iso from-model:AB --model``.  Separately, every
+subcommand runs on valid files with ``--tolerance``, ``--seed``,
+``--restarts``, ``--iso`` and ``--format`` drawn from edge and junk values.
 """
 from __future__ import annotations
 
 import contextlib
 import io as stdio
 import json
+import math
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -182,3 +188,88 @@ def test_fuzz_schmidt_operator(data):
 @given(st.data())
 def test_fuzz_schmidt_operator_with_model_identification(data):
     _fuzz(data, "schmidt-model")
+
+
+# Flag values: edge floats, NaN, infinities, huge and negative integers, and
+# strings that are no number.  Each is passed as --flag=value, so that a
+# value starting with "-" is not read as an option.
+EDGE_NUMBERS = ("nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400", "0", "-0.0", "5e-324",
+                "1e-300", "1e-8", "0.5", "0.9999999999999999", "1", "1.5", "1e308", "-1e-8", "-1", "1_0",
+                " 2 ", "\u0661", str(2**63), str(-(2**63)), "9" * 40, "-" + "9" * 40)
+JUNK = ("", "junk", "0x10", "1e", "--", "from-model:AB", "nan%")
+TOLERANCES = st.sampled_from(EDGE_NUMBERS + JUNK) | st.floats().map(repr) | st.text(max_size=6)
+SEEDS = st.sampled_from(EDGE_NUMBERS + JUNK) | st.integers().map(str)
+# A run's time grows with its restarts, so no draw above 3 is run.
+RESTARTS = st.integers(max_value=3).map(str) | st.sampled_from(("", "junk", "nan", "1.5", "-" + "9" * 40))
+ISOS = st.sampled_from(("canonical", "from-model:AB", "from-model:A'B'", "from-model:", "from-model:XY",
+                        "junk", "")) | st.text(max_size=8)
+FORMATS = st.sampled_from(("text", "json", "xml", ""))
+
+def _in_0_1(tolerance: float) -> bool:
+    return 0.0 <= tolerance < 1.0
+
+
+# Each subcommand on valid files, the flags it takes beyond the common ones,
+# and the range of its --tolerance.
+FLAG_COMMANDS = {
+    "analyze": ([["analyze", "{dataset}"], ["analyze", "{probabilities}"]], {}, _in_0_1),
+    "verify-paper": ([["verify-paper"], ["verify-paper", "{dataset}"]], {}, _in_0_1),
+    "fit": ([["fit", "{dataset}"], ["fit", "{dataset}", "--state", "{state}"]], {"--restarts": RESTARTS},
+            lambda t: 0.0 < t < math.inf),
+    "schmidt": ([["schmidt", "--state", "{state}"], ["schmidt", "--operator", "{operator}"]], {"--iso": ISOS},
+                _in_0_1),
+}
+
+
+def _parses(value: str, kind) -> bool:
+    try:
+        kind(value)
+    except ValueError:
+        return False
+    return True
+
+
+@FUZZ
+@given(st.data())
+def test_fuzz_flags(data):
+    command = data.draw(st.sampled_from(sorted(FLAG_COMMANDS)), label="command")
+    sources, extra, in_range = FLAG_COMMANDS[command]
+    template = data.draw(st.sampled_from(sources), label="source")
+    flags = {"--tolerance": TOLERANCES, "--seed": SEEDS, "--format": FORMATS, **extra}
+    chosen = {flag: data.draw(values, label=flag) for flag, values in flags.items()
+              if data.draw(st.booleans(), label=f"with {flag}")}
+    # "--" is no option's value (argparse would drop it)
+    parses = ("--" not in chosen.values()
+              and all(_parses(v, int) for f, v in chosen.items() if f in ("--seed", "--restarts"))
+              and chosen.get("--format", "text") in ("text", "json")
+              and _parses(chosen.get("--tolerance", "1e-8"), float))
+    with tempfile.TemporaryDirectory() as tmp:
+        state, operator = Path(tmp) / "state.json", Path(tmp) / "operator.json"
+        state.write_text(canonical_json(BASES["state"]), encoding="utf-8")
+        operator.write_text(VALID_OPERATOR, encoding="utf-8")
+        fill = {"{dataset}": str(DATA / "reference_dataset_counts.json"),
+                "{probabilities}": str(DATA / "reference_dataset.json"),
+                "{state}": str(state), "{operator}": str(operator)}
+        argv = [fill.get(arg, arg) for arg in template] + [f"{f}={v}" for f, v in chosen.items()]
+        out, err = stdio.StringIO(), stdio.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    assert (code == 2) == (not parses), err
+    if code == 3:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    if code in (0, 4):
+        assert err == ""
+        assert not re.search(r"\bnan\b", out, re.IGNORECASE)
+        if chosen.get("--format") == "json":
+            json.loads(out, parse_constant=_reject_constant)
+    if parses and "--tolerance" in chosen and not in_range(float(chosen["--tolerance"])):
+        assert code == 3, (argv, out)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit import hilbert
-from bellkit.hilbert import SVDResult, from_polar_deg, gram, orthonormalize, polar_deg, svd, tensor, tensor_op
+from bellkit.hilbert import from_polar_deg, gram, orthonormalize, polar_deg, svd, tensor, tensor_op
 from bellkit.modelfit import StateVector, synthesize
 
 from oracles import random_state, random_unitary, singular_values_by_charpoly, svd2_closed_form
@@ -25,15 +25,15 @@ def test_svd_against_charpoly_oracle():
     rng = np.random.default_rng(42)
     for _ in range(50):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        res = svd(m)
-        np.testing.assert_allclose(res.sigma, singular_values_by_charpoly(m), atol=1e-7)
+        _, sigma, _ = svd(m)
+        np.testing.assert_allclose(sigma, singular_values_by_charpoly(m), atol=1e-7)
 
 
 def test_svd_2x2_against_closed_form():
     rng = np.random.default_rng(3)
     for _ in range(50):
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        np.testing.assert_allclose(svd(m).sigma, svd2_closed_form(m), atol=1e-10)
+        np.testing.assert_allclose(svd(m)[1], svd2_closed_form(m), atol=1e-10)
 
 
 def test_svd_reconstruction_and_unitarity_bulk():
@@ -42,24 +42,31 @@ def test_svd_reconstruction_and_unitarity_bulk():
     eye = np.eye(4)
     for _ in range(1000):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        res = svd(m)
-        assert np.max(np.abs(res.reconstruct() - m)) <= 1e-9
-        assert np.max(np.abs(res.u.conj().T @ res.u - eye)) <= 1e-9
-        assert np.max(np.abs(res.vh @ res.vh.conj().T - eye)) <= 1e-9
-        assert np.all(np.diff(res.sigma) <= 1e-12)
+        u, sigma, vh = svd(m)
+        assert np.max(np.abs((u * sigma) @ vh - m)) <= 1e-9
+        assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-9
+        assert np.max(np.abs(vh @ vh.conj().T - eye)) <= 1e-9
+        assert np.all(sigma >= 0)
+        assert np.all(np.diff(sigma) <= 1e-12)
 
 
 def test_svd_zero_matrix():
-    res = svd(np.zeros((4, 4)))
-    np.testing.assert_allclose(res.sigma, 0.0)
-    np.testing.assert_allclose(res.u.conj().T @ res.u, np.eye(4), atol=1e-12)
+    u, sigma, _ = svd(np.zeros((4, 4)))
+    np.testing.assert_allclose(sigma, 0.0)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
 
 
 def test_numerical_rank_of_zero_and_of_a_stack():
     assert hilbert.numerical_rank(np.zeros(4)) == 0
-    assert svd(np.zeros((4, 4))).rank() == 0
+    assert hilbert.numerical_rank(svd(np.zeros((4, 4)))[1]) == 0
     stack = np.array([[3.0, 1.0, 0.0, 0.0], [2.0, 1e-9, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
     np.testing.assert_array_equal(hilbert.numerical_rank(stack), [2, 1, 0])
+
+
+@pytest.mark.parametrize("rank_tol", [np.nan, np.inf, -np.inf, -1.0, 1.0, 1e308])
+def test_numerical_rank_refuses_a_tolerance_outside_0_1(rank_tol):
+    with pytest.raises(ValueError, match=r"rank tolerance must lie in \[0, 1\)"):
+        hilbert.numerical_rank(np.array([1.0, 0.5]), rank_tol)
 
 
 def test_unitary_deviation_and_check_of_a_stack():
@@ -81,19 +88,19 @@ def test_svd_rank_one_matrix():
     rng = np.random.default_rng(11)
     u, v = random_state(rng, 4), random_state(rng, 4)
     m = np.outer(u, v.conj())
-    res = svd(m)
-    assert res.rank() == 1
-    assert res.sigma[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(res.reconstruct() - m)) <= 1e-12
+    u, sigma, vh = svd(m)
+    assert hilbert.numerical_rank(sigma) == 1
+    assert sigma[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs((u * sigma) @ vh - m)) <= 1e-12
 
 
 def test_svd_rectangular_shapes():
     rng = np.random.default_rng(5)
     for shape in [(4, 2), (2, 4)]:
         m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        res = svd(m)
-        assert np.max(np.abs(res.reconstruct() - m)) <= 1e-10
-        np.testing.assert_allclose(res.sigma, singular_values_by_charpoly(m)[: res.sigma.size], atol=1e-8)
+        u, sigma, vh = svd(m)
+        assert np.max(np.abs((u * sigma) @ vh - m)) <= 1e-10
+        np.testing.assert_allclose(sigma, singular_values_by_charpoly(m)[: sigma.size], atol=1e-8)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
@@ -184,6 +191,17 @@ class TestCVec:
         with pytest.raises(ValueError, match="at most 1e150, got 2e\\+150"):
             from_polar_deg([2e150, 0, 0, 0], [0, 0, 0, 0])
 
+    @pytest.mark.parametrize("amplitudes, phases", [
+        ([np.nan, 0, 0, 0], [0, 0, 0, 0]),
+        ([1.0, 0, 0, 0], [np.inf, 0, 0, 0]),
+        ([1.0, 0, 0, 0], [0, -np.inf, 0, 0]),
+        ([1.0, 0, 0, 0], [0, 0, np.nan, 0]),
+    ])
+    def test_non_finite_input_rejected(self, amplitudes, phases):
+        # pytest's configuration turns the RuntimeWarning of np.exp(inf) into an error
+        with pytest.raises(ValueError, match="amplitudes and phases must be finite"):
+            from_polar_deg(amplitudes, phases)
+
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="same length"):
             from_polar_deg([1.0, 0, 0, 0], [0, 0, 0])
@@ -211,16 +229,6 @@ class TestCVec:
         for provenance in ("reference", "fitted", "user"):
             with pytest.raises(ValueError, match="state norm 0.000000 outside"):
                 StateVector(np.zeros(4), provenance=provenance)
-
-
-class TestSVDResultValidation:
-    def test_descending_enforced(self):
-        with pytest.raises(ValueError, match="descending"):
-            SVDResult(u=np.eye(2), sigma=np.array([1.0, 2.0]), vh=np.eye(2))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            SVDResult(u=np.eye(2), sigma=np.array([1.0, -0.5]), vh=np.eye(2))
 
 
 class TestOrthonormalize:

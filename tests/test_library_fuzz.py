@@ -58,7 +58,7 @@ UNIT_FACTORS = [np.eye(2) / math.sqrt(2)] * 4
      "repaired eigenvectors must be orthonormal"),
     (lambda: SchmidtDecomposition([NAN, NAN], np.eye(2), np.eye(2)), "sum c\\^2 = 1"),
     (lambda: OperatorSchmidt([NAN] * 4, UNIT_FACTORS, UNIT_FACTORS, np.eye(4)), "sum sigma\\^2"),
-    (lambda: FitResult(NAN, True, np.eye(4), None, [NAN], 1, 1, 0, 1e-10), "misfit must be nonnegative"),
+    (lambda: FitResult(NAN, True, np.eye(4), None), "misfit must be nonnegative"),
     (lambda: CoincidenceTable("AB", 0.0, 0.0, 0.0, 0.0, sum_tol=NAN), "tolerance must lie in \\[0, 1\\)"),
 ], ids=["check_unitary", "Isomorphism", "Evolution", "orthonormalize", "canonical_iso_of", "synthesize",
         "ObservableModel", "SchmidtDecomposition", "OperatorSchmidt", "FitResult", "CoincidenceTable"])

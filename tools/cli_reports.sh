@@ -69,9 +69,11 @@ run analyze-probs analyze "$data/reference_dataset.json"
 run fit fit "$data/reference_dataset_counts.json" --restarts 2 --seed 3 --format json
 run fit-default fit "$data/reference_dataset_counts.json" --seed 3
 run fit-state fit "$data/reference_dataset_counts.json" --state "$inputs/state.json" --out "$out/model.json"
+run fit-state-json fit "$data/reference_dataset_counts.json" --state "$inputs/state.json" --format json
 run fit-state-search fit "$data/reference_dataset_counts.json" --restarts 2 --seed 3 --out "$out/model-state-search.json"
 run schmidt-state schmidt --state "$inputs/state.json"
 run schmidt-canonical schmidt --operator "$inputs/operator.json"
+run schmidt-canonical-json schmidt --operator "$inputs/operator.json" --format json
 run schmidt-from-model schmidt --operator "$inputs/operator.json" --iso from-model:AB
 run schmidt-model schmidt --operator "$inputs/operator.json" --iso "from-model:A'B'" --model "$data/reference_model.json"
 run schmidt-fitted-model schmidt --operator "$inputs/operator.json" --iso from-model:AB --model "$out/model.json"
