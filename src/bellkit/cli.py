@@ -52,16 +52,22 @@ EXIT_CHECK_FAILED = 4
 
 
 def _seed_of(args) -> int:
-    """--seed wins; BELLKIT_SEED is the fallback; 0 otherwise."""
+    """--seed wins; BELLKIT_SEED is the fallback; 0 otherwise.  Seeds are non-negative integers."""
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     raw = os.environ.get("BELLKIT_SEED")
     if raw is None:
         return 0
+    message = f"BELLKIT_SEED must be a non-negative integer, got {raw!r}"
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise ValueError(f"BELLKIT_SEED must be an integer, got {raw!r}") from None
+        raise ValueError(message) from None
+    if seed < 0:
+        raise ValueError(message)
+    return seed
 
 
 def _provenance(command: str, path, seed: int) -> dict:

@@ -6,11 +6,10 @@ self-adjoint operator they synthesize.  Published bases arrive rounded, so
 models keep both the raw vectors and their orthonormal repair.
 
 fit_basis is exact: one Householder reflection maps the state onto the
-square roots of the target probabilities, and it takes only a target
-misfit.  fit_state solves its least-squares problem by a batched Levenberg
-iteration over its seeded restarts, in blocks of a fixed size, with the
-residuals' exact Jacobian; FitConfig sets its seed, budgets and target
-misfit.
+square roots of the target probabilities, and it takes only a target misfit.
+fit_state solves its least-squares problem by a batched Levenberg iteration
+over its seeded restarts, in blocks of a fixed size, with the residuals'
+exact Jacobian; FitConfig sets its seed, budgets and target misfit.
 """
 from __future__ import annotations
 
@@ -297,15 +296,17 @@ class StateFitResult:
     evaluations: int
 
 
-# Pauli products P = s_mu (x) s_nu (row 4 mu + nu of the 16) ordered as m = (mu, 0),
-# n = (0, nu), t = (mu, nu) for mu, nu in (X, Y, Z), and their real forms
-# M = [[Re P, -Im P], [Im P, Re P]]: z^dagger P z = x.M x for x = (Re z, Im z).
+# Pauli products P = s_mu (x) s_nu for mu, nu in (I, X, Y, Z), in the order of C[mu, nu] = <P>, and their real
+# forms M = [[Re P, -Im P], [Im P, Re P]]: z^dagger P z = x.M x, x = (Re z, Im z).  C holds 1, the Bloch vectors m
+# (column 0), n (row 0) and correlations t; a table's a.m, b.n, a.t.b weigh C by (1, a) (x) (1, b) under _MASKS.
 _PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
-_PRODUCTS = np.array([np.kron(s, t) for s in _PAULI for t in _PAULI])[
-    [4, 8, 12, 1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15]]
-_REAL_FORMS = np.block([[_PRODUCTS.real, -_PRODUCTS.imag], [_PRODUCTS.imag, _PRODUCTS.real]]).reshape(120, 8).T
-# table k's rows 3k..3k+2 and its direction columns 8+6k..13+6k of the Jacobian
-_OWN_ROWS, _OWN_COLUMNS = np.arange(12).reshape(4, 3, 1), 8 + np.arange(24).reshape(4, 1, 6)
+_PRODUCTS = np.array([np.kron(s, t) for s in _PAULI for t in _PAULI])
+_REAL_FORMS = np.block([[_PRODUCTS.real, -_PRODUCTS.imag], [_PRODUCTS.imag, _PRODUCTS.real]]).reshape(128, 8).T
+_MASKS = np.zeros((2, 3, 4, 4))  # on C, then on C^T, whose entries _C_AND_CT picks from C's
+_MASKS[:, 2, 1:, 1:] = _MASKS[0, 0, 1:, 0] = _MASKS[0, 1, 0, 1:] = _MASKS[1, 0, 0, 1:] = _MASKS[1, 1, 1:, 0] = 1.0
+_C_AND_CT = np.concatenate([np.arange(16), np.arange(16).reshape(4, 4).T.ravel()])
+_USES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])[..., None]  # which of (a, b) a.m, b.n, a.t.b read
+_SPREAD = (np.eye(16)[:, None, :] * _MASKS[0].reshape(3, 16)).reshape(16, 48)  # (1, a) (x) (1, b) to w
 
 
 def _signature(target: np.ndarray) -> tuple:
@@ -317,35 +318,31 @@ def _signature(target: np.ndarray) -> tuple:
 def _state_residuals(params: np.ndarray, signatures: np.ndarray) -> tuple:
     """The 12 residuals r (B, 12) fit_state documents, and their Jacobian J (B, 12, 32).
 
-    ``params`` (B, 32) holds x = (Re z, Im z), then table k's directions a
-    and b in ``params[:, 8 + 6k:14 + 6k]``.  A correlation c = x.M x / x.x
-    has gradient 2 (M x - c x) / x.x, and a unit direction u = d / |d| has
-    derivative (I - u u^T) / |d|, so table k's rows are zero in the other
-    tables' direction columns.
+    ``params`` (B, 32) holds x = (Re z, Im z), then table k's directions a and
+    b in ``params[:, 8 + 6k:14 + 6k]``.  A fitted value v = w.C, w the masked
+    (1, a) (x) (1, b), has gradient 2 (w.(M x) - v x) / x.x in x.  It is linear
+    in each unit direction u = d / |d| it reads: its gradient g there has
+    u.g = v, so its derivative in d is (g - v u) / |d|.
     """
     count = params.shape[0]
-    x = params[:, :8]
-    xx = np.einsum("bi,bi->b", x, x)[:, None]
-    mx = (x @ _REAL_FORMS).reshape(count, 15, 8)
-    c = np.einsum("bui,bi->bu", mx, x) / xx
-    dc = (mx - c[:, :, None] * x[:, None, :]) * (2.0 / xx[:, :, None])
-    t = c[:, 6:].reshape(count, 3, 3)
-    directions = params[:, 8:].reshape(count, 4, 2, 3)
-    norms = np.linalg.norm(directions, axis=-1, keepdims=True)
-    units = directions / norms
-    a, b = units[:, :, 0], units[:, :, 1]
-    # weights[:, k, j] @ c is table k's fitted value j; grads its gradient in (a, b)
-    weights, grads = np.zeros((count, 4, 3, 15)), np.zeros((count, 4, 3, 2, 3))
-    weights[:, :, 0, :3], weights[:, :, 1, 3:6] = a, b
-    weights[:, :, 2, 6:] = (a[..., :, None] * b[..., None, :]).reshape(count, 4, 9)
-    grads[:, :, 0, 0], grads[:, :, 1, 1] = c[:, None, :3], c[:, None, 3:6]
-    grads[:, :, 2, 0], grads[:, :, 2, 1] = b @ t.transpose(0, 2, 1), a @ t
-    grads -= np.einsum("bkjsx,bksx->bkjs", grads, units)[..., None] * units[:, :, None]
-    weights = weights.reshape(count, 12, 15)
-    jac = np.zeros((count, 12, 32))
-    jac[:, :, :8] = weights @ dc
-    jac[:, _OWN_ROWS, _OWN_COLUMNS] = (grads / norms[:, :, None]).reshape(count, 4, 3, 6)
-    return 0.5 * ((weights @ c[:, :, None])[..., 0] - signatures.reshape(12)), 0.5 * jac
+    x, directions = params[:, :8], params[:, 8:].reshape(count, 4, 2, 3)
+    norms = np.sqrt(np.add.reduce(directions * directions, -1, keepdims=True))
+    padded = np.ones((count, 4, 2, 4))  # (1, a) and (1, b) of each table
+    units = np.divide(directions, norms, out=padded[..., 1:])
+    outer = padded[:, :, 0, :, None] * padded[:, :, 1, None, :]
+    weights = (outer.reshape(count, 4, 16) @ _SPREAD).reshape(count, 12, 16)
+    mx = (x @ _REAL_FORMS).reshape(count, 16, 8)
+    quadratic = mx @ x[:, :, None]
+    c = quadratic / quadratic[:, :1]  # the first form is the identity: x.M x is x.x
+    fitted = weights @ c
+    np.negative(fitted, out=weights[..., :1])  # and its M x is x
+    jac = np.concatenate(((weights @ mx) / quadratic[:, :1], np.zeros((count, 12, 24))), axis=2)
+    masked = _MASKS * c.take(_C_AND_CT, 1).reshape(count, 2, 1, 4, 4)  # C for gradients in (1, a), C^T in (1, b)
+    grads = (masked.reshape(count, 2, 12, 4) @ padded.transpose(0, 2, 3, 1)[:, ::-1]).reshape(count, 2, 3, 4, 4)
+    blocks = grads.transpose(0, 4, 2, 1, 3)[..., 1:] - units[:, :, None] * fitted.reshape(count, 4, 3, 1, 1) * _USES
+    own = np.einsum("bkjkc->bkjc", jac[:, :, 8:].reshape(count, 4, 3, 4, 6))  # a view: table k's own columns
+    own[...] = (blocks * (0.5 / norms[:, :, None])).reshape(count, 4, 3, 6)
+    return (fitted[..., 0] - signatures.reshape(12)) * 0.5, jac
 
 
 # Levenberg's method as fit_state runs it.
@@ -359,43 +356,48 @@ _BLOCK_STARTS = 256
 def _levenberg(residuals, params: np.ndarray, cfg: FitConfig) -> tuple:
     """Minimize |r(p)|^2 from every row of ``params`` (B, P) at once.
 
-    ``residuals(p)`` returns r (B, R) and its Jacobian J (B, R, P) at the
-    rows of p.  Each iteration solves the damped Gauss-Newton step of every
-    start still running in dual form, delta = -J^T (J J^T + lam I)^-1 r, an
-    R x R system, and evaluates r and J once, at the trial points.  A step
-    is kept only when it lowers the objective; lam is then multiplied by
-    0.3, otherwise by 10 and the start keeps its r and J.  Starts stop by
-    the rule fit_state documents.  Returns (params, objectives, history,
-    evaluations): history[k] holds every start's objective after iteration
-    k, and evaluations counts the points at which ``residuals`` ran.
+    ``residuals(p)`` returns r (B, R) and its Jacobian J (B, R, P) at the rows of p.
+    Each iteration solves the damped Gauss-Newton step of every running start in dual
+    form, delta = -J^T (J J^T + lam I)^-1 r, an R x R system, and evaluates r and J
+    once, at the trial points.  A step is kept only when it lowers the objective; lam
+    is then multiplied by 0.3, otherwise by 10 and the start keeps its r and J.  Starts
+    stop by the rule fit_state documents.  The running starts' rows are compact arrays,
+    replaced where a step is kept and shrunk when a start stops, whose row then freezes.
+    Returns (params, objectives, history, evaluations): history[k] holds every start's
+    objective after iteration k; evaluations counts the points at which ``residuals`` ran.
     """
-    count = params.shape[0]
     r, jac = residuals(params)
     f = np.einsum("bi,bi->b", r, r)
-    damping = np.full(count, _INITIAL_DAMPING)
-    stalled = np.zeros(count, dtype=int)
-    history = [f.copy()]
-    evaluations = count
-    identity = np.eye(r.shape[1])
-    while len(history) <= cfg.max_iterations:
-        run = np.flatnonzero((f > cfg.target_misfit) & (stalled < _STALL_ITERATIONS))
-        if run.size == 0:
-            break
-        p, r_run, jac_run, f_run = params[run], r[run], jac[run], f[run]
-        jac_t = jac_run.transpose(0, 2, 1)
-        dual = jac_run @ jac_t + damping[run, None, None] * identity
-        trial = p - (jac_t @ np.linalg.solve(dual, r_run[..., None]))[..., 0]
+    objectives, damping, stalled = np.empty_like(f), np.full_like(f, _INITIAL_DAMPING), np.zeros(f.shape, dtype=int)
+    first, live, trace, p, identity = 0, np.arange(f.size), [f.copy()], params, np.eye(r.shape[1])
+    segments = [(first, live, trace)]  # from each shrink on: its first row of history, running starts, objectives
+    for iteration in range(cfg.max_iterations):
+        going = (f > cfg.target_misfit) & (stalled < _STALL_ITERATIONS)
+        if not going.all():
+            params[live], objectives[live] = p, f
+            if not going.any():
+                break
+            first, live, trace = iteration + 1, live[going], []
+            segments.append((first, live, trace))
+            p, r, jac, f, damping, stalled = (a[going] for a in (p, r, jac, f, damping, stalled))
+        dual = jac @ jac.transpose(0, 2, 1) + damping[:, None, None] * identity
+        trial = p - (jac.transpose(0, 2, 1) @ np.linalg.solve(dual, r[..., None]))[..., 0]
         r_trial, jac_trial = residuals(trial)
         f_trial = np.einsum("bi,bi->b", r_trial, r_trial)
-        evaluations += run.size
-        accept = f_trial < f_run
-        stalled[run] = np.where(f_run - f_trial > _MIN_DECREASE * f_run, 0, stalled[run] + 1)
-        damping[run] *= np.where(accept, 0.3, 10.0)
-        kept = run[accept]
-        params[kept], r[kept], jac[kept], f[kept] = (
-            trial[accept], r_trial[accept], jac_trial[accept], f_trial[accept])
-        history.append(f.copy())
-    return params, f, np.array(history), evaluations
+        accept = f_trial < f
+        stalled = np.where(f - f_trial > _MIN_DECREASE * f, 0, stalled + 1)
+        damping *= np.where(accept, 0.3, 10.0)
+        if accept.all():  # as at one start whenever its step is kept
+            p, r, jac, f = trial, r_trial, jac_trial, f_trial
+        elif accept.any():
+            for old, new in ((p, trial), (r, r_trial), (jac, jac_trial), (f, f_trial)):
+                np.copyto(old, new, where=accept.reshape(-1, *[1] * (old.ndim - 1)))
+        trace.append(f.copy())
+    params[live], objectives[live] = p, f
+    history = np.repeat(objectives[None], first + len(trace), axis=0)
+    for first, live, trace in segments:
+        history[first:first + len(trace), live] = trace
+    return params, objectives, history, sum(len(live) * len(trace) for _, live, trace in segments)
 
 
 def _angles_of(v: np.ndarray) -> tuple:
@@ -460,9 +462,7 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
     objectives, winners, traces, iterations, evaluations = [], [], [], 0, 0
     for first in range(0, cfg.restarts, _BLOCK_STARTS):
         starts = rng.standard_normal((min(_BLOCK_STARTS, cfg.restarts - first), 32))
-        params, f, history, count = _levenberg(
-            lambda p: _state_residuals(p, signatures), starts, cfg
-        )
+        params, f, history, count = _levenberg(lambda p: _state_residuals(p, signatures), starts, cfg)
         # keep only the block's best start, so memory stays bounded by one block
         winner = int(np.argmin(f))
         objectives.append(f)

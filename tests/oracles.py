@@ -3,12 +3,19 @@
 Everything here deliberately avoids the code paths under test: singular
 values come from characteristic-polynomial roots, t-distribution tails from
 an incomplete-beta quadrature, and the 2x2 SVD from closed-form algebra.
+``levenberg_gather_scatter`` is the state search's Levenberg loop in its
+earlier form, which gathers the running starts from full arrays and scatters
+the kept steps back on every iteration; ``state_residuals_by_slots`` is its
+residual function in its earlier form, which fills zeroed weight and gradient
+buffers slot by slot and scatters them into the Jacobian.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from bellkit.modelfit import _INITIAL_DAMPING, _MIN_DECREASE, _STALL_ITERATIONS
 
 
 def singular_values_by_charpoly(m: np.ndarray) -> np.ndarray:
@@ -114,3 +121,85 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
             w = w - np.vdot(q[:, j], w) * q[:, j]
         q[:, k] = w / np.linalg.norm(w)
     return q
+
+
+def levenberg_gather_scatter(residuals, params: np.ndarray, cfg) -> tuple:
+    """Minimize |r(p)|^2 from every row of ``params`` (B, P) at once.
+
+    ``residuals(p)`` returns r (B, R) and its Jacobian J (B, R, P) at the
+    rows of p.  Each iteration solves the damped Gauss-Newton step of every
+    start still running in dual form, delta = -J^T (J J^T + lam I)^-1 r, an
+    R x R system, and evaluates r and J once, at the trial points.  A step
+    is kept only when it lowers the objective; lam is then multiplied by
+    0.3, otherwise by 10 and the start keeps its r and J.  Starts stop by
+    the rule fit_state documents.  Returns (params, objectives, history,
+    evaluations): history[k] holds every start's objective after iteration
+    k, and evaluations counts the points at which ``residuals`` ran.
+    """
+    count = params.shape[0]
+    r, jac = residuals(params)
+    f = np.einsum("bi,bi->b", r, r)
+    damping = np.full(count, _INITIAL_DAMPING)
+    stalled = np.zeros(count, dtype=int)
+    history = [f.copy()]
+    evaluations = count
+    identity = np.eye(r.shape[1])
+    while len(history) <= cfg.max_iterations:
+        run = np.flatnonzero((f > cfg.target_misfit) & (stalled < _STALL_ITERATIONS))
+        if run.size == 0:
+            break
+        p, r_run, jac_run, f_run = params[run], r[run], jac[run], f[run]
+        jac_t = jac_run.transpose(0, 2, 1)
+        dual = jac_run @ jac_t + damping[run, None, None] * identity
+        trial = p - (jac_t @ np.linalg.solve(dual, r_run[..., None]))[..., 0]
+        r_trial, jac_trial = residuals(trial)
+        f_trial = np.einsum("bi,bi->b", r_trial, r_trial)
+        evaluations += run.size
+        accept = f_trial < f_run
+        stalled[run] = np.where(f_run - f_trial > _MIN_DECREASE * f_run, 0, stalled[run] + 1)
+        damping[run] *= np.where(accept, 0.3, 10.0)
+        kept = run[accept]
+        params[kept], r[kept], jac[kept], f[kept] = (
+            trial[accept], r_trial[accept], jac_trial[accept], f_trial[accept])
+        history.append(f.copy())
+    return params, f, np.array(history), evaluations
+
+
+_PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
+_PRODUCTS = np.array([np.kron(s, t) for s in _PAULI for t in _PAULI])[
+    [4, 8, 12, 1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15]]
+_REAL_FORMS = np.block([[_PRODUCTS.real, -_PRODUCTS.imag], [_PRODUCTS.imag, _PRODUCTS.real]]).reshape(120, 8).T
+_OWN_ROWS, _OWN_COLUMNS = np.arange(12).reshape(4, 3, 1), 8 + np.arange(24).reshape(4, 1, 6)
+
+
+def state_residuals_by_slots(params: np.ndarray, signatures: np.ndarray) -> tuple:
+    """fit_state's 12 residuals r (B, 12) and their Jacobian J (B, 12, 32).
+
+    The 15 Pauli products are ordered m = (mu, 0), n = (0, nu), t = (mu, nu)
+    for mu, nu in (X, Y, Z).  A correlation c = x.M x / x.x has gradient
+    2 (M x - c x) / x.x, and a unit direction u = d / |d| has derivative
+    (I - u u^T) / |d|.
+    """
+    count = params.shape[0]
+    x = params[:, :8]
+    xx = np.einsum("bi,bi->b", x, x)[:, None]
+    mx = (x @ _REAL_FORMS).reshape(count, 15, 8)
+    c = np.einsum("bui,bi->bu", mx, x) / xx
+    dc = (mx - c[:, :, None] * x[:, None, :]) * (2.0 / xx[:, :, None])
+    t = c[:, 6:].reshape(count, 3, 3)
+    directions = params[:, 8:].reshape(count, 4, 2, 3)
+    norms = np.linalg.norm(directions, axis=-1, keepdims=True)
+    units = directions / norms
+    a, b = units[:, :, 0], units[:, :, 1]
+    # weights[:, k, j] @ c is table k's fitted value j; grads its gradient in (a, b)
+    weights, grads = np.zeros((count, 4, 3, 15)), np.zeros((count, 4, 3, 2, 3))
+    weights[:, :, 0, :3], weights[:, :, 1, 3:6] = a, b
+    weights[:, :, 2, 6:] = (a[..., :, None] * b[..., None, :]).reshape(count, 4, 9)
+    grads[:, :, 0, 0], grads[:, :, 1, 1] = c[:, None, :3], c[:, None, 3:6]
+    grads[:, :, 2, 0], grads[:, :, 2, 1] = b @ t.transpose(0, 2, 1), a @ t
+    grads -= np.einsum("bkjsx,bksx->bkjs", grads, units)[..., None] * units[:, :, None]
+    weights = weights.reshape(count, 12, 15)
+    jac = np.zeros((count, 12, 32))
+    jac[:, :, :8] = weights @ dc
+    jac[:, _OWN_ROWS, _OWN_COLUMNS] = (grads / norms[:, :, None]).reshape(count, 4, 3, 6)
+    return 0.5 * ((weights @ c[:, :, None])[..., 0] - signatures.reshape(12)), 0.5 * jac

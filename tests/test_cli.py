@@ -359,6 +359,35 @@ def test_seed_flag_and_environment_default(capsys, monkeypatch):
     assert code == 3
 
 
+SEED_FLAG_ERROR = "error: --seed must be a non-negative integer, got -3\n"
+SEED_ENV_ERROR = "error: BELLKIT_SEED must be a non-negative integer, got '-5'\n"
+
+
+@pytest.mark.parametrize("argv, env, err", [
+    (["fit", COUNTS_FILE, "--seed", "-3", "--restarts", "1"], None, SEED_FLAG_ERROR),
+    (["fit", COUNTS_FILE, "--restarts", "1"], "-5", SEED_ENV_ERROR),
+    (["fit", COUNTS_FILE, "--state", "STATE", "--seed", "-3"], None, SEED_FLAG_ERROR),
+    (["analyze", COUNTS_FILE, "--seed", "-3"], None, SEED_FLAG_ERROR),
+    (["analyze", COUNTS_FILE], "-5", SEED_ENV_ERROR),
+    (["schmidt", "--state", "STATE", "--seed", "-3"], None, SEED_FLAG_ERROR),
+    (["verify-paper", "--seed", "-3"], None, SEED_FLAG_ERROR),
+    (["verify-paper"], "-5", SEED_ENV_ERROR),
+    (["analyze", COUNTS_FILE], "eleven", "error: BELLKIT_SEED must be a non-negative integer, got 'eleven'\n"),
+], ids=["fit-search", "fit-search-env", "fit-basis", "analyze", "analyze-env", "schmidt", "verify-paper",
+        "verify-paper-env", "env-not-an-integer"])
+def test_a_seed_that_is_not_a_non_negative_integer_names_its_source(capsys, monkeypatch, state_file, argv, env, err):
+    # numpy's default_rng refuses a negative seed with a message that names
+    # neither the flag nor the value; every command reads its seed through
+    # one check that does
+    if env is None:
+        monkeypatch.delenv("BELLKIT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("BELLKIT_SEED", env)
+    code = main([state_file if arg == "STATE" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", err)
+
+
 # ---------------------------------------------------------------------------
 # fit
 

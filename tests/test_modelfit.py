@@ -24,7 +24,7 @@ from bellkit.modelfit import (
     synthesize,
 )
 
-from oracles import random_state, random_unitary
+from oracles import levenberg_gather_scatter, random_state, random_unitary, state_residuals_by_slots
 
 # Reference-table probabilities as published (3 decimals) and the exact
 # model-reproduced values under the repaired eigenbases, frozen from an
@@ -555,6 +555,61 @@ def test_fit_state_memory_is_bounded_by_one_block():
     assert peaks[1000] <= 1.1 * peaks[modelfit._BLOCK_STARTS]
 
 
+def _signatures_of(dataset):
+    return np.array([modelfit._signature(t.probabilities / t.probabilities.sum())
+                     for t in (dataset.tables[k] for k in EXPERIMENT_KEYS)])
+
+
+def _both_loops(dataset, starts, cfg):
+    """(compact loop, gather-scatter loop) results from the same starts, and the
+    number of rows each residual evaluation of the compact loop received."""
+    signatures = _signatures_of(dataset)
+    sizes = []
+
+    def residuals(params):
+        sizes.append(len(params))
+        return modelfit._state_residuals(params, signatures)
+
+    got = modelfit._levenberg(residuals, starts.copy(), cfg)
+    want = levenberg_gather_scatter(lambda p: modelfit._state_residuals(p, signatures), starts.copy(), cfg)
+    for mine, theirs in zip(got[:3], want[:3]):
+        assert np.array_equal(mine, theirs)
+    assert got[3] == want[3] == sum(sizes)
+    return got, sizes
+
+
+@pytest.mark.parametrize("data", ["reference", "product"])
+@pytest.mark.parametrize("starts, max_iterations", [(1, 400), (8, 400), (300, 400), (1, 1), (8, 1), (300, 1)])
+def test_levenberg_is_bit_identical_to_the_gather_scatter_loop(data, starts, max_iterations):
+    # params, objectives, history and evaluations, bit for bit; on the
+    # realizable product data the starts reach the target at different
+    # iterations, so the compact rows shrink more than once
+    dataset = reference_fixture()[2] if data == "reference" else _product_dataset(np.random.default_rng(1))[1]
+    cfg = FitConfig(seed=3, restarts=starts, max_iterations=max_iterations, target_misfit=1e-10)
+    draws = np.random.default_rng(cfg.seed).standard_normal((starts, 32))
+    (_, _, history, _), sizes = _both_loops(dataset, draws, cfg)
+    assert len(history) == len(sizes) <= max_iterations + 1
+    if data == "product" and starts > 1 and max_iterations > 1:
+        assert len(set(sizes)) >= 3
+        assert sorted(sizes, reverse=True) == sizes
+
+
+def test_levenberg_start_at_the_target_runs_no_iteration():
+    # start 0 begins at a point that already meets the target: it is frozen
+    # before the first step, while the other starts run on
+    dataset = _product_dataset(np.random.default_rng(1))[1]
+    cfg = FitConfig(seed=3, restarts=8, target_misfit=1e-10)
+    draws = np.random.default_rng(cfg.seed).standard_normal((8, 32))
+    solved, objectives, _, _ = levenberg_gather_scatter(
+        lambda p: modelfit._state_residuals(p, _signatures_of(dataset)), draws.copy(), cfg)
+    draws[0] = solved[int(np.argmin(objectives))]
+    (params, _, history, _), sizes = _both_loops(dataset, draws, cfg)
+    assert history[0, 0] <= cfg.target_misfit
+    assert np.all(history[:, 0] == history[0, 0])
+    assert np.array_equal(params[0], draws[0])
+    assert sizes[:2] == [8, 7]
+
+
 def test_fit_state_counts_iterations_and_residual_evaluations():
     # no start of the reference dataset converges or stalls within 5
     # iterations: each evaluates its residuals and Jacobian once at its
@@ -610,6 +665,28 @@ def test_state_jacobian_matches_central_differences_over_scales():
         for k in range(4):
             for other in set(range(4)) - {k}:
                 assert np.all(jac[0, 3 * k:3 * k + 3, 8 + 6 * other:14 + 6 * other] == 0.0)
+
+
+def test_state_residuals_agree_with_the_slot_by_slot_route_to_round_off():
+    # the same residuals and Jacobian in another order of operations; every
+    # residual is at most 1 in size, and each column of J at most 1 over the
+    # norm of its block, so both routes agree to a few units of round-off on
+    # those scales, with |z| and each direction norm log-uniform over 1e-3..1e3
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    for count in (1, 7, 300):
+        signatures = rng.uniform(-1, 1, (4, 3))
+        params = rng.standard_normal((count, 32))
+        for block in [slice(0, 8)] + [slice(8 + 3 * i, 11 + 3 * i) for i in range(8)]:
+            params[:, block] *= 10.0 ** rng.uniform(-3, 3, (count, 1))
+        r, jac = modelfit._state_residuals(params, signatures)
+        r_ref, jac_ref = state_residuals_by_slots(params, signatures)
+        assert r.shape == r_ref.shape and jac.shape == jac_ref.shape
+        assert np.all(np.abs(r - r_ref) <= 16 * eps)
+        block_norms = np.concatenate([np.linalg.norm(params[:, :8], axis=1, keepdims=True).repeat(8, 1),
+                                      np.linalg.norm(params[:, 8:].reshape(count, 8, 3), axis=2).repeat(3, 1)], 1)
+        assert np.all(np.abs(jac - jac_ref) <= 16 * eps / block_norms[:, None, :])
+        assert np.array_equal(jac == 0, jac_ref == 0)
 
 
 def _with_forward_differences(signatures, step=1e-7):

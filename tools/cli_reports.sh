@@ -71,6 +71,8 @@ run fit-default fit "$data/reference_dataset_counts.json" --seed 3
 run fit-state fit "$data/reference_dataset_counts.json" --state "$inputs/state.json" --out "$out/model.json"
 run fit-state-json fit "$data/reference_dataset_counts.json" --state "$inputs/state.json" --format json
 run fit-state-search fit "$data/reference_dataset_counts.json" --restarts 2 --seed 3 --out "$out/model-state-search.json"
+run fit-one-start fit "$data/reference_dataset_counts.json" --restarts 1 --seed 3 --format json
+run fit-two-blocks fit "$data/reference_dataset_counts.json" --restarts 300 --seed 3 --format json
 run schmidt-state schmidt --state "$inputs/state.json"
 run schmidt-canonical schmidt --operator "$inputs/operator.json"
 run schmidt-canonical-json schmidt --operator "$inputs/operator.json" --format json
