@@ -87,3 +87,29 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__, *_EXPORTS})
+
+
+class _Record:
+    """Base of bellkit's record classes.  A subclass's ``__init__`` stores
+    each of its parameters as the attribute of that name; ``==`` and
+    ``repr`` go over those fields in parameter order, ``==`` skipping the
+    names in ``_uncompared``.  Records are mutable, so they are unhashable.
+    """
+
+    _uncompared = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._compared = tuple(name for name in cls._fields if name not in cls._uncompared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (tuple(getattr(self, name) for name in self._compared)
+                == tuple(getattr(other, name) for name in self._compared))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"

@@ -8,9 +8,10 @@ outcome 2".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import _Record
 
 EXPERIMENT_KEYS = ("AB", "AB'", "A'B", "A'B'")
 
@@ -77,8 +78,7 @@ def chsh_combination(e_values):
     return e_values["A'B'"] + e_values["A'B"] + e_values["AB'"] - e_values["AB"]
 
 
-@dataclass
-class CoincidenceTable:
+class CoincidenceTable(_Record):
     """Joint outcome probabilities of one coincidence experiment.
 
     Parameters
@@ -99,18 +99,14 @@ class CoincidenceTable:
         default otherwise.
     """
 
-    experiment: str
-    p11: float
-    p12: float
-    p21: float
-    p22: float
-    a_labels: tuple = ("1", "2")
-    b_labels: tuple = ("1", "2")
-    counts: tuple | None = None
-    n: int | None = None
-    sum_tol: float = 1e-6
-
-    def __post_init__(self):
+    def __init__(self, experiment: str, p11: float, p12: float, p21: float, p22: float,
+                 a_labels: tuple = ("1", "2"), b_labels: tuple = ("1", "2"),
+                 counts: tuple | None = None, n: int | None = None, sum_tol: float = 1e-6):
+        self.experiment = experiment
+        self.p11, self.p12, self.p21, self.p22 = p11, p12, p21, p22
+        self.a_labels, self.b_labels = a_labels, b_labels
+        self.counts, self.n = counts, n
+        self.sum_tol = sum_tol
         check_sum_tolerance(self.sum_tol)
         probs = self.probabilities
         check_probabilities(probs, self.experiment, self.sum_tol)
@@ -155,31 +151,26 @@ class CoincidenceTable:
         return tuple(f"{a} {b}" for a in self.a_labels for b in self.b_labels)
 
 
-@dataclass
-class SinglesTable:
+class SinglesTable(_Record):
     """Single-measurement outcome probabilities, one (p1, p2) pair per side,
-    each checked as check_probabilities checks a table, within 1e-4."""
+    each checked as check_probabilities checks a table, within 1e-4.
+    ``labels`` defaults to a new empty dict."""
 
-    probabilities: dict
-    labels: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, probabilities: dict, labels: dict | None = None):
+        self.probabilities = probabilities
+        self.labels = {} if labels is None else labels
         for side, pair in self.probabilities.items():
             if len(pair) != 2:
                 raise ValueError(f"singles for {side} must be a pair")
             check_probabilities(pair, f"singles for {side}", sum_tol=1e-4)
 
 
-@dataclass
-class ExperimentDataset:
+class ExperimentDataset(_Record):
     """Four coincidence tables (and optional singles) from one experiment."""
 
-    name: str
-    tables: dict
-    singles: SinglesTable | None = None
-    n_subjects: int | None = None
-
-    def __post_init__(self):
+    def __init__(self, name: str, tables: dict, singles: SinglesTable | None = None,
+                 n_subjects: int | None = None):
+        self.name, self.tables, self.singles, self.n_subjects = name, tables, singles, n_subjects
         missing = [k for k in EXPERIMENT_KEYS if k not in self.tables]
         if missing:
             raise ValueError(f"dataset is missing coincidence tables: {missing}")
@@ -188,8 +179,7 @@ class ExperimentDataset:
             raise ValueError(f"dataset has unknown coincidence tables: {extra}")
 
 
-@dataclass
-class MarginalDeviation:
+class MarginalDeviation(_Record):
     """One marginal-law comparison row.
 
     ``lhs`` and ``rhs`` are the same one-side marginal computed from the two
@@ -197,26 +187,20 @@ class MarginalDeviation:
     (no-signaling) they must be equal.
     """
 
-    side: str
-    outcome: int
-    experiment_lhs: str
-    experiment_rhs: str
-    lhs: float
-    rhs: float
-    deviation: float
+    def __init__(self, side: str, outcome: int, experiment_lhs: str, experiment_rhs: str,
+                 lhs: float, rhs: float, deviation: float):
+        self.side, self.outcome = side, outcome
+        self.experiment_lhs, self.experiment_rhs = experiment_lhs, experiment_rhs
+        self.lhs, self.rhs, self.deviation = lhs, rhs, deviation
 
 
-@dataclass
-class ChshReport:
+class ChshReport(_Record):
     """CHSH evaluation of a four-experiment dataset."""
 
-    e_values: dict
-    chsh: float
-    violates: bool
-    tsirelson_gap: float
-    marginal_deviations: list
-
-    def __post_init__(self):
+    def __init__(self, e_values: dict, chsh: float, violates: bool, tsirelson_gap: float,
+                 marginal_deviations: list):
+        self.e_values, self.chsh, self.violates = e_values, chsh, violates
+        self.tsirelson_gap, self.marginal_deviations = tsirelson_gap, marginal_deviations
         if abs(self.chsh - chsh_combination(self.e_values)) > 1e-12:
             raise ValueError("chsh does not match its defining combination of E values")
         if self.violates != (abs(self.chsh) > 2.0):
@@ -306,17 +290,14 @@ def counts_to_probabilities(counts, n) -> tuple:
     return tuple(c / n for c in counts)
 
 
-@dataclass
-class TTestResult:
+class TTestResult(_Record):
     """One-sample t test of a mean against a fixed threshold."""
 
-    statistic: float
-    df: int
-    p_value: float
-    sample_mean: float
-    sample_std: float
-    threshold: float
-    two_sided: bool
+    def __init__(self, statistic: float, df: int, p_value: float, sample_mean: float,
+                 sample_std: float, threshold: float, two_sided: bool):
+        self.statistic, self.df, self.p_value = statistic, df, p_value
+        self.sample_mean, self.sample_std = sample_mean, sample_std
+        self.threshold, self.two_sided = threshold, two_sided
 
 
 # From this df on, _half_gamma_ratio sums an asymptotic series: the lgamma

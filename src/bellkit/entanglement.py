@@ -10,10 +10,9 @@ diagnostics built on top.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from . import _Record
 from .hilbert import (
     _values,
     check_unitary,
@@ -50,8 +49,7 @@ def _model_eigenvectors(measurement) -> list:
     return [_values(v) for v in vecs]
 
 
-@dataclass
-class Isomorphism:
+class Isomorphism(_Record):
     """A labeled unitary identification of C^4 with C^2 (x) C^2.
 
     ``matrix`` sends a vector in C^4 to its coefficient vector over the
@@ -59,11 +57,9 @@ class Isomorphism:
     PRODUCT_LABELS[k].
     """
 
-    matrix: np.ndarray
-    name: str = "canonical"
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix: np.ndarray, name: str = "canonical"):
+        self.matrix = np.asarray(matrix, dtype=complex)
+        self.name = name
         if self.matrix.shape != (4, 4):
             raise ValueError("isomorphism matrix must be 4x4")
         check_unitary(self.matrix, "isomorphism matrix")
@@ -169,17 +165,19 @@ def canonical_iso_of(measurement) -> Isomorphism:
     return Isomorphism(matrix, name=f"from-model:{name}" if name else "from-model")
 
 
-@dataclass
-class SchmidtDecomposition:
-    """State decomposition psi = sum_k c_k u_k (x) v_k through an isomorphism."""
+class SchmidtDecomposition(_Record):
+    """State decomposition psi = sum_k c_k u_k (x) v_k through an isomorphism.
 
-    coefficients: np.ndarray
-    left: np.ndarray   # 2x2, column k is u_k
-    right: np.ndarray  # 2x2, column k is v_k
-    iso_name: str = field(default="canonical", compare=False)
+    ``left`` and ``right`` are 2x2: column k is u_k and v_k.  ``==`` ignores
+    ``iso_name``.
+    """
 
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
+    _uncompared = ("iso_name",)
+
+    def __init__(self, coefficients: np.ndarray, left: np.ndarray, right: np.ndarray,
+                 iso_name: str = "canonical"):
+        self.coefficients = np.asarray(coefficients, dtype=float)
+        self.left, self.right, self.iso_name = left, right, iso_name
         total = float(np.sum(self.coefficients**2))
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"Schmidt coefficients must satisfy sum c^2 = 1, got {total}")
@@ -192,21 +190,16 @@ class SchmidtDecomposition:
         return self.rank() == 1
 
 
-@dataclass
-class OperatorSchmidt:
+class OperatorSchmidt(_Record):
     """Operator decomposition T = sum_k sigma_k A_k (x) B_k.
 
     ``transported`` is the operator's image under the isomorphism; the
     factors are Hilbert-Schmidt orthonormal 2x2 matrices.
     """
 
-    sigma: np.ndarray
-    factors_a: list
-    factors_b: list
-    transported: np.ndarray
-
-    def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=float)
+    def __init__(self, sigma: np.ndarray, factors_a: list, factors_b: list, transported: np.ndarray):
+        self.sigma = np.asarray(sigma, dtype=float)
+        self.factors_a, self.factors_b, self.transported = factors_a, factors_b, transported
         # Both sides scaled by the power of two that brings peak_part into
         # [0.5, 1): exact, so no square can overflow and nothing is divided
         # by a subnormal peak.  Subnormal sigma are only kept to the spacing
@@ -233,16 +226,12 @@ class OperatorSchmidt:
         return out
 
 
-@dataclass
-class Evolution:
+class Evolution(_Record):
     """Unitary operator carrying one measurement's eigenstates to another's."""
 
-    matrix: np.ndarray
-    source: str
-    target: str
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix: np.ndarray, source: str, target: str):
+        self.matrix = np.asarray(matrix, dtype=complex)
+        self.source, self.target = source, target
         check_unitary(self.matrix, "evolution operator")
 
 
@@ -440,8 +429,7 @@ def states_equal_up_to_phase(u, v, tol: float = 0.01) -> bool:
     return bool(overlap >= 1.0 - tol)
 
 
-@dataclass
-class FactorizationReport:
+class FactorizationReport(_Record):
     """Joint outcome probabilities against the product of marginals.
 
     ``joint[i, j]`` is the probability of outcome (i+1, j+1); ``expected``
@@ -450,13 +438,12 @@ class FactorizationReport:
     joint table's row/column sums.
     """
 
-    joint: np.ndarray
-    marginal_a: np.ndarray
-    marginal_b: np.ndarray
-    marginal_source: str
-    expected: np.ndarray
-    deviations: np.ndarray
-    max_deviation: float
+    def __init__(self, joint: np.ndarray, marginal_a: np.ndarray, marginal_b: np.ndarray,
+                 marginal_source: str, expected: np.ndarray, deviations: np.ndarray,
+                 max_deviation: float):
+        self.joint, self.marginal_a, self.marginal_b = joint, marginal_a, marginal_b
+        self.marginal_source = marginal_source
+        self.expected, self.deviations, self.max_deviation = expected, deviations, max_deviation
 
 
 def collapse_probabilities(vectors, states) -> np.ndarray:
@@ -510,13 +497,11 @@ def check_factorization(state, measurement, singles=None) -> FactorizationReport
     )
 
 
-@dataclass
-class ProductIsoSearchResult:
+class ProductIsoSearchResult(_Record):
     """Outcome of a randomized search for a common product-rendering isomorphism."""
 
-    found: bool
-    witness: Isomorphism | None
-    trials: int
+    def __init__(self, found: bool, witness: Isomorphism | None, trials: int):
+        self.found, self.witness, self.trials = found, witness, trials
 
 
 def refute_common_product_iso(operators, extra_isos=(), n_trials: int = 10_000,

@@ -15,21 +15,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
-from . import io
+from . import _Record, io
 from .bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset
 from .hilbert import _values, from_polar_deg, gram, is_hermitian, orthonormalize, tensor
 
 _EIGENVALUE_PATTERN = (1.0, -1.0, -1.0, 1.0)
 
 
-@dataclass
-class ObservableModel:
+class ObservableModel(_Record):
     """A four-outcome measurement: eigenbasis, eigenvalues, operator.
 
     ``eigenvectors_raw`` holds the vectors as supplied (possibly rounded) and
@@ -37,15 +35,12 @@ class ObservableModel:
     4-vectors.  Golden tests can target either form.
     """
 
-    experiment: str
-    eigenvectors_raw: list
-    eigenvectors: list
-    eigenvalues: tuple
-    operator: np.ndarray
-    a_labels: tuple = ("1", "2")
-    b_labels: tuple = ("1", "2")
-
-    def __post_init__(self):
+    def __init__(self, experiment: str, eigenvectors_raw: list, eigenvectors: list, eigenvalues: tuple,
+                 operator: np.ndarray, a_labels: tuple = ("1", "2"), b_labels: tuple = ("1", "2")):
+        self.experiment = experiment
+        self.eigenvectors_raw, self.eigenvectors = eigenvectors_raw, eigenvectors
+        self.eigenvalues, self.operator = eigenvalues, operator
+        self.a_labels, self.b_labels = a_labels, b_labels
         if len(self.eigenvectors) != 4 or len(self.eigenvectors_raw) != 4:
             raise ValueError("model needs four eigenvectors")
         if len(self.eigenvalues) != 4:
@@ -66,8 +61,7 @@ class ObservableModel:
         return tuple(f"{a} {b}" for a in self.a_labels for b in self.b_labels)
 
 
-@dataclass
-class StateVector:
+class StateVector(_Record):
     """A unit state with a provenance tag.
 
     ``raw`` keeps the as-given components, a complex array of shape (4,).
@@ -77,11 +71,9 @@ class StateVector:
     computations.
     """
 
-    raw: np.ndarray
-    provenance: str = "user"
-
-    def __post_init__(self):
-        self.raw = np.asarray(self.raw, dtype=complex)
+    def __init__(self, raw: np.ndarray, provenance: str = "user"):
+        self.raw = np.asarray(raw, dtype=complex)
+        self.provenance = provenance
         if self.raw.shape != (4,):
             raise ValueError("state must have dimension 4")
         if self.provenance not in ("reference", "fitted", "user"):
@@ -183,38 +175,35 @@ def expectation_from_model(state, model: ObservableModel) -> float:
 # ---------------------------------------------------------------------------
 # fitting
 
-@dataclass
-class FitConfig:
-    """Seed, budgets, and target misfit of fit_state's search."""
+class FitConfig(_Record):
+    """Seed, budgets, and target misfit of fit_state's search.  The seed and
+    budgets are integers, Python's or numpy's."""
 
-    seed: int = 0
-    max_iterations: int = 400
-    restarts: int = 64
-    target_misfit: float = 1e-10
-
-    def __post_init__(self):
+    def __init__(self, seed: int = 0, max_iterations: int = 400, restarts: int = 64,
+                 target_misfit: float = 1e-10):
+        self.seed, self.max_iterations, self.restarts = seed, max_iterations, restarts
+        self.target_misfit = target_misfit
         if not 0.0 < self.target_misfit < math.inf:  # NaN fails it too
             raise ValueError(f"target_misfit must be finite and positive, got {self.target_misfit}")
-        if self.restarts < 1 or self.max_iterations < 1:
-            raise ValueError("restarts and max_iterations must be at least 1")
+        for name, value, least in (("seed", seed, 0), ("max_iterations", max_iterations, 1),
+                                   ("restarts", restarts, 1)):
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                kind = "a non-negative integer" if least == 0 else "an integer of at least 1"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
-@dataclass
-class FitResult:
+class FitResult(_Record):
     """Outcome of fit_basis.
 
     The fit is one closed-form step, so ``restarts_used`` and ``iterations``
     are both 1.
     """
 
-    misfit: float
-    converged: bool
-    matrix: np.ndarray
-    model: ObservableModel | None
     restarts_used = 1
     iterations = 1
 
-    def __post_init__(self):
+    def __init__(self, misfit: float, converged: bool, matrix: np.ndarray, model: ObservableModel | None):
+        self.misfit, self.converged, self.matrix, self.model = misfit, converged, matrix, model
         if not self.misfit >= 0:
             raise ValueError("misfit must be nonnegative")
 
@@ -271,8 +260,7 @@ def fit_basis(state, target, target_misfit: float = 1e-10, experiment: str = "")
     )
 
 
-@dataclass
-class StateFitResult:
+class StateFitResult(_Record):
     """Outcome of a whole-dataset state search.
 
     ``per_experiment`` maps experiment keys to (ObservableModel, misfit):
@@ -286,14 +274,11 @@ class StateFitResult:
     evaluated: each start's first point and one per iteration it ran.
     """
 
-    state: StateVector
-    objective: float
-    converged: bool
-    per_experiment: dict
-    trace: list
-    restarts_used: int
-    iterations: int
-    evaluations: int
+    def __init__(self, state: StateVector, objective: float, converged: bool, per_experiment: dict,
+                 trace: list, restarts_used: int, iterations: int, evaluations: int):
+        self.state, self.objective, self.converged = state, objective, converged
+        self.per_experiment, self.trace = per_experiment, trace
+        self.restarts_used, self.iterations, self.evaluations = restarts_used, iterations, evaluations
 
 
 # Pauli products P = s_mu (x) s_nu for mu, nu in (I, X, Y, Z), in the order of C[mu, nu] = <P>, and their real

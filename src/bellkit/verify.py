@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _Record
 from .bellstats import (
     EXPERIMENT_KEYS,
     MARGINAL_PLAN,
@@ -97,17 +97,14 @@ EVOLUTION_PAIRS = (("AB", "AB'"), ("A'B", "A'B'"))
 ROUTE_TOL = 1e-12
 
 
-@dataclass
-class CheckRow:
+class CheckRow(_Record):
     """One verification row: measured vs expected at a stated tolerance."""
 
-    name: str
-    passed: bool
-    measured: str
-    expected: str
-    tolerance: str
-    note: str = ""
-    elapsed_ms: float = 0.0
+    def __init__(self, name: str, passed: bool, measured: str, expected: str, tolerance: str,
+                 note: str = "", elapsed_ms: float = 0.0):
+        self.name, self.passed = name, passed
+        self.measured, self.expected, self.tolerance = measured, expected, tolerance
+        self.note, self.elapsed_ms = note, elapsed_ms
 
     def to_dict(self) -> dict:
         # Cast defensively: comparisons against numpy floats produce numpy

@@ -31,11 +31,14 @@ from bellkit.entanglement import (
 )
 from bellkit.hilbert import check_unitary, orthonormalize
 from bellkit.modelfit import (
+    FitConfig,
     FitResult,
     ObservableModel,
     StateVector,
     fit_basis,
+    fit_state,
     probabilities_from_model,
+    reference_fixture,
     synthesize,
 )
 
@@ -60,11 +63,36 @@ UNIT_FACTORS = [np.eye(2) / math.sqrt(2)] * 4
     (lambda: OperatorSchmidt([NAN] * 4, UNIT_FACTORS, UNIT_FACTORS, np.eye(4)), "sum sigma\\^2"),
     (lambda: FitResult(NAN, True, np.eye(4), None), "misfit must be nonnegative"),
     (lambda: CoincidenceTable("AB", 0.0, 0.0, 0.0, 0.0, sum_tol=NAN), "tolerance must lie in \\[0, 1\\)"),
+    (lambda: FitConfig(target_misfit=NAN), "target_misfit must be finite and positive"),
 ], ids=["check_unitary", "Isomorphism", "Evolution", "orthonormalize", "canonical_iso_of", "synthesize",
-        "ObservableModel", "SchmidtDecomposition", "OperatorSchmidt", "FitResult", "CoincidenceTable"])
+        "ObservableModel", "SchmidtDecomposition", "OperatorSchmidt", "FitResult", "CoincidenceTable",
+        "FitConfig"])
 def test_nan_fails_every_bound_check(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# FitConfig values that fit_state cannot run: range() and SeedSequence take
+# only non-negative integers.
+@pytest.mark.parametrize("fields, message", [
+    ({"restarts": 2.5}, "restarts must be an integer of at least 1, got 2.5"),
+    ({"restarts": np.float64(3)}, "restarts must be an integer of at least 1, got (np.float64\\()?3.0"),
+    ({"max_iterations": math.inf}, "max_iterations must be an integer of at least 1, got inf"),
+    ({"max_iterations": NAN}, "max_iterations must be an integer of at least 1, got nan"),
+    ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"seed": "3"}, "seed must be a non-negative integer, got '3'"),
+], ids=["restarts-float", "restarts-numpy-float", "max_iterations-inf", "max_iterations-nan", "seed-float",
+        "seed-negative", "seed-str"])
+def test_fit_config_refuses_what_fit_state_cannot_run(fields, message):
+    with pytest.raises(ValueError, match=message):
+        FitConfig(**fields)
+
+
+def test_fit_config_accepts_numpy_integers():
+    cfg = FitConfig(seed=np.int64(3), max_iterations=np.uint16(5), restarts=np.int32(2))
+    _, _, dataset = reference_fixture()
+    assert fit_state(dataset, cfg).restarts_used == 2
 
 
 # Any double, with the values at the edges of what the constructors accept

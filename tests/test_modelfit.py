@@ -1,7 +1,6 @@
 """Tests for measurement-model synthesis, forward probabilities, and fitting."""
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -507,11 +506,11 @@ def test_fit_state_restarts_used_is_the_first_start_reaching_the_target():
     result = fit_state(dataset, cfg)
     assert result.converged
     assert result.restarts_used == 4
-    first_four = fit_state(dataset, replace(cfg, restarts=4))
+    first_four = fit_state(dataset, FitConfig(seed=3, target_misfit=1e-8, restarts=4, max_iterations=8))
     assert first_four.restarts_used == 4
     # the winner is the best start of all eight
     assert result.objective <= first_four.objective
-    first_three = fit_state(dataset, replace(cfg, restarts=3))
+    first_three = fit_state(dataset, FitConfig(seed=3, target_misfit=1e-8, restarts=3, max_iterations=8))
     assert not first_three.converged
     assert first_three.restarts_used == 3
 

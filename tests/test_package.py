@@ -51,9 +51,18 @@ def test_reference_fixture_loads_neither_verify_nor_entanglement_nor_cli():
     assert Path(report["file"]).resolve().parent.parent == SRC
     loaded = set(report["after_fixture"])
     assert "bellkit.modelfit" in loaded
-    assert loaded.isdisjoint({"bellkit.verify", "bellkit.entanglement", "bellkit.cli", "hashlib"})
+    assert loaded.isdisjoint({"bellkit.verify", "bellkit.entanglement", "bellkit.cli", "hashlib", "dataclasses"})
     assert (report["verify"], report["entanglement"]) == ("bellkit.verify", "bellkit.entanglement")
     assert report["run_verification"] is True
+
+
+def test_cli_import_loads_no_dataclasses():
+    # bellkit's records are plain classes: creating dataclasses would cost
+    # about a fifth of the cold start
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import bellkit.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_all_keeps_its_names_and_order():
