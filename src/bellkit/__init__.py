@@ -49,7 +49,6 @@ _EXPORTS = {
     "hilbert": ("gram", "orthonormalize", "svd", "tensor", "tensor_op"),
     "io": ("ParseError", "parse_dataset_file", "write_dataset_file"),
     "modelfit": (
-        "FitConfig",
         "FitResult",
         "ObservableModel",
         "StateFitResult",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -26,7 +25,7 @@ import numpy as np
 from . import __version__
 from .bellstats import EXPERIMENT_KEYS, TSIRELSON_BOUND, check_sum_tolerance, chsh
 from .entanglement import canonical_iso, canonical_iso_of, measurement_entanglement_degree, operator_schmidt, schmidt_state
-from .hilbert import polar_deg
+from .hilbert import RANK_TOL, polar_deg
 from .io import (
     ParseError,
     canonical_json,
@@ -36,7 +35,7 @@ from .io import (
     sha256_of_file,
 )
 from .modelfit import (
-    FitConfig,
+    check_fit_settings,
     fit_basis,
     fit_state,
     load_model,
@@ -84,6 +83,7 @@ def _provenance(command: str, path, seed: int) -> dict:
 
 
 def _builtin_dataset_provenance(command: str, seed: int) -> dict:
+    import hashlib  # here, as in io.sha256_of_file: loading it costs milliseconds
     data = resources.files("bellkit").joinpath("data/reference_dataset_counts.json").read_bytes()
     report = _provenance(command, None, seed)
     report["input"] = {"path": "built-in", "sha256": hashlib.sha256(data).hexdigest()}
@@ -216,9 +216,9 @@ def cmd_fit(args) -> int:
     seed = doc["seed"]
     target = args.tolerance if args.tolerance is not None else 1e-8
     restarts = args.restarts if args.restarts is not None else 8
-    # The closed-form basis fit uses only the target misfit; --restarts is
-    # still validated in basis mode, but neither used nor reported.
-    cfg = FitConfig(seed=seed, restarts=restarts, target_misfit=target)
+    # Refused in both modes, though the closed-form basis fit uses only the
+    # target misfit and neither uses nor reports --restarts.
+    check_fit_settings(target, seed, restarts)
     lines = [f"input: {args.file} (sha256 {doc['input']['sha256'][:12]}...)"]
     all_converged = True
 
@@ -246,7 +246,7 @@ def cmd_fit(args) -> int:
             )
         fitted_state = state
     else:
-        result = fit_state(dataset, cfg)
+        result = fit_state(dataset, seed=seed, restarts=restarts, target_misfit=target)
         all_converged = result.converged
         doc["mode"] = "state"
         doc["restarts"] = restarts
@@ -358,7 +358,7 @@ def cmd_schmidt(args) -> int:
     seed = _seed_of(args)
     warnings: list = []
     iso = _resolve_iso(args, warnings)
-    rank_tol = args.tolerance if args.tolerance is not None else 1e-7
+    rank_tol = args.tolerance if args.tolerance is not None else RANK_TOL
 
     if args.state is not None:
         kind, path = "state", args.state

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import _Record
 from .hilbert import (
+    RANK_TOL,
     _values,
     check_unitary,
     gram,
@@ -182,7 +183,7 @@ class SchmidtDecomposition(_Record):
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"Schmidt coefficients must satisfy sum c^2 = 1, got {total}")
 
-    def rank(self, rank_tol: float = 1e-7) -> int:
+    def rank(self, rank_tol: float = RANK_TOL) -> int:
         return numerical_rank(self.coefficients, rank_tol)
 
     @property
@@ -212,7 +213,7 @@ class OperatorSchmidt(_Record):
         if not abs(float(np.sum(sigma**2)) - hs_sq) <= slack:
             raise ValueError("sum sigma^2 must equal the squared Hilbert-Schmidt norm")
 
-    def rank(self, rank_tol: float = 1e-7) -> int:
+    def rank(self, rank_tol: float = RANK_TOL) -> int:
         return numerical_rank(self.sigma, rank_tol)
 
     @property
@@ -276,7 +277,7 @@ def _minor_sum(r: np.ndarray) -> np.ndarray:
 
 
 def _transported_is_product(us: np.ndarray, operators: np.ndarray,
-                            rank_tol: float = 1e-7) -> np.ndarray:
+                            rank_tol: float = RANK_TOL) -> np.ndarray:
     """Whether U M U^dagger has operator-Schmidt rank 1, for each unitary of a
     stack (..., 4, 4), with one operator M or a matching stack of them.
 
@@ -409,24 +410,22 @@ def evolution_between(source_model, target_model) -> Evolution:
     )
 
 
-def is_product_evolution(evolution: Evolution, iso: Isomorphism | None = None,
-                         rank_tol: float = 1e-7) -> bool:
-    """Whether a unitary evolution is a tensor product relative to ``iso``."""
+def is_product_evolution(evolution: Evolution, iso: Isomorphism | None = None) -> bool:
+    """Whether a unitary evolution is a tensor product relative to ``iso``, at RANK_TOL."""
     iso = iso if iso is not None else canonical_iso()
-    transported = iso.transport(evolution.matrix)
-    return _operator_schmidt_of_transported(transported).rank(rank_tol) == 1
+    return _operator_schmidt_of_transported(iso.transport(evolution.matrix)).is_product
 
 
-def states_equal_up_to_phase(u, v, tol: float = 0.01) -> bool:
+def states_equal_up_to_phase(u, v) -> bool:
     """Whether two unit states coincide up to a global phase.
 
-    True when |<u|v>| >= 1 - tol; the default threshold 0.99 separates
-    genuinely distinct contextual representations from rounding noise.
+    True when |<u|v>| >= 0.99, a threshold that separates genuinely distinct
+    contextual representations from rounding noise.
     """
     a = _values(u)
     b = _values(v)
     overlap = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
-    return bool(overlap >= 1.0 - tol)
+    return bool(overlap >= 0.99)
 
 
 class FactorizationReport(_Record):
@@ -505,7 +504,7 @@ class ProductIsoSearchResult(_Record):
 
 
 def refute_common_product_iso(operators, extra_isos=(), n_trials: int = 10_000,
-                              seed: int = 0, rank_tol: float = 1e-7) -> ProductIsoSearchResult:
+                              seed: int = 0) -> ProductIsoSearchResult:
     """Search for one isomorphism rendering every operator product.
 
     Candidates are the supplied ``extra_isos`` (typically each measurement's
@@ -515,14 +514,14 @@ def refute_common_product_iso(operators, extra_isos=(), n_trials: int = 10_000,
     the same bits in a block as alone.  They are tested in blocks of
     SEARCH_BLOCK: each operator in turn is transported through the
     candidates still alive, reshuffled, and kept only where its operator
-    Schmidt rank is 1 (see _transported_is_product).  A Gram-matrix bound
-    rules out nearly every candidate as entangled, a bound on the exact 2x2
-    minors proves rank 1 for product ones, and only candidates between the
-    two bounds go through an SVD.  The witness is the first candidate that
-    survives every operator and ``trials`` is its 1-based position in the
-    candidate order; when none survives, ``trials`` counts every candidate.
-    A not-found result is evidence — not proof — that no such isomorphism
-    exists.
+    Schmidt rank is 1 at RANK_TOL (see _transported_is_product).  A
+    Gram-matrix bound rules out nearly every candidate as entangled, a
+    bound on the exact 2x2 minors proves rank 1 for product ones, and only
+    candidates between the two bounds go through an SVD.  The witness is
+    the first candidate that survives every operator and ``trials`` is its
+    1-based position in the candidate order; when none survives, ``trials``
+    counts every candidate.  A not-found result is evidence — not proof —
+    that no such isomorphism exists.
     """
     ops = [_values(op) for op in operators]
     rng = np.random.default_rng(seed)
@@ -538,7 +537,7 @@ def refute_common_product_iso(operators, extra_isos=(), n_trials: int = 10_000,
         )
         alive = np.arange(stop - start)
         for op in ops:
-            alive = alive[_transported_is_product(block[alive], op, rank_tol)]
+            alive = alive[_transported_is_product(block[alive], op)]
             if not alive.size:
                 break
         if alive.size:

@@ -15,6 +15,8 @@ import numpy as np
 # calibrated package-wide convention for repairing rounded bases.
 REPAIR_ORDER = (0, 1, 3, 2)
 
+RANK_TOL = 1e-7  # default rank tolerance, relative to the largest singular value
+
 
 def _values(x) -> np.ndarray:
     """Components of anything with ``values`` (a StateVector) or of an
@@ -55,7 +57,7 @@ def check_unitary(matrix, what: str) -> None:
         raise ValueError(f"{what} is not unitary (deviation {dev:.3e})")
 
 
-def numerical_rank(sigma, rank_tol: float = 1e-7):
+def numerical_rank(sigma, rank_tol: float = RANK_TOL):
     """Number of singular values above ``rank_tol`` times the largest, along
     the last axis of a descending ``sigma`` (one rank per row of a stack).
     ValueError unless ``rank_tol`` lies in [0, 1), NaN included."""

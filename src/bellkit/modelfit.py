@@ -9,7 +9,7 @@ fit_basis is exact: one Householder reflection maps the state onto the
 square roots of the target probabilities, and it takes only a target misfit.
 fit_state solves its least-squares problem by a batched Levenberg iteration
 over its seeded restarts, in blocks of a fixed size, with the residuals'
-exact Jacobian; FitConfig sets its seed, budgets and target misfit.
+exact Jacobian; it takes a seed, a number of restarts and a target misfit.
 """
 from __future__ import annotations
 
@@ -175,21 +175,16 @@ def expectation_from_model(state, model: ObservableModel) -> float:
 # ---------------------------------------------------------------------------
 # fitting
 
-class FitConfig(_Record):
-    """Seed, budgets, and target misfit of fit_state's search.  The seed and
-    budgets are integers, Python's or numpy's."""
-
-    def __init__(self, seed: int = 0, max_iterations: int = 400, restarts: int = 64,
-                 target_misfit: float = 1e-10):
-        self.seed, self.max_iterations, self.restarts = seed, max_iterations, restarts
-        self.target_misfit = target_misfit
-        if not 0.0 < self.target_misfit < math.inf:  # NaN fails it too
-            raise ValueError(f"target_misfit must be finite and positive, got {self.target_misfit}")
-        for name, value, least in (("seed", seed, 0), ("max_iterations", max_iterations, 1),
-                                   ("restarts", restarts, 1)):
-            if not (isinstance(value, (int, np.integer)) and value >= least):
-                kind = "a non-negative integer" if least == 0 else "an integer of at least 1"
-                raise ValueError(f"{name} must be {kind}, got {value!r}")
+def check_fit_settings(target_misfit: float, seed: int = 0, restarts: int = 1) -> None:
+    """ValueError unless 0 < target_misfit < inf, seed is an integer >= 0 and
+    restarts an integer >= 1, each Python's or numpy's; NaN fails each check.
+    fit_state and fit_basis run it first."""
+    if not 0.0 < target_misfit < math.inf:  # NaN fails it too
+        raise ValueError(f"target_misfit must be finite and positive, got {target_misfit}")
+    for name, value, least in (("seed", seed, 0), ("restarts", restarts, 1)):
+        if not (isinstance(value, (int, np.integer)) and value >= least):
+            kind = "a non-negative integer" if least == 0 else "an integer of at least 1"
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 class FitResult(_Record):
@@ -239,6 +234,7 @@ def fit_basis(state, target, target_misfit: float = 1e-10, experiment: str = "")
     ``target_misfit``.  A target misfit below round-off is reported as not
     converged, not raised.
     """
+    check_fit_settings(target_misfit)
     psi = _unit_state(state)
     t = _normalized_target(target)
     labels = {}
@@ -332,13 +328,14 @@ def _state_residuals(params: np.ndarray, signatures: np.ndarray) -> tuple:
 
 # Levenberg's method as fit_state runs it.
 _INITIAL_DAMPING = 1e-3
+_MAX_ITERATIONS = 400
 _STALL_ITERATIONS = 8
 _MIN_DECREASE = 1e-10
 # fit_state runs its starts through _levenberg this many at a time.
 _BLOCK_STARTS = 256
 
 
-def _levenberg(residuals, params: np.ndarray, cfg: FitConfig) -> tuple:
+def _levenberg(residuals, params: np.ndarray, target_misfit: float) -> tuple:
     """Minimize |r(p)|^2 from every row of ``params`` (B, P) at once.
 
     ``residuals(p)`` returns r (B, R) and its Jacobian J (B, R, P) at the rows of p.
@@ -356,8 +353,8 @@ def _levenberg(residuals, params: np.ndarray, cfg: FitConfig) -> tuple:
     objectives, damping, stalled = np.empty_like(f), np.full_like(f, _INITIAL_DAMPING), np.zeros(f.shape, dtype=int)
     first, live, trace, p, identity = 0, np.arange(f.size), [f.copy()], params, np.eye(r.shape[1])
     segments = [(first, live, trace)]  # from each shrink on: its first row of history, running starts, objectives
-    for iteration in range(cfg.max_iterations):
-        going = (f > cfg.target_misfit) & (stalled < _STALL_ITERATIONS)
+    for iteration in range(_MAX_ITERATIONS):
+        going = (f > target_misfit) & (stalled < _STALL_ITERATIONS)
         if not going.all():
             params[live], objectives[live] = p, f
             if not going.any():
@@ -410,7 +407,8 @@ def _product_model_from_angles(angles, table: CoincidenceTable) -> ObservableMod
     )
 
 
-def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> StateFitResult:
+def fit_state(dataset: ExperimentDataset, seed: int = 0, restarts: int = 64,
+              target_misfit: float = 1e-10) -> StateFitResult:
     """Search for the unit state best explained by product measurements.
 
     Objective: the sum over the four coincidence tables of the minimal
@@ -429,25 +427,24 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
     table two unnormalized R^3 directions divided by their norms, with an
     exact Jacobian evaluated alongside the residuals.
 
-    The ``cfg.restarts`` starts, drawn as standard normals from
-    ``cfg.seed``, run through Levenberg's damped Gauss-Newton method in
-    blocks of 256 stacked starts, so memory does not grow with the number
-    of restarts.  A start stops when its objective reaches
-    ``cfg.target_misfit``, after 8 iterations in a row without a relative
-    decrease above 1e-10, or after ``cfg.max_iterations`` iterations.  The start with the lowest
-    objective, then the lowest index, wins.  The recovered state is
-    identified only up to the product-unitary gauge the objective cannot
-    distinguish.
+    The ``restarts`` starts, drawn as standard normals from ``seed``, run
+    through Levenberg's damped Gauss-Newton method in blocks of 256 stacked
+    starts, so memory does not grow with the number of restarts.  A start
+    stops when its objective reaches ``target_misfit``, after 8 iterations
+    in a row without a relative decrease above 1e-10, or after 400
+    iterations.  The start with the lowest objective, then the lowest
+    index, wins.  The recovered state is identified only up to the
+    product-unitary gauge the objective cannot distinguish.
     """
-    cfg = cfg or FitConfig()
+    check_fit_settings(target_misfit, seed, restarts)
     tables = [dataset.tables[k] for k in EXPERIMENT_KEYS]
     targets = [_normalized_target(t) for t in tables]
     signatures = np.array([_signature(t) for t in targets])
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     objectives, winners, traces, iterations, evaluations = [], [], [], 0, 0
-    for first in range(0, cfg.restarts, _BLOCK_STARTS):
-        starts = rng.standard_normal((min(_BLOCK_STARTS, cfg.restarts - first), 32))
-        params, f, history, count = _levenberg(lambda p: _state_residuals(p, signatures), starts, cfg)
+    for first in range(0, restarts, _BLOCK_STARTS):
+        starts = rng.standard_normal((min(_BLOCK_STARTS, restarts - first), 32))
+        params, f, history, count = _levenberg(lambda p: _state_residuals(p, signatures), starts, target_misfit)
         # keep only the block's best start, so memory stays bounded by one block
         winner = int(np.argmin(f))
         objectives.append(f)
@@ -467,14 +464,14 @@ def fit_state(dataset: ExperimentDataset, cfg: FitConfig | None = None) -> State
         model = _product_model_from_angles([*_angles_of(a), *_angles_of(b)], table)
         misfit = np.sum((probabilities_from_model(state, model).probabilities - target) ** 2)
         per_experiment[table.experiment] = (model, float(misfit))
-    reached = np.flatnonzero(objectives <= cfg.target_misfit)
+    reached = np.flatnonzero(objectives <= target_misfit)
     return StateFitResult(
         state=state,
         objective=float(objectives[best]),
         converged=bool(reached.size),
         per_experiment=per_experiment,
         trace=[float(v) for v in trace[np.r_[True, np.diff(trace) < 0]]],
-        restarts_used=int(reached[0]) + 1 if reached.size else cfg.restarts,
+        restarts_used=int(reached[0]) + 1 if reached.size else restarts,
         iterations=iterations,
         evaluations=evaluations,
     )

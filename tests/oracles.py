@@ -123,7 +123,8 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q
 
 
-def levenberg_gather_scatter(residuals, params: np.ndarray, cfg) -> tuple:
+def levenberg_gather_scatter(residuals, params: np.ndarray, target_misfit: float,
+                             max_iterations: int) -> tuple:
     """Minimize |r(p)|^2 from every row of ``params`` (B, P) at once.
 
     ``residuals(p)`` returns r (B, R) and its Jacobian J (B, R, P) at the
@@ -132,9 +133,10 @@ def levenberg_gather_scatter(residuals, params: np.ndarray, cfg) -> tuple:
     R x R system, and evaluates r and J once, at the trial points.  A step
     is kept only when it lowers the objective; lam is then multiplied by
     0.3, otherwise by 10 and the start keeps its r and J.  Starts stop by
-    the rule fit_state documents.  Returns (params, objectives, history,
-    evaluations): history[k] holds every start's objective after iteration
-    k, and evaluations counts the points at which ``residuals`` ran.
+    the rule fit_state documents, its budget being ``max_iterations``.
+    Returns (params, objectives, history, evaluations): history[k] holds
+    every start's objective after iteration k, and evaluations counts the
+    points at which ``residuals`` ran.
     """
     count = params.shape[0]
     r, jac = residuals(params)
@@ -144,8 +146,8 @@ def levenberg_gather_scatter(residuals, params: np.ndarray, cfg) -> tuple:
     history = [f.copy()]
     evaluations = count
     identity = np.eye(r.shape[1])
-    while len(history) <= cfg.max_iterations:
-        run = np.flatnonzero((f > cfg.target_misfit) & (stalled < _STALL_ITERATIONS))
+    while len(history) <= max_iterations:
+        run = np.flatnonzero((f > target_misfit) & (stalled < _STALL_ITERATIONS))
         if run.size == 0:
             break
         p, r_run, jac_run, f_run = params[run], r[run], jac[run], f[run]

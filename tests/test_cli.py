@@ -15,7 +15,7 @@ from bellkit.bellstats import EXPERIMENT_KEYS
 from bellkit.cli import main
 from bellkit.entanglement import canonical_iso_of
 from bellkit.io import canonical_json, operator_to_dict, parse_dataset_file, sha256_of_file, state_to_dict
-from bellkit.modelfit import FitConfig, fit_basis, fit_state, load_model, load_state, reference_fixture
+from bellkit.modelfit import fit_basis, fit_state, load_model, load_state, reference_fixture
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "bellkit" / "data"
 COUNTS_FILE = str(DATA / "reference_dataset_counts.json")
@@ -471,7 +471,7 @@ def test_fit_out_reloads_to_the_fitted_state_and_eigenvectors(tmp_path, capsys, 
                   for key in EXPERIMENT_KEYS}
     else:
         argv = ["fit", COUNTS_FILE, "--restarts", "1", "--seed", "0", "--out", str(out_path)]
-        result = fit_state(dataset, FitConfig(seed=0, restarts=1, target_misfit=1e-8))
+        result = fit_state(dataset, seed=0, restarts=1, target_misfit=1e-8)
         state = result.state
         models = {key: model for key, (model, _) in result.per_experiment.items()}
     assert main(argv) == 0

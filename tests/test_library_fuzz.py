@@ -30,8 +30,8 @@ from bellkit.entanglement import (
     schmidt_state,
 )
 from bellkit.hilbert import check_unitary, orthonormalize
+import bellkit.modelfit as modelfit
 from bellkit.modelfit import (
-    FitConfig,
     FitResult,
     ObservableModel,
     StateVector,
@@ -63,36 +63,45 @@ UNIT_FACTORS = [np.eye(2) / math.sqrt(2)] * 4
     (lambda: OperatorSchmidt([NAN] * 4, UNIT_FACTORS, UNIT_FACTORS, np.eye(4)), "sum sigma\\^2"),
     (lambda: FitResult(NAN, True, np.eye(4), None), "misfit must be nonnegative"),
     (lambda: CoincidenceTable("AB", 0.0, 0.0, 0.0, 0.0, sum_tol=NAN), "tolerance must lie in \\[0, 1\\)"),
-    (lambda: FitConfig(target_misfit=NAN), "target_misfit must be finite and positive"),
+    (lambda: fit_state(reference_fixture()[2], target_misfit=NAN), "target_misfit must be finite and positive"),
 ], ids=["check_unitary", "Isomorphism", "Evolution", "orthonormalize", "canonical_iso_of", "synthesize",
         "ObservableModel", "SchmidtDecomposition", "OperatorSchmidt", "FitResult", "CoincidenceTable",
-        "FitConfig"])
+        "fit_state"])
 def test_nan_fails_every_bound_check(build, message):
     with pytest.raises(ValueError, match=message):
         build()
 
 
-# FitConfig values that fit_state cannot run: range() and SeedSequence take
-# only non-negative integers.
+# Settings that fit_state cannot run: range() and SeedSequence take only
+# non-negative integers.
 @pytest.mark.parametrize("fields, message", [
     ({"restarts": 2.5}, "restarts must be an integer of at least 1, got 2.5"),
     ({"restarts": np.float64(3)}, "restarts must be an integer of at least 1, got (np.float64\\()?3.0"),
-    ({"max_iterations": math.inf}, "max_iterations must be an integer of at least 1, got inf"),
-    ({"max_iterations": NAN}, "max_iterations must be an integer of at least 1, got nan"),
+    ({"restarts": math.inf}, "restarts must be an integer of at least 1, got inf"),
+    ({"restarts": NAN}, "restarts must be an integer of at least 1, got nan"),
     ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
     ({"seed": "3"}, "seed must be a non-negative integer, got '3'"),
-], ids=["restarts-float", "restarts-numpy-float", "max_iterations-inf", "max_iterations-nan", "seed-float",
+], ids=["restarts-float", "restarts-numpy-float", "restarts-inf", "restarts-nan", "seed-float",
         "seed-negative", "seed-str"])
 def test_fit_config_refuses_what_fit_state_cannot_run(fields, message):
     with pytest.raises(ValueError, match=message):
-        FitConfig(**fields)
+        fit_state(reference_fixture()[2], **fields)
 
 
-def test_fit_config_accepts_numpy_integers():
-    cfg = FitConfig(seed=np.int64(3), max_iterations=np.uint16(5), restarts=np.int32(2))
+def test_fit_config_accepts_numpy_integers(monkeypatch):
+    monkeypatch.setattr(modelfit, "_MAX_ITERATIONS", 5)
     _, _, dataset = reference_fixture()
-    assert fit_state(dataset, cfg).restarts_used == 2
+    assert fit_state(dataset, seed=np.int64(3), restarts=np.int32(2)).restarts_used == 2
+
+
+# fit_basis runs fit_state's check on its target misfit: at inf every fit
+# would report convergence, and at NaN, 0 or below none would.
+@pytest.mark.parametrize("target_misfit", [math.inf, NAN, 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
+def test_fit_basis_refuses_a_target_misfit_that_is_not_finite_and_positive(target_misfit):
+    state, _, dataset = reference_fixture()
+    with pytest.raises(ValueError, match=f"target_misfit must be finite and positive, got {target_misfit}$"):
+        fit_basis(state, dataset.tables["AB"], target_misfit)
 
 
 # Any double, with the values at the edges of what the constructors accept

@@ -11,7 +11,6 @@ from bellkit import io
 from bellkit.bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset, chsh
 from bellkit.hilbert import from_polar_deg, gram, polar_deg, tensor
 from bellkit.modelfit import (
-    FitConfig,
     ObservableModel,
     StateVector,
     expectation_from_model,
@@ -391,11 +390,12 @@ def test_fit_basis_closed_form_is_exact_on_random_pairs():
 
 
 def test_fit_config_validation():
+    _, _, dataset = reference_fixture()
     for target in (0.0, -1e-8, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="target_misfit must be finite and positive"):
-            FitConfig(target_misfit=target)
+            fit_state(dataset, target_misfit=target)
     with pytest.raises(ValueError, match="at least 1"):
-        FitConfig(restarts=0)
+        fit_state(dataset, restarts=0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +424,7 @@ def _product_dataset(rng):
 def test_fit_state_realizable_dataset_converges_and_reproduces_tables():
     rng = np.random.default_rng(42)
     _, dataset = _product_dataset(rng)
-    result = fit_state(dataset, FitConfig(seed=5, target_misfit=1e-8, restarts=16))
+    result = fit_state(dataset, seed=5, target_misfit=1e-8, restarts=16)
     assert result.converged
     assert result.objective <= 1e-8
     # the fitted state and measurements reproduce every target probability;
@@ -441,7 +441,7 @@ def test_fit_state_reference_dataset_has_no_product_representation():
     # no start finds a representation of the reference data; each table has
     # its own directions, so this is what the search finds, not a theorem
     _, _, dataset = reference_fixture()
-    result = fit_state(dataset, FitConfig(seed=1, target_misfit=1e-8, restarts=3))
+    result = fit_state(dataset, seed=1, target_misfit=1e-8, restarts=3)
     assert not result.converged
     assert result.objective > 1e-4
 
@@ -449,7 +449,7 @@ def test_fit_state_reference_dataset_has_no_product_representation():
 def test_fit_state_degenerate_dataset_gives_basis_aligned_state():
     tables = {key: CoincidenceTable(key, 1.0, 0.0, 0.0, 0.0) for key in EXPERIMENT_KEYS}
     dataset = ExperimentDataset(name="degenerate", tables=tables)
-    result = fit_state(dataset, FitConfig(seed=2, target_misfit=1e-8, restarts=8))
+    result = fit_state(dataset, seed=2, target_misfit=1e-8, restarts=8)
     assert result.converged
     # all mass on one outcome forces a (near-)product state aligned with the
     # first eigenvector of every fitted measurement
@@ -463,7 +463,7 @@ def test_fit_state_degenerate_dataset_gives_basis_aligned_state():
 def test_fit_state_trace_is_monotone():
     rng = np.random.default_rng(8)
     _, dataset = _product_dataset(rng)
-    result = fit_state(dataset, FitConfig(seed=3, target_misfit=1e-10, restarts=4))
+    result = fit_state(dataset, seed=3, target_misfit=1e-10, restarts=4)
     trace = np.asarray(result.trace)
     assert np.all(np.diff(trace) <= 0)
 
@@ -471,7 +471,7 @@ def test_fit_state_trace_is_monotone():
 @pytest.fixture(scope="module")
 def reference_state_fit():
     _, _, dataset = reference_fixture()
-    return dataset, fit_state(dataset, FitConfig(seed=0, restarts=8, target_misfit=1e-8))
+    return dataset, fit_state(dataset, seed=0, restarts=8, target_misfit=1e-8)
 
 
 def test_fit_state_reference_objective_at_seed_0(reference_state_fit):
@@ -486,7 +486,7 @@ def test_fit_state_table_misfits_are_those_of_the_reported_models(reference_stat
     realizable = _product_dataset(np.random.default_rng(42))[1]
     for dataset, result in (
         reference_state_fit,
-        (realizable, fit_state(realizable, FitConfig(seed=5, target_misfit=1e-8, restarts=4))),
+        (realizable, fit_state(realizable, seed=5, target_misfit=1e-8, restarts=4)),
     ):
         total = 0.0
         for key, (model, misfit) in result.per_experiment.items():
@@ -497,57 +497,59 @@ def test_fit_state_table_misfits_are_those_of_the_reported_models(reference_stat
         assert total <= result.objective + 1e-12
 
 
-def test_fit_state_restarts_used_is_the_first_start_reaching_the_target():
+def test_fit_state_restarts_used_is_the_first_start_reaching_the_target(monkeypatch):
     # start k's search does not depend on the other starts, and a smaller
     # batch draws the first rows of a larger one; with 8 iterations only
     # some starts of this dataset reach the target
+    monkeypatch.setattr(modelfit, "_MAX_ITERATIONS", 8)
     _, dataset = _product_dataset(np.random.default_rng(1))
-    cfg = FitConfig(seed=3, target_misfit=1e-8, restarts=8, max_iterations=8)
-    result = fit_state(dataset, cfg)
+    result = fit_state(dataset, seed=3, target_misfit=1e-8, restarts=8)
     assert result.converged
     assert result.restarts_used == 4
-    first_four = fit_state(dataset, FitConfig(seed=3, target_misfit=1e-8, restarts=4, max_iterations=8))
+    first_four = fit_state(dataset, seed=3, target_misfit=1e-8, restarts=4)
     assert first_four.restarts_used == 4
     # the winner is the best start of all eight
     assert result.objective <= first_four.objective
-    first_three = fit_state(dataset, FitConfig(seed=3, target_misfit=1e-8, restarts=3, max_iterations=8))
+    first_three = fit_state(dataset, seed=3, target_misfit=1e-8, restarts=3)
     assert not first_three.converged
     assert first_three.restarts_used == 3
 
 
-def test_fit_state_blocks_of_starts_match_one_stack():
+def test_fit_state_blocks_of_starts_match_one_stack(monkeypatch):
     # 300 starts span two blocks; the winner of this seed lies in the second
+    monkeypatch.setattr(modelfit, "_MAX_ITERATIONS", 6)
     _, _, dataset = reference_fixture()
-    cfg = FitConfig(seed=0, target_misfit=1e-8, restarts=modelfit._BLOCK_STARTS + 44, max_iterations=6)
-    result = fit_state(dataset, cfg)
+    restarts = modelfit._BLOCK_STARTS + 44
+    result = fit_state(dataset, seed=0, target_misfit=1e-8, restarts=restarts)
     signatures = np.array([modelfit._signature(t.probabilities / t.probabilities.sum())
                            for t in (dataset.tables[k] for k in EXPERIMENT_KEYS)])
-    starts = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 32))
+    starts = np.random.default_rng(0).standard_normal((restarts, 32))
     params, objectives, history, evaluations = modelfit._levenberg(
-        lambda p: modelfit._state_residuals(p, signatures), starts, cfg
+        lambda p: modelfit._state_residuals(p, signatures), starts, 1e-8
     )
     best = int(np.argmin(objectives))
     assert best >= modelfit._BLOCK_STARTS
     assert result.objective == objectives[best]
     z = params[best, :4] + 1j * params[best, 4:8]
     assert abs(np.vdot(z / np.linalg.norm(z), result.state.values)) == pytest.approx(1.0, abs=1e-12)
-    reached = np.flatnonzero(objectives <= cfg.target_misfit)
-    assert result.restarts_used == (reached[0] + 1 if reached.size else cfg.restarts)
+    reached = np.flatnonzero(objectives <= 1e-8)
+    assert result.restarts_used == (reached[0] + 1 if reached.size else restarts)
     assert result.evaluations == evaluations
     assert result.iterations == len(history) - 1
     trace = history[:, best]
     assert result.trace == list(trace[np.r_[True, np.diff(trace) < 0]])
 
 
-def test_fit_state_memory_is_bounded_by_one_block():
+def test_fit_state_memory_is_bounded_by_one_block(monkeypatch):
     import tracemalloc
 
+    monkeypatch.setattr(modelfit, "_MAX_ITERATIONS", 2)
     _, _, dataset = reference_fixture()
     peaks = {}
     for restarts in (modelfit._BLOCK_STARTS, 1000):
         tracemalloc.start()
         try:
-            fit_state(dataset, FitConfig(seed=0, restarts=restarts, max_iterations=2))
+            fit_state(dataset, seed=0, restarts=restarts)
             peaks[restarts] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -559,7 +561,7 @@ def _signatures_of(dataset):
                      for t in (dataset.tables[k] for k in EXPERIMENT_KEYS)])
 
 
-def _both_loops(dataset, starts, cfg):
+def _both_loops(dataset, starts, target_misfit):
     """(compact loop, gather-scatter loop) results from the same starts, and the
     number of rows each residual evaluation of the compact loop received."""
     signatures = _signatures_of(dataset)
@@ -569,8 +571,9 @@ def _both_loops(dataset, starts, cfg):
         sizes.append(len(params))
         return modelfit._state_residuals(params, signatures)
 
-    got = modelfit._levenberg(residuals, starts.copy(), cfg)
-    want = levenberg_gather_scatter(lambda p: modelfit._state_residuals(p, signatures), starts.copy(), cfg)
+    got = modelfit._levenberg(residuals, starts.copy(), target_misfit)
+    want = levenberg_gather_scatter(lambda p: modelfit._state_residuals(p, signatures), starts.copy(),
+                                    target_misfit, modelfit._MAX_ITERATIONS)
     for mine, theirs in zip(got[:3], want[:3]):
         assert np.array_equal(mine, theirs)
     assert got[3] == want[3] == sum(sizes)
@@ -579,14 +582,14 @@ def _both_loops(dataset, starts, cfg):
 
 @pytest.mark.parametrize("data", ["reference", "product"])
 @pytest.mark.parametrize("starts, max_iterations", [(1, 400), (8, 400), (300, 400), (1, 1), (8, 1), (300, 1)])
-def test_levenberg_is_bit_identical_to_the_gather_scatter_loop(data, starts, max_iterations):
+def test_levenberg_is_bit_identical_to_the_gather_scatter_loop(data, starts, max_iterations, monkeypatch):
     # params, objectives, history and evaluations, bit for bit; on the
     # realizable product data the starts reach the target at different
     # iterations, so the compact rows shrink more than once
     dataset = reference_fixture()[2] if data == "reference" else _product_dataset(np.random.default_rng(1))[1]
-    cfg = FitConfig(seed=3, restarts=starts, max_iterations=max_iterations, target_misfit=1e-10)
-    draws = np.random.default_rng(cfg.seed).standard_normal((starts, 32))
-    (_, _, history, _), sizes = _both_loops(dataset, draws, cfg)
+    monkeypatch.setattr(modelfit, "_MAX_ITERATIONS", max_iterations)
+    draws = np.random.default_rng(3).standard_normal((starts, 32))
+    (_, _, history, _), sizes = _both_loops(dataset, draws, 1e-10)
     assert len(history) == len(sizes) <= max_iterations + 1
     if data == "product" and starts > 1 and max_iterations > 1:
         assert len(set(sizes)) >= 3
@@ -597,24 +600,25 @@ def test_levenberg_start_at_the_target_runs_no_iteration():
     # start 0 begins at a point that already meets the target: it is frozen
     # before the first step, while the other starts run on
     dataset = _product_dataset(np.random.default_rng(1))[1]
-    cfg = FitConfig(seed=3, restarts=8, target_misfit=1e-10)
-    draws = np.random.default_rng(cfg.seed).standard_normal((8, 32))
+    draws = np.random.default_rng(3).standard_normal((8, 32))
     solved, objectives, _, _ = levenberg_gather_scatter(
-        lambda p: modelfit._state_residuals(p, _signatures_of(dataset)), draws.copy(), cfg)
+        lambda p: modelfit._state_residuals(p, _signatures_of(dataset)), draws.copy(), 1e-10,
+        modelfit._MAX_ITERATIONS)
     draws[0] = solved[int(np.argmin(objectives))]
-    (params, _, history, _), sizes = _both_loops(dataset, draws, cfg)
-    assert history[0, 0] <= cfg.target_misfit
+    (params, _, history, _), sizes = _both_loops(dataset, draws, 1e-10)
+    assert history[0, 0] <= 1e-10
     assert np.all(history[:, 0] == history[0, 0])
     assert np.array_equal(params[0], draws[0])
     assert sizes[:2] == [8, 7]
 
 
-def test_fit_state_counts_iterations_and_residual_evaluations():
+def test_fit_state_counts_iterations_and_residual_evaluations(monkeypatch):
     # no start of the reference dataset converges or stalls within 5
     # iterations: each evaluates its residuals and Jacobian once at its
     # start, then once at the trial point of each iteration
+    monkeypatch.setattr(modelfit, "_MAX_ITERATIONS", 5)
     _, _, dataset = reference_fixture()
-    result = fit_state(dataset, FitConfig(seed=1, target_misfit=1e-8, restarts=3, max_iterations=5))
+    result = fit_state(dataset, seed=1, target_misfit=1e-8, restarts=3)
     assert result.iterations == 5
     assert result.evaluations == 3 * (1 + 5)
     # the trace holds the winning start's accepted values only
@@ -700,23 +704,22 @@ def _with_forward_differences(signatures, step=1e-7):
     return residuals
 
 
-def _both_routes(dataset, cfg):
+def _both_routes(dataset, seed, restarts, target_misfit):
     """(objectives, restarts used) of the exact and the forward-difference route."""
     signatures = np.array([modelfit._signature(t.probabilities / t.probabilities.sum())
                            for t in (dataset.tables[k] for k in EXPERIMENT_KEYS)])
     routes = []
     for residuals in (lambda p: modelfit._state_residuals(p, signatures), _with_forward_differences(signatures)):
-        starts = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 32))
-        objectives = modelfit._levenberg(residuals, starts, cfg)[1]
-        reached = np.flatnonzero(objectives <= cfg.target_misfit)
-        routes.append((objectives, reached[0] + 1 if reached.size else cfg.restarts))
+        starts = np.random.default_rng(seed).standard_normal((restarts, 32))
+        objectives = modelfit._levenberg(residuals, starts, target_misfit)[1]
+        reached = np.flatnonzero(objectives <= target_misfit)
+        routes.append((objectives, reached[0] + 1 if reached.size else restarts))
     return routes
 
 
 def test_exact_jacobian_reaches_the_forward_difference_objective(reference_state_fit):
     dataset, result = reference_state_fit
-    (exact, used), (differenced, used_differenced) = _both_routes(
-        dataset, FitConfig(seed=0, restarts=8, target_misfit=1e-8))
+    (exact, used), (differenced, used_differenced) = _both_routes(dataset, 0, 8, 1e-8)
     assert used == used_differenced == result.restarts_used
     assert exact.min() == result.objective
     assert abs(exact.min() - differenced.min()) <= 1e-9 * differenced.min()
@@ -724,12 +727,11 @@ def test_exact_jacobian_reaches_the_forward_difference_objective(reference_state
     # ends more than 1e-8 relative above the forward-difference one, and
     # some of these datasets have no representation the search finds
     rng = np.random.default_rng(23)
-    cfg = FitConfig(seed=4, restarts=4, target_misfit=1e-10)
     unreached = 0
     for _ in range(10):
         tables = {key: CoincidenceTable(key, *rng.dirichlet(np.ones(4))) for key in EXPERIMENT_KEYS}
-        (exact, _), (differenced, _) = _both_routes(ExperimentDataset(name="random", tables=tables), cfg)
-        assert exact.min() <= max(differenced.min() * (1 + 1e-8), cfg.target_misfit)
+        (exact, _), (differenced, _) = _both_routes(ExperimentDataset(name="random", tables=tables), 4, 4, 1e-10)
+        assert exact.min() <= max(differenced.min() * (1 + 1e-8), 1e-10)
         unreached += differenced.min() > 1e-6
     assert unreached >= 3
 

@@ -1,4 +1,4 @@
-"""bellkit's 18 record classes: construction, defaults, ``==``, ``repr``,
+"""bellkit's 17 record classes: construction, defaults, ``==``, ``repr``,
 hashing and the checks each constructor runs."""
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from bellkit.entanglement import (
     ProductIsoSearchResult,
     SchmidtDecomposition,
 )
-from bellkit.modelfit import FitConfig, FitResult, ObservableModel, StateFitResult, StateVector
+from bellkit.modelfit import FitResult, ObservableModel, StateFitResult, StateVector
 from bellkit.verify import CheckRow
 
 EYE4 = np.eye(4, dtype=complex)
@@ -142,14 +142,6 @@ RECORDS = [
      [({"raw": np.ones(3, dtype=complex)}, "dimension 4"),
       ({"provenance": "guessed"}, "unknown provenance 'guessed'"),
       ({"raw": np.full(4, 0.51, dtype=complex)}, "state norm 1.020000 outside 1 \\+/- 1e-09")]),
-    (FitConfig,
-     ("seed", "max_iterations", "restarts", "target_misfit"),
-     (3, 8, 4, 1e-8),
-     {"seed": 0, "max_iterations": 400, "restarts": 64, "target_misfit": 1e-10}, {}, {"seed": 4},
-     [({"target_misfit": 0.0}, "target_misfit must be finite and positive"),
-      ({"seed": -1}, "seed must be a non-negative integer, got -1"),
-      ({"max_iterations": 0}, "max_iterations must be an integer of at least 1, got 0"),
-      ({"restarts": 0}, "restarts must be an integer of at least 1, got 0")]),
     (FitResult,
      ("misfit", "converged", "matrix", "model"),
      (1e-30, True, EYE4, MODEL),

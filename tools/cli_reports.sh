@@ -7,8 +7,9 @@
 # PYTHONWARNINGS=error::RuntimeWarning.  INPUTS receives a state file and an
 # operator file, written once from the built-in reference fixture.  OUT
 # receives, for every command, its stdout (NAME.out) and stderr (NAME.err),
-# the exit codes of all commands (exit-codes.txt), and the model files that
-# `fit --out` writes in basis mode (model.json) and in state mode
+# the exit codes of the commands that succeed (exit-codes.txt) and of those
+# whose flag values the CLI refuses (refused-codes.txt), and the model files
+# that `fit --out` writes in basis mode (model.json) and in state mode
 # (model-state-search.json).  verify-paper's JSON rows lose their
 # elapsed_ms, the one field that varies between runs.  The absolute paths of
 # INPUTS and OUT read as INPUTS and OUT in every report, so two runs compare
@@ -32,7 +33,8 @@ literal() { printf '%s' "$1" | sed 's/[][\.*^$#/]/\\&/g'; }
 normalize="s#$(literal "$inputs")#INPUTS#g; s#$(literal "$out")#OUT#g"
 
 # run NAME ARGS...: one CLI command; its streams go to OUT/NAME.out and
-# OUT/NAME.err with paths normalized, and its exit code to exit-codes.txt.
+# OUT/NAME.err with paths normalized, and its exit code to OUT/$codes.
+codes=exit-codes.txt
 run() {
   local name=$1 code=0
   shift
@@ -40,7 +42,7 @@ run() {
   sed "$normalize" "$out/$name.raw" > "$out/$name.out"
   sed "$normalize" "$out/$name.err.raw" > "$out/$name.err"
   rm "$out/$name.raw" "$out/$name.err.raw"
-  echo "$name $code" >> "$out/exit-codes.txt"
+  echo "$name $code" >> "$out/$codes"
 }
 
 python -c '
@@ -79,3 +81,14 @@ run schmidt-canonical-json schmidt --operator "$inputs/operator.json" --format j
 run schmidt-from-model schmidt --operator "$inputs/operator.json" --iso from-model:AB
 run schmidt-model schmidt --operator "$inputs/operator.json" --iso "from-model:A'B'" --model "$data/reference_model.json"
 run schmidt-fitted-model schmidt --operator "$inputs/operator.json" --iso from-model:AB --model "$out/model.json"
+
+# Flag values the CLI refuses (exit 3), also where the mode does not use them.
+codes=refused-codes.txt
+: > "$out/$codes"
+run refuse-fit-restarts fit "$data/reference_dataset_counts.json" --restarts 0
+run refuse-fit-state-restarts fit "$data/reference_dataset_counts.json" --state "$inputs/state.json" --restarts 0
+run refuse-fit-tolerance fit "$data/reference_dataset_counts.json" --tolerance nan
+run refuse-fit-state-tolerance fit "$data/reference_dataset_counts.json" --state "$inputs/state.json" --tolerance inf
+run refuse-fit-seed fit "$data/reference_dataset_counts.json" --seed -1
+run refuse-schmidt-tolerance schmidt --state "$inputs/state.json" --tolerance 1
+run refuse-analyze-tolerance analyze "$data/reference_dataset_counts.json" --tolerance nan
