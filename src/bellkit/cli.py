@@ -108,14 +108,6 @@ def _read_file(read, path, args, warnings: list, **options):
     return content
 
 
-def _loaded(load):
-    """load_state or load_model as a ``read`` for _read_file."""
-    def read(path, strict):
-        found: list = []
-        return load(path, strict=strict, warnings=found), found
-    return read
-
-
 def _read_dataset(args, command: str, **options) -> tuple:
     """(dataset, report) for a dataset-file command; ``options`` go to
     parse_dataset_file."""
@@ -195,19 +187,30 @@ def cmd_analyze(args) -> int:
 # fit
 
 
+def _polar(vector) -> dict:
+    return dict(zip(("amplitudes", "phases_deg"), polar_deg(vector)))
+
+
 def _write_fitted_model(path, state_vector, models: dict) -> dict:
-    entries = {
-        key: {
-            "a_labels": model.a_labels,
-            "b_labels": model.b_labels,
-            "eigenvalues": model.eigenvalues,
-            "eigenvectors": [polar_deg(v) for v in model.eigenvectors],
-        }
-        for key, model in models.items()
+    """Write the model file of ``--out``; an OSError is a bad flag value."""
+    content = {
+        "state": {**_polar(state_vector.raw), "provenance": state_vector.provenance},
+        "measurements": {
+            key: {
+                "a_labels": model.a_labels,
+                "b_labels": model.b_labels,
+                "eigenvalues": model.eigenvalues,
+                "eigenvectors": [_polar(v) for v in model.eigenvectors],
+            }
+            for key, model in models.items()
+        },
     }
-    doc = model_to_dict((*polar_deg(state_vector.raw), state_vector.provenance), entries)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc))
+    text = canonical_json(model_to_dict(content))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"--out {path!r} cannot be written: {exc.strerror or exc}") from None
     return {"path": str(path), "sha256": sha256_of_file(path)}
 
 
@@ -223,7 +226,7 @@ def cmd_fit(args) -> int:
     all_converged = True
 
     if args.state is not None:
-        state = _read_file(_loaded(load_state), args.state, args, doc["warnings"])
+        state = _read_file(load_state, args.state, args, doc["warnings"])
         doc["mode"] = "basis"
         doc["state_file"] = {"path": str(args.state), "sha256": sha256_of_file(args.state)}
         doc["fits"] = {}
@@ -349,7 +352,7 @@ def _resolve_iso(args, warnings: list):
             raise ValueError(f"unknown experiment {key!r}; expected one of {EXPERIMENT_KEYS}")
         if args.model is None:
             return _reference_isos()[key]
-        _, models = _read_file(_loaded(load_model), args.model, args, warnings)
+        _, models = _read_file(load_model, args.model, args, warnings)
         return canonical_iso_of(models[key])
     raise ValueError(f"unknown --iso {args.iso!r}; use 'canonical' or 'from-model:<experiment>'")
 
@@ -362,7 +365,7 @@ def cmd_schmidt(args) -> int:
 
     if args.state is not None:
         kind, path = "state", args.state
-        state = _read_file(_loaded(load_state), path, args, warnings)
+        state = _read_file(load_state, path, args, warnings)
         decomposition = schmidt_state(state.values, iso)
         field, label, values = "coefficients", "coefficients", decomposition.coefficients
         extra, extra_lines = {}, []

@@ -31,13 +31,13 @@ def peak_part(matrix) -> float:
     return float(np.max(np.abs(np.concatenate([m.real.ravel(), m.imag.ravel()]))))
 
 
-def is_hermitian(matrix, tol: float = 1e-9) -> bool:
-    """Whether max|M - M^dagger| <= tol * max(1, peak_part(M)), so that
+def is_hermitian(matrix) -> bool:
+    """Whether max|M - M^dagger| <= 1e-9 * max(1, peak_part(M)), so that
     scaling an operator up does not change the verdict.  M is divided by the
     scale first, so no modulus can overflow."""
     m = _values(matrix)
     m = m / max(1.0, peak_part(m))
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= 1e-9)
 
 
 def unitary_deviation(matrix):
@@ -95,7 +95,9 @@ def polar_deg(vector) -> tuple:
 
 
 def tensor(u, v) -> np.ndarray:
-    """Tensor product of two vectors, ordered (u1v1, u1v2, u2v1, u2v2)."""
+    """Tensor product of two vectors, ordered (u1v1, u1v2, u2v1, u2v2), or of
+    two matrices, whose rows are then the tensor products of their rows in
+    that order."""
     return np.kron(_values(u), _values(v))
 
 

@@ -7,9 +7,12 @@ value-level problems (probabilities out of range, bad sums) surface as
 ValueError from the domain types.  The command line maps the two to
 different exit codes.
 
-The canonical writer emits two-space-indented JSON with a fixed key order
-and a trailing newline, so write(parse(f)) is byte-identical for files in
-canonical form.
+Every reader returns (value, warnings): the file's content and the list of
+its unknown-field warnings (with ``strict`` they raise instead).  The
+canonical writer emits two-space-indented JSON with a fixed key order and a
+trailing newline, so write(parse(f)) is byte-identical for files in
+canonical form.  Each ``*_to_dict`` writer is the inverse of its parser;
+model_to_dict takes exactly the content parse_model_file returns.
 """
 from __future__ import annotations
 
@@ -288,6 +291,15 @@ def _state_content(entry: dict, location: str) -> dict:
     return content
 
 
+def _polar_block(entry: dict) -> dict:
+    """A state or an eigenvector as written: ``entry``'s _POLAR_FIELDS as
+    float lists, then its provenance if it has one."""
+    block = {name: [float(x) for x in entry[name]] for name in _POLAR_FIELDS}
+    if "provenance" in entry:
+        block["provenance"] = entry["provenance"]
+    return block
+
+
 def parse_state_file(path, strict: bool = False):
     """Parse a state file into a plain dict; returns (content, warnings)."""
     doc = _load_json(path)
@@ -297,17 +309,13 @@ def parse_state_file(path, strict: bool = False):
 
 
 def state_to_dict(amplitudes, phases_deg, provenance: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "state",
-        "amplitudes": [float(a) for a in amplitudes],
-        "phases_deg": [float(p) for p in phases_deg],
-        "provenance": provenance,
-    }
+    content = dict(zip(_STATE_FIELDS, (amplitudes, phases_deg, provenance)))
+    return {"schema_version": SCHEMA_VERSION, "kind": "state", **_polar_block(content)}
 
 
 def parse_model_file(path, strict: bool = False):
-    """Parse a model file (state + four measurement bases) into plain dicts."""
+    """Parse a model file (state + four measurement bases) into plain dicts;
+    returns (content, warnings)."""
     return parse_model_doc(_load_json(path), strict=strict)
 
 
@@ -352,39 +360,21 @@ def parse_model_doc(doc, strict: bool = False):
     return content, warnings
 
 
-def model_to_dict(state_entry, measurement_entries: dict) -> dict:
-    """Canonical dict form of a model file.
-
-    ``state_entry`` is None or (amplitudes, phases_deg, provenance);
-    ``measurement_entries`` maps experiment keys to dicts with a_labels,
-    b_labels, eigenvalues, and eigenvectors given as (amplitudes, phases)
-    pairs.
-    """
+def model_to_dict(content: dict) -> dict:
+    """Canonical dict form of a model file, from content shaped as
+    parse_model_file returns it; any sequences of numbers will do."""
     doc: dict = {"schema_version": SCHEMA_VERSION, "kind": "model"}
-    if state_entry is not None:
-        amplitudes, phases_deg, provenance = state_entry
-        doc["state"] = {
-            "amplitudes": [float(a) for a in amplitudes],
-            "phases_deg": [float(p) for p in phases_deg],
-            "provenance": provenance,
-        }
-    measurements = {}
+    if content["state"] is not None:
+        doc["state"] = _polar_block(content["state"])
+    doc["measurements"] = measurements = {}
     for key in EXPERIMENT_KEYS:
-        entry = measurement_entries[key]
-        block = {
-            "a_labels": list(entry["a_labels"]),
-            "b_labels": list(entry["b_labels"]),
-            "eigenvalues": [float(v) for v in entry["eigenvalues"]],
-            "eigenvectors": [
-                {
-                    "amplitudes": [float(a) for a in amps],
-                    "phases_deg": [float(p) for p in phases],
-                }
-                for amps, phases in entry["eigenvectors"]
-            ],
+        block = content["measurements"][key]
+        measurements[key] = {
+            "a_labels": list(block["a_labels"]),
+            "b_labels": list(block["b_labels"]),
+            "eigenvalues": [float(v) for v in block["eigenvalues"]],
+            "eigenvectors": [_polar_block(v) for v in block["eigenvectors"]],
         }
-        measurements[key] = block
-    doc["measurements"] = measurements
     return doc
 
 

@@ -203,12 +203,13 @@ class FitResult(_Record):
             raise ValueError("misfit must be nonnegative")
 
 
-def _normalized_target(target, sum_tol: float = 0.005) -> np.ndarray:
+def _normalized_target(target) -> np.ndarray:
     if not isinstance(target, CoincidenceTable):
         probs = np.asarray(target, dtype=float).reshape(-1)
         if probs.size != 4:
             raise ValueError("target must have four probabilities")
-        target = CoincidenceTable("target", *probs, sum_tol=sum_tol)
+        # the dataset parser's default slack, for rounded published rows
+        target = CoincidenceTable("target", *probs, sum_tol=0.005)
     # Tables admit entries down to -1e-12 (round-off); none may reach the
     # square root in fit_basis.
     probs = np.maximum(target.probabilities, 0.0)
@@ -344,23 +345,23 @@ def _levenberg(residuals, params: np.ndarray, target_misfit: float) -> tuple:
     once, at the trial points.  A step is kept only when it lowers the objective; lam
     is then multiplied by 0.3, otherwise by 10 and the start keeps its r and J.  Starts
     stop by the rule fit_state documents.  The running starts' rows are compact arrays,
-    replaced where a step is kept and shrunk when a start stops, whose row then freezes.
-    Returns (params, objectives, history, evaluations): history[k] holds every start's
-    objective after iteration k; evaluations counts the points at which ``residuals`` ran.
+    replaced where a step is kept and shrunk when a start stops; ``objectives`` holds
+    every start's, frozen from its stop on.  Returns (params, objectives, history,
+    evaluations): history[k] holds every start's objective after iteration k;
+    evaluations counts the points at which ``residuals`` ran.
     """
     r, jac = residuals(params)
     f = np.einsum("bi,bi->b", r, r)
-    objectives, damping, stalled = np.empty_like(f), np.full_like(f, _INITIAL_DAMPING), np.zeros(f.shape, dtype=int)
-    first, live, trace, p, identity = 0, np.arange(f.size), [f.copy()], params, np.eye(r.shape[1])
-    segments = [(first, live, trace)]  # from each shrink on: its first row of history, running starts, objectives
-    for iteration in range(_MAX_ITERATIONS):
+    objectives, damping, stalled = f.copy(), np.full_like(f, _INITIAL_DAMPING), np.zeros(f.shape, dtype=int)
+    live, p, identity = np.arange(f.size), params, np.eye(r.shape[1])
+    history, evaluations = [objectives.copy()], f.size
+    for _ in range(_MAX_ITERATIONS):
         going = (f > target_misfit) & (stalled < _STALL_ITERATIONS)
         if not going.all():
-            params[live], objectives[live] = p, f
+            params[live] = p
             if not going.any():
                 break
-            first, live, trace = iteration + 1, live[going], []
-            segments.append((first, live, trace))
+            live = live[going]
             p, r, jac, f, damping, stalled = (a[going] for a in (p, r, jac, f, damping, stalled))
         dual = jac @ jac.transpose(0, 2, 1) + damping[:, None, None] * identity
         trial = p - (jac.transpose(0, 2, 1) @ np.linalg.solve(dual, r[..., None]))[..., 0]
@@ -374,12 +375,11 @@ def _levenberg(residuals, params: np.ndarray, target_misfit: float) -> tuple:
         elif accept.any():
             for old, new in ((p, trial), (r, r_trial), (jac, jac_trial), (f, f_trial)):
                 np.copyto(old, new, where=accept.reshape(-1, *[1] * (old.ndim - 1)))
-        trace.append(f.copy())
-    params[live], objectives[live] = p, f
-    history = np.repeat(objectives[None], first + len(trace), axis=0)
-    for first, live, trace in segments:
-        history[first:first + len(trace), live] = trace
-    return params, objectives, history, sum(len(live) * len(trace) for _, live, trace in segments)
+        objectives[live] = f
+        history.append(objectives.copy())
+        evaluations += live.size
+    params[live] = p
+    return params, objectives, np.array(history), evaluations
 
 
 def _angles_of(v: np.ndarray) -> tuple:
@@ -387,20 +387,18 @@ def _angles_of(v: np.ndarray) -> tuple:
     return (math.atan2(math.hypot(v[0], v[1]), v[2]), math.atan2(v[1], v[0]))
 
 
-def _qubit_basis(theta: float, phi: float) -> tuple:
-    """Eigenvectors (+1, -1) of the Pauli operator along the given direction."""
+def _qubit_basis(theta: float, phi: float) -> np.ndarray:
+    """The 2x2 basis whose rows are the eigenvectors (+1, -1) of the Pauli
+    operator along the given direction."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    plus = np.array([c, s * np.exp(1j * phi)], dtype=complex)
-    minus = np.array([-s * np.exp(-1j * phi), c], dtype=complex)
-    return plus, minus
+    return np.array([[c, s * np.exp(1j * phi)], [-s * np.exp(-1j * phi), c]], dtype=complex)
 
 
 def _product_model_from_angles(angles, table: CoincidenceTable) -> ObservableModel:
-    ua = _qubit_basis(angles[0], angles[1])
-    ub = _qubit_basis(angles[2], angles[3])
-    vectors = [tensor(ua[i], ub[j]) for i in (0, 1) for j in (0, 1)]
+    """The product measurement whose four eigenvectors, outcomes (1,1), (1,2),
+    (2,1), (2,2), are the rows of basis_a (x) basis_b."""
     return synthesize(
-        vectors,
+        tensor(_qubit_basis(angles[0], angles[1]), _qubit_basis(angles[2], angles[3])),
         experiment=table.experiment,
         a_labels=table.a_labels,
         b_labels=table.b_labels,
@@ -503,22 +501,19 @@ def _model_from_content(content: dict) -> tuple:
     return state, models
 
 
-def load_state(path, strict: bool = False, warnings: list | None = None) -> StateVector:
-    """Load a state file into a StateVector; the parser's warnings are
-    appended to ``warnings`` when given."""
-    content, messages = io.parse_state_file(path, strict=strict)
-    if warnings is not None:
-        warnings += messages
-    return _state_from_content(content)
+def load_state(path, strict: bool = False) -> tuple:
+    """Load a state file; returns (StateVector, warnings), the warnings as
+    io.parse_state_file reports them."""
+    content, warnings = io.parse_state_file(path, strict=strict)
+    return _state_from_content(content), warnings
 
 
-def load_model(path, strict: bool = False, warnings: list | None = None) -> tuple:
-    """Load a model file; returns (StateVector or None, dict of ObservableModel).
-    The parser's warnings are appended to ``warnings`` when given."""
-    content, messages = io.parse_model_file(path, strict=strict)
-    if warnings is not None:
-        warnings += messages
-    return _model_from_content(content)
+def load_model(path, strict: bool = False) -> tuple:
+    """Load a model file; returns ((StateVector or None, dict of
+    ObservableModel keyed by experiment), warnings), the warnings as
+    io.parse_model_file reports them."""
+    content, warnings = io.parse_model_file(path, strict=strict)
+    return _model_from_content(content), warnings
 
 
 def _data_text(name: str) -> str:

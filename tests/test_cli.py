@@ -409,7 +409,7 @@ def test_fit_basis_mode_converges_and_writes_reusable_model(tmp_path, capsys, st
     assert doc["output"]["sha256"] == sha256_of_file(out_path)
 
     # the written model file is a valid input again
-    state, models = load_model(out_path, strict=True)
+    (state, models), _ = load_model(out_path, strict=True)
     assert state.provenance == "reference"
     assert set(models) == {"AB", "AB'", "A'B", "A'B'"}
     code = main(
@@ -454,7 +454,7 @@ def test_fit_state_mode_writes_model_with_fitted_state(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == 0
-    state, models = load_model(out_path, strict=True)
+    (state, models), _ = load_model(out_path, strict=True)
     assert state.provenance == "fitted"
     assert abs(np.linalg.norm(state.values) - 1.0) <= 1e-9
     assert set(models) == {"AB", "AB'", "A'B", "A'B'"}
@@ -466,7 +466,7 @@ def test_fit_out_reloads_to_the_fitted_state_and_eigenvectors(tmp_path, capsys, 
     dataset, _ = parse_dataset_file(COUNTS_FILE)
     if mode == "basis":
         argv = ["fit", COUNTS_FILE, "--state", state_file, "--out", str(out_path)]
-        state = load_state(state_file)
+        state, _ = load_state(state_file)
         models = {key: fit_basis(state, dataset.tables[key], 1e-8, experiment=key).model
                   for key in EXPERIMENT_KEYS}
     else:
@@ -477,7 +477,7 @@ def test_fit_out_reloads_to_the_fitted_state_and_eigenvectors(tmp_path, capsys, 
     assert main(argv) == 0
     capsys.readouterr()
 
-    reloaded_state, reloaded_models = load_model(out_path, strict=True)
+    (reloaded_state, reloaded_models), _ = load_model(out_path, strict=True)
     assert reloaded_state.provenance == state.provenance
     assert np.max(np.abs(reloaded_state.raw - state.raw)) <= 1e-12
     assert list(reloaded_models) == list(EXPERIMENT_KEYS)
@@ -486,6 +486,21 @@ def test_fit_out_reloads_to_the_fitted_state_and_eigenvectors(tmp_path, capsys, 
         assert reloaded.eigenvalues == model.eigenvalues
         for written in (reloaded.eigenvectors_raw, reloaded.eigenvectors):
             assert np.max(np.abs(np.array(written) - np.array(model.eigenvectors))) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["basis", "state"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
+def test_fit_out_that_cannot_be_written_is_an_invalid_value(tmp_path, capsys, state_file, mode, where):
+    # refused like a bad --tolerance: one error line, exit 3, no report
+    out = {"missing-directory": str(tmp_path / "missing" / "m.json"), "directory": str(tmp_path), "empty": ""}[where]
+    source = ["--state", state_file] if mode == "basis" else ["--restarts", "1"]
+    code = main(["fit", COUNTS_FILE, *source, f"--out={out}"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out {out!r} cannot be written: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_fit_truncated_file_parse_exit(tmp_path, capsys):

@@ -204,6 +204,11 @@ RESTARTS = st.integers(max_value=3).map(str) | st.sampled_from(("", "junk", "nan
 ISOS = st.sampled_from(("canonical", "from-model:AB", "from-model:A'B'", "from-model:", "from-model:XY",
                         "junk", "")) | st.text(max_size=8)
 FORMATS = st.sampled_from(("text", "json", "xml", ""))
+# fit's --out: a new file in the run's temporary directory, the directory
+# itself, a path under a missing directory, and the empty path.  Only the
+# first can be written.
+WRITABLE_OUT = "{tmp}/model.json"
+OUTS = st.sampled_from((WRITABLE_OUT, "{tmp}", "{tmp}/missing/model.json", ""))
 
 def _in_0_1(tolerance: float) -> bool:
     return 0.0 <= tolerance < 1.0
@@ -214,8 +219,8 @@ def _in_0_1(tolerance: float) -> bool:
 FLAG_COMMANDS = {
     "analyze": ([["analyze", "{dataset}"], ["analyze", "{probabilities}"]], {}, _in_0_1),
     "verify-paper": ([["verify-paper"], ["verify-paper", "{dataset}"]], {}, _in_0_1),
-    "fit": ([["fit", "{dataset}"], ["fit", "{dataset}", "--state", "{state}"]], {"--restarts": RESTARTS},
-            lambda t: 0.0 < t < math.inf),
+    "fit": ([["fit", "{dataset}"], ["fit", "{dataset}", "--state", "{state}"]],
+            {"--restarts": RESTARTS, "--out": OUTS}, lambda t: 0.0 < t < math.inf),
     "schmidt": ([["schmidt", "--state", "{state}"], ["schmidt", "--operator", "{operator}"]], {"--iso": ISOS},
                 _in_0_1),
 }
@@ -250,7 +255,8 @@ def test_fuzz_flags(data):
         fill = {"{dataset}": str(DATA / "reference_dataset_counts.json"),
                 "{probabilities}": str(DATA / "reference_dataset.json"),
                 "{state}": str(state), "{operator}": str(operator)}
-        argv = [fill.get(arg, arg) for arg in template] + [f"{f}={v}" for f, v in chosen.items()]
+        argv = [fill.get(arg, arg) for arg in template] + [f"{f}={v}".replace("{tmp}", tmp)
+                                                           for f, v in chosen.items()]
         out, err = stdio.StringIO(), stdio.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -273,3 +279,5 @@ def test_fuzz_flags(data):
             json.loads(out, parse_constant=_reject_constant)
     if parses and "--tolerance" in chosen and not in_range(float(chosen["--tolerance"])):
         assert code == 3, (argv, out)
+    if parses and chosen.get("--out", WRITABLE_OUT) != WRITABLE_OUT:
+        assert code == 3 and out == "", (argv, out)

@@ -65,22 +65,7 @@ def test_model_round_trip_is_byte_identical():
     source = DATA / "reference_model.json"
     content, warnings = io.parse_model_file(source, strict=True)
     assert warnings == []
-    state = content["state"]
-    entries = {
-        key: {
-            "a_labels": block["a_labels"],
-            "b_labels": block["b_labels"],
-            "eigenvalues": block["eigenvalues"],
-            "eigenvectors": [(v["amplitudes"], v["phases_deg"]) for v in block["eigenvectors"]],
-        }
-        for key, block in content["measurements"].items()
-    }
-    rewritten = io.canonical_json(
-        io.model_to_dict(
-            (state["amplitudes"], state["phases_deg"], state["provenance"]), entries
-        )
-    )
-    assert rewritten == source.read_text(encoding="utf-8")
+    assert io.canonical_json(io.model_to_dict(content)) == source.read_text(encoding="utf-8")
 
 
 def test_operator_round_trip(tmp_path):

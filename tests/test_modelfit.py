@@ -775,7 +775,7 @@ class TestReferenceFixture:
     def test_fixture_equals_the_packaged_files_loaded_as_user_files(self):
         data = Path(modelfit.__file__).resolve().parent / "data"
         state, models, dataset = reference_fixture()
-        file_state, file_models = load_model(data / "reference_model.json", strict=True)
+        (file_state, file_models), _ = load_model(data / "reference_model.json", strict=True)
         file_dataset, warnings = io.parse_dataset_file(
             data / "reference_dataset_counts.json", strict=True
         )

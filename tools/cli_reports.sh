@@ -8,7 +8,8 @@
 # operator file, written once from the built-in reference fixture.  OUT
 # receives, for every command, its stdout (NAME.out) and stderr (NAME.err),
 # the exit codes of the commands that succeed (exit-codes.txt) and of those
-# whose flag values the CLI refuses (refused-codes.txt), and the model files
+# whose flag values the CLI refuses, an --out path that cannot be written
+# among them (refused-codes.txt), and the model files
 # that `fit --out` writes in basis mode (model.json) and in state mode
 # (model-state-search.json).  verify-paper's JSON rows lose their
 # elapsed_ms, the one field that varies between runs.  The absolute paths of
@@ -82,7 +83,8 @@ run schmidt-from-model schmidt --operator "$inputs/operator.json" --iso from-mod
 run schmidt-model schmidt --operator "$inputs/operator.json" --iso "from-model:A'B'" --model "$data/reference_model.json"
 run schmidt-fitted-model schmidt --operator "$inputs/operator.json" --iso from-model:AB --model "$out/model.json"
 
-# Flag values the CLI refuses (exit 3), also where the mode does not use them.
+# Flag values the CLI refuses (exit 3), also where the mode does not use them,
+# and an --out path that cannot be written.
 codes=refused-codes.txt
 : > "$out/$codes"
 run refuse-fit-restarts fit "$data/reference_dataset_counts.json" --restarts 0
@@ -92,3 +94,5 @@ run refuse-fit-state-tolerance fit "$data/reference_dataset_counts.json" --state
 run refuse-fit-seed fit "$data/reference_dataset_counts.json" --seed -1
 run refuse-schmidt-tolerance schmidt --state "$inputs/state.json" --tolerance 1
 run refuse-analyze-tolerance analyze "$data/reference_dataset_counts.json" --tolerance nan
+run refuse-fit-out fit "$data/reference_dataset_counts.json" --out "$out/missing/m.json"
+run refuse-fit-state-out fit "$data/reference_dataset_counts.json" --state "$inputs/state.json" --out "$out/missing/m.json"
