@@ -47,13 +47,12 @@ _EXPORTS = {
         "states_equal_up_to_phase",
     ),
     "hilbert": ("gram", "orthonormalize", "svd", "tensor", "tensor_op"),
-    "io": ("ParseError", "parse_dataset_file", "write_dataset_file"),
+    "io": ("ParseError", "parse_dataset_file"),
     "modelfit": (
         "FitResult",
         "ObservableModel",
         "StateFitResult",
         "StateVector",
-        "expectation_from_model",
         "fit_basis",
         "fit_state",
         "load_model",

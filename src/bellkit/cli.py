@@ -14,6 +14,7 @@ call.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -188,13 +189,37 @@ def cmd_analyze(args) -> int:
 
 
 def _polar(vector) -> dict:
-    return dict(zip(("amplitudes", "phases_deg"), polar_deg(vector)))
+    return {name: part.tolist() for name, part in zip(("amplitudes", "phases_deg"), polar_deg(vector))}
 
 
-def _write_fitted_model(path, state_vector, models: dict) -> dict:
+def _state_block(state) -> dict:
+    """A state's polar form and provenance, as the report and the model file hold it."""
+    return {**_polar(state.raw), "provenance": state.provenance}
+
+
+def _unwritable(path, reason: str) -> ValueError:
+    return ValueError(f"--out {path!r} cannot be written: {reason}")
+
+
+def _check_out(path) -> None:
+    """Refuse, before any fit runs and without creating it, an --out path
+    that is empty, lies in no directory or is a directory, with the reason
+    that opening it would give."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or os.curdir
+    if not path or not os.path.exists(parent):
+        raise _unwritable(path, os.strerror(errno.ENOENT))
+    if not os.path.isdir(parent):
+        raise _unwritable(path, os.strerror(errno.ENOTDIR))
+    if os.path.isdir(path):
+        raise _unwritable(path, os.strerror(errno.EISDIR))
+
+
+def _write_fitted_model(path, state_block: dict, models: dict) -> dict:
     """Write the model file of ``--out``; an OSError is a bad flag value."""
     content = {
-        "state": {**_polar(state_vector.raw), "provenance": state_vector.provenance},
+        "state": state_block,
         "measurements": {
             key: {
                 "a_labels": model.a_labels,
@@ -210,7 +235,7 @@ def _write_fitted_model(path, state_vector, models: dict) -> dict:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValueError(f"--out {path!r} cannot be written: {exc.strerror or exc}") from None
+        raise _unwritable(path, exc.strerror or str(exc)) from None
     return {"path": str(path), "sha256": sha256_of_file(path)}
 
 
@@ -222,6 +247,7 @@ def cmd_fit(args) -> int:
     # Refused in both modes, though the closed-form basis fit uses only the
     # target misfit and neither uses nor reports --restarts.
     check_fit_settings(target, seed, restarts)
+    _check_out(args.out)
     lines = [f"input: {args.file} (sha256 {doc['input']['sha256'][:12]}...)"]
     all_converged = True
 
@@ -247,7 +273,7 @@ def cmd_fit(args) -> int:
                 f"converged {'yes' if result.converged else 'NO'}  "
                 f"restarts {result.restarts_used}  iterations {result.iterations}"
             )
-        fitted_state = state
+        fitted_state = _state_block(state)
     else:
         result = fit_state(dataset, seed=seed, restarts=restarts, target_misfit=target)
         all_converged = result.converged
@@ -257,12 +283,7 @@ def cmd_fit(args) -> int:
         doc["converged"] = result.converged
         doc["iterations"] = result.iterations
         doc["evaluations"] = result.evaluations
-        amplitudes, phases = polar_deg(result.state.raw)
-        doc["state"] = {
-            "amplitudes": amplitudes.tolist(),
-            "phases_deg": phases.tolist(),
-            "provenance": result.state.provenance,
-        }
+        doc["state"] = fitted_state = _state_block(result.state)
         doc["fits"] = {
             key: {"misfit": misfit} for key, (_, misfit) in result.per_experiment.items()
         }
@@ -271,15 +292,14 @@ def cmd_fit(args) -> int:
             "",
             f"  objective {result.objective:.3e}  converged {'yes' if result.converged else 'NO'}  "
             f"iterations {result.iterations}  evaluations {result.evaluations}",
-            "  state amplitudes " + ", ".join(f"{a:.4f}" for a in amplitudes),
-            "  state phases (deg) " + ", ".join(f"{p:.2f}" for p in phases),
+            "  state amplitudes " + ", ".join(f"{a:.4f}" for a in fitted_state["amplitudes"]),
+            "  state phases (deg) " + ", ".join(f"{p:.2f}" for p in fitted_state["phases_deg"]),
             "",
         ]
         for key in EXPERIMENT_KEYS:
             _, misfit = result.per_experiment[key]
             lines.append(f"  {key:4s} table misfit {misfit:.3e}")
         models = {key: model for key, (model, _) in result.per_experiment.items()}
-        fitted_state = result.state
 
     if args.out is not None:
         doc["output"] = _write_fitted_model(args.out, fitted_state, models)

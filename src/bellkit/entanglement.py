@@ -15,6 +15,7 @@ import numpy as np
 from . import _Record
 from .hilbert import (
     RANK_TOL,
+    _levenberg,
     _values,
     check_unitary,
     gram,
@@ -29,13 +30,36 @@ from .hilbert import (
 # Outcome labels of the product basis, in component order.
 PRODUCT_LABELS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
-# Candidates per block in refute_common_product_iso.  A block's stacked
-# transports and reshuffles stay a few hundred kilobytes.
-SEARCH_BLOCK = 256
-
 # The index pairs (i, j), i < j, of a 4x4 matrix's rows or columns: its 2x2
 # minors are the 36 pairs of pairs.
 _PAIRS = np.triu_indices(4, 1)
+
+# refute_common_product_iso's Haar-random starts after the supplied ones,
+# and the stop rule it passes to hilbert._levenberg.
+SEARCH_STARTS = 4
+SEARCH_TARGET = 1e-24
+SEARCH_MIN_DECREASE = 1e-3
+SEARCH_STALL = 2
+SEARCH_ITERATIONS = 15
+
+# The search's 9 directions sigma_a (x) sigma_b / 2, a and b over X, Y and
+# Z: u(4) apart from the local directions, under which it is invariant.
+_XYZ = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
+_NONLOCAL = np.array([np.kron(s, t) for s in _XYZ for t in _XYZ]) / 2
+# reshuffle on flat indices, its own inverse: R.ravel() = T.ravel()[_RESHUFFLED].
+_RESHUFFLED = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
+# (R.ravel() @ _MOVES).reshape(16, 9)[:, g] is the flat reshuffle of
+# i (G_g T - T G_g), the move of R = reshuffle(T) in direction g.
+_MOVES = np.stack([(1j * (np.kron(g, np.eye(4)) - np.kron(np.eye(4), g.T)))[np.ix_(_RESHUFFLED, _RESHUFFLED)].T
+                   for g in _NONLOCAL], axis=-1).reshape(16, 144)
+# The 36 2x2 minors a_i b_j - a_j b_i of a 4x4 matrix, rows (a, b) and
+# columns (i, j) each a pair of _PAIRS: _MINOR_ENTRIES[m] holds the flat
+# indices of minor m's entries (a_i, a_j, b_i, b_j).  Those entries
+# reversed, times _MINOR_SIGNS, are the minor's partial derivatives in them.
+# [_MINOR_ROWS, _MINOR_ENTRIES] indexes them in a (36, 16) array.
+_MINOR_ENTRIES = np.array([4 * p[:, None] + q for p in _PAIRS for q in _PAIRS]).reshape(4, 36).T
+_MINOR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+_MINOR_ROWS = np.arange(36)[:, None]
 
 # Largest real or imaginary part of an operator entry that
 # Isomorphism.transport accepts.  The entries of U M U^dagger and the
@@ -276,6 +300,14 @@ def _minor_sum(r: np.ndarray) -> np.ndarray:
     return np.sum(minors.real**2 + minors.imag**2, axis=(0, 1))
 
 
+def _peak_scaled(operators) -> np.ndarray:
+    """A matrix, or each of a stack, scaled by the power of two that brings
+    its peak_part into [0.5, 1): exact, and every square stays finite."""
+    parts = np.ascontiguousarray(operators, dtype=complex).view(float)
+    shift = -np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
+    return np.ldexp(parts, shift[..., None, None]).view(complex)
+
+
 def _transported_is_product(us: np.ndarray, operators: np.ndarray,
                             rank_tol: float = RANK_TOL) -> np.ndarray:
     """Whether U M U^dagger has operator-Schmidt rank 1, for each unitary of a
@@ -303,9 +335,7 @@ def _transported_is_product(us: np.ndarray, operators: np.ndarray,
     """
     shape = np.shape(us)[:-2]
     ut = np.reshape(us, (-1, 4, 4)).transpose(2, 1, 0).copy()  # ut[c, a] = U[a, c]
-    parts = np.ascontiguousarray(operators, dtype=complex).view(float)
-    shift = -np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
-    scaled = np.ldexp(parts, shift[..., None, None]).view(complex)
+    scaled = _peak_scaled(operators)
     if scaled.ndim == 2:
         um = (scaled.T @ ut.reshape(4, -1)).reshape(ut.shape)  # um[c, a] = (U M)[a, c]
     else:
@@ -497,51 +527,92 @@ def check_factorization(state, measurement, singles=None) -> FactorizationReport
 
 
 class ProductIsoSearchResult(_Record):
-    """Outcome of a randomized search for a common product-rendering isomorphism."""
+    """Outcome of the least-squares search for a common product-rendering
+    isomorphism: ``trials`` counts the starts run and ``objective`` is the
+    lowest objective any start reached."""
 
-    def __init__(self, found: bool, witness: Isomorphism | None, trials: int):
-        self.found, self.witness, self.trials = found, witness, trials
+    def __init__(self, found: bool, witness: Isomorphism | None, trials: int, objective: float):
+        self.found, self.witness, self.trials, self.objective = found, witness, trials, objective
 
 
-def refute_common_product_iso(operators, extra_isos=(), n_trials: int = 10_000,
-                              seed: int = 0) -> ProductIsoSearchResult:
+def _minor_residuals(us: np.ndarray, operators: np.ndarray) -> tuple:
+    """The search's residuals r (B, 72 K) at a stack of unitaries (B, 4, 4),
+    and their Jacobian J (B, 72 K, 9) in the directions _NONLOCAL.
+
+    r holds the real and imaginary parts of the 36 2x2 minors of each R_k =
+    reshuffle(U M_k U^dagger), so |r|^2 = sum_k sum_{i<j} s_i^2 s_j^2 over
+    the singular values s of R_k (_minor_sum).  Under U <- exp(iH) U with
+    H = sum_g h_g G_g, T = U M U^dagger moves by i (G_g T - T G_g) per unit
+    of h_g; its reshuffle carries through each minor by the product rule.
+    """
+    count, k = len(us), len(operators)
+    t = us[:, None] @ operators @ us.conj().swapaxes(-1, -2)[:, None]
+    x = t.reshape(count * k, 16)[:, _RESHUFFLED]  # each R_k, flat
+    s = x[:, _MINOR_ENTRIES]  # (B K, 36, 4)
+    w = s[..., ::-1] * _MINOR_SIGNS
+    minors = s[..., 0] * w[..., 0] + s[..., 1] * w[..., 1]
+    # d minor / d entry, for each minor and each flat entry of R_k
+    weights = np.zeros((count * k, 36, 16), dtype=complex)
+    weights[:, _MINOR_ROWS, _MINOR_ENTRIES] = w
+    # R_k's moves row by row: OpenBLAS may run one (B K, 16) x (16, 144)
+    # product on two threads, which took longer than the row-by-row
+    # products whenever another process held a core
+    d_minors = weights @ (x[:, None] @ _MOVES).reshape(-1, 16, 9)
+    jac = np.stack((d_minors.real, d_minors.imag), axis=2).reshape(count, 72 * k, 9)
+    return np.stack((minors.real, minors.imag), axis=-1).reshape(count, 72 * k), jac
+
+
+def _retract(us: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """exp(iH) U for H = sum_g h_g G_g over _NONLOCAL, by H's eigendecomposition."""
+    w, v = np.linalg.eigh((h @ _NONLOCAL.reshape(9, 16)).reshape(-1, 4, 4))
+    return (v * np.exp(1j * w)[:, None, :]) @ (v.conj().swapaxes(-1, -2) @ us)
+
+
+def refute_common_product_iso(operators, extra_isos=(), seed: int = 0) -> ProductIsoSearchResult:
     """Search for one isomorphism rendering every operator product.
 
-    Candidates are the supplied ``extra_isos`` (typically each measurement's
-    own canonical identification) followed by ``n_trials`` seeded
-    Haar-random isomorphisms, drawn exactly as ``random_isomorphism`` draws
-    them from ``np.random.default_rng(seed)``: _haar_unitaries gives each
-    the same bits in a block as alone.  They are tested in blocks of
-    SEARCH_BLOCK: each operator in turn is transported through the
-    candidates still alive, reshuffled, and kept only where its operator
-    Schmidt rank is 1 at RANK_TOL (see _transported_is_product).  A
-    Gram-matrix bound rules out nearly every candidate as entangled, a
-    bound on the exact 2x2 minors proves rank 1 for product ones, and only
-    candidates between the two bounds go through an SVD.  The witness is
-    the first candidate that survives every operator and ``trials`` is its
-    1-based position in the candidate order; when none survives, ``trials``
-    counts every candidate.  A not-found result is evidence — not proof —
-    that no such isomorphism exists.
+    Least squares on U(4) (Absil, Mahony & Sepulchre 2008): with each
+    operator M_k scaled to unit Hilbert-Schmidt norm, minimize sum_k
+    sum_{i<j} s_i^2 s_j^2 over the singular values s of reshuffle(U M_k
+    U^dagger), the squared sum of the real and imaginary parts of its 36
+    2x2 minors (_minor_residuals).  It vanishes exactly where every
+    transport has operator-Schmidt rank 1.  The objective does not change
+    under U <- (A (x) B) U, so the steps run over the 9 other directions
+    G = sigma_a (x) sigma_b / 2, a and b over X, Y and Z, with the
+    retraction U <- exp(iH) U.  So modulo local unitaries 9 dimensions are
+    free, and a +/-1 measurement with a twofold spectrum costs 4 to be
+    product: two measurements have a common product identification in
+    general, three do not.
+
+    The starts are the supplied ``extra_isos`` (typically each
+    measurement's own canonical identification) followed by SEARCH_STARTS
+    seeded Haar-random isomorphisms, drawn exactly as ``random_isomorphism``
+    draws them from ``np.random.default_rng(seed)``.  They run as one stack
+    through hilbert._levenberg, with the exact Jacobian, until the objective
+    is at most SEARCH_TARGET, after SEARCH_STALL iterations in a row without
+    a relative decrease above SEARCH_MIN_DECREASE, or after
+    SEARCH_ITERATIONS.  ``found`` is whether some start ends where every
+    operator has operator-Schmidt rank 1 at RANK_TOL
+    (_transported_is_product); the witness is the first such start's final
+    unitary.  ``trials`` counts the starts and ``objective`` is the lowest
+    reached.  A not-found result is evidence, not proof, that no such
+    isomorphism exists; a best objective far above RANK_TOL^2 bounds how
+    close the starts came.
     """
-    ops = [_values(op) for op in operators]
-    rng = np.random.default_rng(seed)
-    extra = list(extra_isos)
-    total = len(extra) + n_trials
-    for start in range(0, total, SEARCH_BLOCK):
-        stop = min(start + SEARCH_BLOCK, total)
-        fixed = [iso.matrix for iso in extra[start:stop]]
-        n_random = stop - start - len(fixed)
-        z = rng.standard_normal((n_random, 2, 4, 4))
-        block = np.concatenate(
-            [np.reshape(fixed, (-1, 4, 4)), _haar_unitaries(z[:, 0] + 1j * z[:, 1])]
-        )
-        alive = np.arange(stop - start)
-        for op in ops:
-            alive = alive[_transported_is_product(block[alive], op)]
-            if not alive.size:
-                break
-        if alive.size:
-            k = start + int(alive[0])
-            witness = extra[k] if k < len(extra) else Isomorphism(block[alive[0]], name="random")
-            return ProductIsoSearchResult(found=True, witness=witness, trials=k + 1)
-    return ProductIsoSearchResult(found=False, witness=None, trials=total)
+    ops = np.reshape([_values(op) for op in operators], (-1, 4, 4))
+    scaled = _peak_scaled(ops)
+    norms = np.sqrt(np.sum(scaled.real**2 + scaled.imag**2, axis=(-2, -1)))
+    unit = np.divide(scaled, norms[:, None, None], out=np.zeros_like(scaled), where=norms[:, None, None] > 0)
+    z = np.random.default_rng(seed).standard_normal((SEARCH_STARTS, 2, 4, 4))
+    starts = np.concatenate([np.reshape([iso.matrix for iso in extra_isos], (-1, 4, 4)),
+                             _haar_unitaries(z[:, 0] + 1j * z[:, 1])])
+    us, objectives, _, _ = _levenberg(
+        lambda u: _minor_residuals(u, unit), starts, SEARCH_TARGET, SEARCH_MIN_DECREASE, SEARCH_STALL,
+        SEARCH_ITERATIONS, retract=_retract)
+    product = np.ones(len(us), dtype=bool)
+    for op in ops:
+        product &= _transported_is_product(us, op)
+    hits = np.flatnonzero(product)
+    witness = Isomorphism(us[hits[0]], name="search") if hits.size else None
+    return ProductIsoSearchResult(found=bool(hits.size), witness=witness, trials=len(us),
+                                  objective=float(objectives.min()))

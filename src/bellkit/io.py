@@ -254,11 +254,6 @@ def dataset_to_dict(dataset: ExperimentDataset) -> dict:
     return doc
 
 
-def write_dataset_file(dataset: ExperimentDataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(dataset_to_dict(dataset)))
-
-
 # ---------------------------------------------------------------------------
 # state, model, and operator files (plain-structure layer; domain objects
 # are built in modelfit)

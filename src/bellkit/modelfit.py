@@ -7,9 +7,10 @@ models keep both the raw vectors and their orthonormal repair.
 
 fit_basis is exact: one Householder reflection maps the state onto the
 square roots of the target probabilities, and it takes only a target misfit.
-fit_state solves its least-squares problem by a batched Levenberg iteration
-over its seeded restarts, in blocks of a fixed size, with the residuals'
-exact Jacobian; it takes a seed, a number of restarts and a target misfit.
+fit_state solves its least-squares problem by the batched Levenberg
+iteration of hilbert._levenberg over its seeded restarts, in blocks of a
+fixed size, with the residuals' exact Jacobian; it takes a seed, a number of
+restarts and a target misfit.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import _Record, io
 from .bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset
-from .hilbert import _values, from_polar_deg, gram, is_hermitian, orthonormalize, tensor
+from .hilbert import _levenberg, _values, from_polar_deg, gram, is_hermitian, orthonormalize, tensor
 
 _EIGENVALUE_PATTERN = (1.0, -1.0, -1.0, 1.0)
 
@@ -161,15 +162,6 @@ def probabilities_from_model(state, model: ObservableModel) -> CoincidenceTable:
         b_labels=model.b_labels,
         sum_tol=1e-9,
     )
-
-
-def expectation_from_model(state, model: ObservableModel) -> float:
-    """<state|operator|state>; the imaginary residue must vanish."""
-    psi = _unit_state(state)
-    value = complex(np.vdot(psi, model.operator @ psi))
-    if abs(value.imag) > 1e-9:
-        raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
-    return float(value.real)
 
 
 # ---------------------------------------------------------------------------
@@ -327,59 +319,12 @@ def _state_residuals(params: np.ndarray, signatures: np.ndarray) -> tuple:
     return (fitted[..., 0] - signatures.reshape(12)) * 0.5, jac
 
 
-# Levenberg's method as fit_state runs it.
-_INITIAL_DAMPING = 1e-3
+# The stop rule fit_state passes to Levenberg's method (hilbert._levenberg).
 _MAX_ITERATIONS = 400
 _STALL_ITERATIONS = 8
 _MIN_DECREASE = 1e-10
 # fit_state runs its starts through _levenberg this many at a time.
 _BLOCK_STARTS = 256
-
-
-def _levenberg(residuals, params: np.ndarray, target_misfit: float) -> tuple:
-    """Minimize |r(p)|^2 from every row of ``params`` (B, P) at once.
-
-    ``residuals(p)`` returns r (B, R) and its Jacobian J (B, R, P) at the rows of p.
-    Each iteration solves the damped Gauss-Newton step of every running start in dual
-    form, delta = -J^T (J J^T + lam I)^-1 r, an R x R system, and evaluates r and J
-    once, at the trial points.  A step is kept only when it lowers the objective; lam
-    is then multiplied by 0.3, otherwise by 10 and the start keeps its r and J.  Starts
-    stop by the rule fit_state documents.  The running starts' rows are compact arrays,
-    replaced where a step is kept and shrunk when a start stops; ``objectives`` holds
-    every start's, frozen from its stop on.  Returns (params, objectives, history,
-    evaluations): history[k] holds every start's objective after iteration k;
-    evaluations counts the points at which ``residuals`` ran.
-    """
-    r, jac = residuals(params)
-    f = np.einsum("bi,bi->b", r, r)
-    objectives, damping, stalled = f.copy(), np.full_like(f, _INITIAL_DAMPING), np.zeros(f.shape, dtype=int)
-    live, p, identity = np.arange(f.size), params, np.eye(r.shape[1])
-    history, evaluations = [objectives.copy()], f.size
-    for _ in range(_MAX_ITERATIONS):
-        going = (f > target_misfit) & (stalled < _STALL_ITERATIONS)
-        if not going.all():
-            params[live] = p
-            if not going.any():
-                break
-            live = live[going]
-            p, r, jac, f, damping, stalled = (a[going] for a in (p, r, jac, f, damping, stalled))
-        dual = jac @ jac.transpose(0, 2, 1) + damping[:, None, None] * identity
-        trial = p - (jac.transpose(0, 2, 1) @ np.linalg.solve(dual, r[..., None]))[..., 0]
-        r_trial, jac_trial = residuals(trial)
-        f_trial = np.einsum("bi,bi->b", r_trial, r_trial)
-        accept = f_trial < f
-        stalled = np.where(f - f_trial > _MIN_DECREASE * f, 0, stalled + 1)
-        damping *= np.where(accept, 0.3, 10.0)
-        if accept.all():  # as at one start whenever its step is kept
-            p, r, jac, f = trial, r_trial, jac_trial, f_trial
-        elif accept.any():
-            for old, new in ((p, trial), (r, r_trial), (jac, jac_trial), (f, f_trial)):
-                np.copyto(old, new, where=accept.reshape(-1, *[1] * (old.ndim - 1)))
-        objectives[live] = f
-        history.append(objectives.copy())
-        evaluations += live.size
-    params[live] = p
-    return params, objectives, np.array(history), evaluations
 
 
 def _angles_of(v: np.ndarray) -> tuple:
@@ -442,7 +387,8 @@ def fit_state(dataset: ExperimentDataset, seed: int = 0, restarts: int = 64,
     objectives, winners, traces, iterations, evaluations = [], [], [], 0, 0
     for first in range(0, restarts, _BLOCK_STARTS):
         starts = rng.standard_normal((min(_BLOCK_STARTS, restarts - first), 32))
-        params, f, history, count = _levenberg(lambda p: _state_residuals(p, signatures), starts, target_misfit)
+        params, f, history, count = _levenberg(lambda p: _state_residuals(p, signatures), starts, target_misfit,
+                                               _MIN_DECREASE, _STALL_ITERATIONS, _MAX_ITERATIONS)
         # keep only the block's best start, so memory stays bounded by one block
         winner = int(np.argmin(f))
         objectives.append(f)

@@ -3,6 +3,8 @@
 Everything here deliberately avoids the code paths under test: singular
 values come from characteristic-polynomial roots, t-distribution tails from
 an incomplete-beta quadrature, and the 2x2 SVD from closed-form algebra.
+``expectation_from_model`` takes a model's expectation from its operator,
+the route that checks the one through its outcome probabilities.
 ``levenberg_gather_scatter`` is the state search's Levenberg loop in its
 earlier form, which gathers the running starts from full arrays and scatters
 the kept steps back on every iteration; ``state_residuals_by_slots`` is its
@@ -15,7 +17,8 @@ import math
 
 import numpy as np
 
-from bellkit.modelfit import _INITIAL_DAMPING, _MIN_DECREASE, _STALL_ITERATIONS
+from bellkit.hilbert import _INITIAL_DAMPING
+from bellkit.modelfit import _MIN_DECREASE, _STALL_ITERATIONS
 
 
 def singular_values_by_charpoly(m: np.ndarray) -> np.ndarray:
@@ -121,6 +124,17 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
             w = w - np.vdot(q[:, j], w) * q[:, j]
         q[:, k] = w / np.linalg.norm(w)
     return q
+
+
+def expectation_from_model(state, model) -> float:
+    """<state|operator|state> of a measurement model, from its operator
+    rather than its outcome probabilities; the imaginary residue must vanish."""
+    psi = np.asarray(getattr(state, "values", state), dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    value = complex(np.vdot(psi, model.operator @ psi))
+    if abs(value.imag) > 1e-9:
+        raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
+    return float(value.real)
 
 
 def levenberg_gather_scatter(residuals, params: np.ndarray, target_misfit: float,

@@ -503,6 +503,29 @@ def test_fit_out_that_cannot_be_written_is_an_invalid_value(tmp_path, capsys, st
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("mode", ["basis", "state"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
+def test_fit_out_that_cannot_be_written_is_refused_before_the_fit(tmp_path, capsys, monkeypatch, state_file,
+                                                                  mode, where):
+    # no fit runs, and nothing is created; the message is the one writing
+    # the file would give
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(cli, "fit_state", no_fit)
+    monkeypatch.setattr(cli, "fit_basis", no_fit)
+    out = {"missing-directory": tmp_path / "missing" / "m.json", "directory": tmp_path, "empty": ""}[where]
+    reason = {"missing-directory": "No such file or directory", "directory": "Is a directory",
+              "empty": "No such file or directory"}[where]
+    before = sorted(tmp_path.rglob("*"))
+    source = ["--state", state_file] if mode == "basis" else ["--restarts", "300"]
+    code = main(["fit", COUNTS_FILE, *source, f"--out={out}"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert (captured.out, captured.err) == ("", f"error: --out {str(out)!r} cannot be written: {reason}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_fit_truncated_file_parse_exit(tmp_path, capsys):
     path = tmp_path / "half.json"
     path.write_text(Path(COUNTS_FILE).read_text(encoding="utf-8")[:50], encoding="utf-8")

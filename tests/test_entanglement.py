@@ -544,64 +544,138 @@ def test_shared_iso_product_pair_has_product_evolution_and_stable_marginals():
         assert p[2] + p[3] == pytest.approx(q[2] + q[3], abs=1e-10)
 
 
-def test_no_single_isomorphism_renders_all_reference_measurements_product():
+KEYS = ("AB", "AB'", "A'B", "A'B'")
+PAULIS = {"X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1.0, -1.0])}
+# columns: each Pauli operator's +1 and -1 eigenvectors
+EIGENBASES = {"X": np.array([[1, 1], [1, -1]]) / np.sqrt(2), "Y": np.array([[1, 1], [1j, -1j]]) / np.sqrt(2),
+              "Z": np.eye(2)}
+PLANTED_FACTORS = (("X", "X"), ("X", "Y"), ("Z", "X"), ("Z", "Z"))
+
+
+def _reference_operators_and_isos():
+    """The four reference operators and their own identifications, as the row passes them."""
     _, models, _ = reference_fixture()
-    operators = [models[k].operator for k in ("AB", "AB'", "A'B", "A'B'")]
-    extra = [canonical_iso_of(models[k]) for k in ("AB", "AB'", "A'B", "A'B'")]
-    result = refute_common_product_iso(operators, extra_isos=extra, n_trials=300, seed=0)
-    assert not result.found
-    assert result.trials == 304
+    return [models[k].operator for k in KEYS], [canonical_iso_of(models[k]) for k in KEYS]
+
+
+def _planted_conjugation():
+    """U_0, one Haar unitary from default_rng(5), and the operators U_0 (a (x) b) U_0^dagger."""
+    rng = np.random.default_rng(5)
+    u0 = entanglement._haar_unitaries(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return u0, [u0 @ np.kron(PAULIS[a], PAULIS[b]) @ u0.conj().T for a, b in PLANTED_FACTORS]
+
+
+def test_no_single_isomorphism_renders_all_reference_measurements_product():
+    operators, extra = _reference_operators_and_isos()
+    result = refute_common_product_iso(operators, extra_isos=extra, seed=0)
+    assert not result.found and result.witness is None
+    assert result.trials == len(extra) + entanglement.SEARCH_STARTS
+    # far above the 1e-14 a rank-1 verdict at RANK_TOL needs
+    assert result.objective >= verify.SEARCH_FLOOR
+    assert result.objective == pytest.approx(0.0496353, rel=1e-6)
+
+
+@pytest.mark.parametrize("count, objective", [(2, None), (3, 6.81573e-4), (4, 0.0496353)])
+def test_two_reference_measurements_share_a_product_identification_three_do_not(count, objective):
+    # modulo local unitaries 9 dimensions are free, and each measurement
+    # costs 4 to be product: 8 <= 9 < 12
+    operators, extra = _reference_operators_and_isos()
+    result = refute_common_product_iso(operators[:count], extra_isos=extra, seed=0)
+    if objective is None:
+        assert result.found and result.objective <= 1e-20
+        assert all(operator_schmidt(op, result.witness).rank() == 1 for op in operators[:count])
+        assert operator_schmidt(operators[2], result.witness).rank() > 1
+    else:
+        assert not result.found and result.witness is None
+        assert result.objective == pytest.approx(objective, rel=1e-5)
 
 
 def test_search_finds_witness_when_one_exists():
+    # a supplied identification under which all four are product already
+    # meets the target, so it never moves
     rng = np.random.default_rng(33)
     iso = random_isomorphism(rng)
-    ops = []
-    for _ in range(4):
-        model, _, _ = product_measurement(rng, iso)
-        ops.append(model.operator)
-    result = refute_common_product_iso(ops, extra_isos=(iso,), n_trials=50, seed=1)
+    ops = [product_measurement(rng, iso)[0].operator for _ in range(4)]
+    result = refute_common_product_iso(ops, extra_isos=(iso,), seed=1)
     assert result.found
-    assert result.trials == 1
-    assert result.witness is iso
+    assert result.trials == 1 + entanglement.SEARCH_STARTS
+    assert np.array_equal(result.witness.matrix, iso.matrix)
+    assert result.objective <= 1e-20
+
+
+def test_search_finds_a_planted_identification_that_is_no_start():
+    # the planted U_0 is none of the starts, and the identifications that
+    # render one operator product have measure zero in U(4), so no draw
+    # could have hit it; the row's own starts, seed and stop rule find it
+    _, planted = _planted_conjugation()
+    _, extra = _reference_operators_and_isos()
+    result = refute_common_product_iso(planted, extra_isos=extra, seed=0)
+    assert result.found and result.objective <= 1e-20
+    assert all(operator_schmidt(op, result.witness).rank() == 1 for op in planted)
+
+
+def test_the_row_fails_on_a_planted_common_identification():
+    u0, planted = _planted_conjugation()
+    models = {}
+    for key, (a, b), operator in zip(KEYS, PLANTED_FACTORS, planted):
+        qa, qb = EIGENBASES[a], EIGENBASES[b]
+        models[key] = synthesize([u0 @ np.kron(qa[:, i], qb[:, j]) for i in (0, 1) for j in (0, 1)], experiment=key)
+        np.testing.assert_allclose(models[key].operator, operator, atol=1e-12)
+    row = verify._check_no_common_product_basis((None, models, None))
+    assert not row.passed
+    assert "; a common product identification from 8 starts" in row.measured
 
 
 def test_search_candidates_are_the_seeded_random_isomorphisms(monkeypatch):
-    # 2 extras + 600 draws span three blocks; record every random candidate.
-    _, models, _ = reference_fixture()
-    operators = [models[k].operator for k in ("AB", "AB'", "A'B", "A'B'")]
-    extra = [canonical_iso_of(models["AB"]), canonical_iso_of(models["A'B'"])]
-    drawn = []
+    # the starts: the supplied identifications, then the seeded Haar draws
+    operators, extra = _reference_operators_and_isos()
+    recorded = []
+    core = entanglement._levenberg
 
-    def recording(ginibre):
-        out = haar(ginibre)
-        drawn.extend(out)
-        return out
+    def recording(residuals, params, *args, **kwargs):
+        recorded.append(params.copy())
+        return core(residuals, params, *args, **kwargs)
 
-    haar = entanglement._haar_unitaries
-    monkeypatch.setattr(entanglement, "_haar_unitaries", recording)
-    result = refute_common_product_iso(operators, extra_isos=extra, n_trials=600, seed=5)
-    monkeypatch.undo()
-    assert not result.found and result.trials == 602
-    assert len(drawn) == 600
+    monkeypatch.setattr(entanglement, "_levenberg", recording)
+    result = refute_common_product_iso(operators, extra_isos=extra[1:3], seed=5)
+    (starts,) = recorded
+    assert result.trials == len(starts) == 2 + entanglement.SEARCH_STARTS
+    assert np.array_equal(starts[:2], [iso.matrix for iso in extra[1:3]])
     rng = np.random.default_rng(5)
-    for k, candidate in enumerate(drawn):
-        assert np.array_equal(candidate, random_isomorphism(rng).matrix), k
+    for k, start in enumerate(starts[2:]):
+        assert np.array_equal(start, random_isomorphism(rng).matrix), k
 
 
-def test_search_finds_witness_beyond_the_first_block():
-    k = entanglement.SEARCH_BLOCK + 45
-    rng = np.random.default_rng(21)
-    for _ in range(k):
-        iso = random_isomorphism(rng)
-    factor_rng = np.random.default_rng(22)
-    ops = [product_measurement(factor_rng, iso)[0].operator for _ in range(4)]
-    extra = (canonical_iso(), canonical_iso())
-    result = refute_common_product_iso(ops, extra_isos=extra, n_trials=k + 100, seed=21)
-    assert result.found
-    assert result.trials == len(extra) + k
-    assert np.array_equal(result.witness.matrix, iso.matrix)
-    assert result.witness.name == "random"
+def test_search_jacobian_matches_central_differences():
+    rng = np.random.default_rng(41)
+    us = entanglement._haar_unitaries(_ginibre(rng, 3))
+    m = _ginibre(rng, 4)
+    operators = m + m.conj().swapaxes(-1, -2)
+    r, jac = entanglement._minor_residuals(us, operators)
+    assert r.shape == (3, 288) and jac.shape == (3, 288, 9)
+    # |r|^2 is sum_{i<j} s_i^2 s_j^2 of each reshuffled transport
+    transports = reshuffle(us[:, None] @ operators @ us.conj().swapaxes(-1, -2)[:, None])
+    minor_sums = entanglement._minor_sum(np.moveaxis(transports.reshape(12, 4, 4), 0, -1)).reshape(3, 4)
+    np.testing.assert_allclose(np.sum(r**2, axis=1), minor_sums.sum(axis=1), rtol=1e-12)
+    step = 1e-6
+    for g in range(9):
+        h = np.zeros((3, 9))
+        h[:, g] = step
+        plus, minus = (entanglement._minor_residuals(entanglement._retract(us, sign * h), operators)[0]
+                       for sign in (1, -1))
+        assert np.max(np.abs((plus - minus) / (2 * step) - jac[:, :, g])) <= 1e-7 * np.max(np.abs(jac))
+
+
+def test_search_objective_ignores_local_unitaries():
+    # the 7 directions of u(4) the search leaves out move nothing
+    rng = np.random.default_rng(43)
+    us = entanglement._haar_unitaries(_ginibre(rng, 5))
+    local = np.array([np.kron(random_unitary(rng, 2), random_unitary(rng, 2)) for _ in range(5)])
+    m = _ginibre(rng, 4)
+    operators = m + m.conj().swapaxes(-1, -2)
+    before = np.sum(entanglement._minor_residuals(us, operators)[0] ** 2, axis=1)
+    after = np.sum(entanglement._minor_residuals(local @ us, operators)[0] ** 2, axis=1)
+    np.testing.assert_allclose(after, before, rtol=1e-12)
 
 
 def _ginibre(rng, *shape):
@@ -668,13 +742,13 @@ def test_minor_sum_is_the_sum_of_products_of_squared_singular_value_pairs():
 
 
 def test_reference_search_rules_out_nearly_every_candidate_without_an_svd(monkeypatch):
-    _, models, _ = reference_fixture()
-    operators = [models[k].operator for k in ("AB", "AB'", "A'B", "A'B'")]
-    extra = [canonical_iso_of(models[k]) for k in ("AB", "AB'", "A'B", "A'B'")]
+    # the least-squares steps take no SVD, and the final rank verdicts of
+    # every start are settled by the Gram and minor bounds
+    operators, extra = _reference_operators_and_isos()
     rows = _svd_rows(monkeypatch)
-    result = refute_common_product_iso(operators, extra_isos=extra, n_trials=600, seed=0)
+    result = refute_common_product_iso(operators, extra_isos=extra, seed=0)
     monkeypatch.undo()
-    assert not result.found and result.trials == 604
+    assert not result.found and result.trials == len(extra) + entanglement.SEARCH_STARTS
     assert sum(rows) <= 4
 
 

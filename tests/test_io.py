@@ -52,13 +52,11 @@ def test_sha256_of_file_matches_hashlib(tmp_path):
 @pytest.mark.parametrize(
     "name", ["reference_dataset.json", "reference_dataset_counts.json"]
 )
-def test_dataset_round_trip_is_byte_identical(name, tmp_path):
+def test_dataset_round_trip_is_byte_identical(name):
     source = DATA / name
     dataset, warnings = io.parse_dataset_file(source, strict=True)
     assert warnings == []
-    out = tmp_path / "rewritten.json"
-    io.write_dataset_file(dataset, out)
-    assert out.read_bytes() == source.read_bytes()
+    assert io.canonical_json(io.dataset_to_dict(dataset)).encode("utf-8") == source.read_bytes()
 
 
 def test_model_round_trip_is_byte_identical():

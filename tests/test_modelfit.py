@@ -13,7 +13,6 @@ from bellkit.hilbert import from_polar_deg, gram, polar_deg, tensor
 from bellkit.modelfit import (
     ObservableModel,
     StateVector,
-    expectation_from_model,
     fit_basis,
     fit_state,
     load_model,
@@ -22,7 +21,13 @@ from bellkit.modelfit import (
     synthesize,
 )
 
-from oracles import levenberg_gather_scatter, random_state, random_unitary, state_residuals_by_slots
+from oracles import (
+    expectation_from_model,
+    levenberg_gather_scatter,
+    random_state,
+    random_unitary,
+    state_residuals_by_slots,
+)
 
 # Reference-table probabilities as published (3 decimals) and the exact
 # model-reproduced values under the repaired eigenbases, frozen from an
@@ -515,6 +520,12 @@ def test_fit_state_restarts_used_is_the_first_start_reaching_the_target(monkeypa
     assert first_three.restarts_used == 3
 
 
+def _fit_state_levenberg(residuals, starts, target_misfit):
+    """The Levenberg core run by fit_state's stop rule, read at call time."""
+    return modelfit._levenberg(residuals, starts, target_misfit, modelfit._MIN_DECREASE,
+                               modelfit._STALL_ITERATIONS, modelfit._MAX_ITERATIONS)
+
+
 def test_fit_state_blocks_of_starts_match_one_stack(monkeypatch):
     # 300 starts span two blocks; the winner of this seed lies in the second
     monkeypatch.setattr(modelfit, "_MAX_ITERATIONS", 6)
@@ -524,7 +535,7 @@ def test_fit_state_blocks_of_starts_match_one_stack(monkeypatch):
     signatures = np.array([modelfit._signature(t.probabilities / t.probabilities.sum())
                            for t in (dataset.tables[k] for k in EXPERIMENT_KEYS)])
     starts = np.random.default_rng(0).standard_normal((restarts, 32))
-    params, objectives, history, evaluations = modelfit._levenberg(
+    params, objectives, history, evaluations = _fit_state_levenberg(
         lambda p: modelfit._state_residuals(p, signatures), starts, 1e-8
     )
     best = int(np.argmin(objectives))
@@ -571,7 +582,7 @@ def _both_loops(dataset, starts, target_misfit):
         sizes.append(len(params))
         return modelfit._state_residuals(params, signatures)
 
-    got = modelfit._levenberg(residuals, starts.copy(), target_misfit)
+    got = _fit_state_levenberg(residuals, starts.copy(), target_misfit)
     want = levenberg_gather_scatter(lambda p: modelfit._state_residuals(p, signatures), starts.copy(),
                                     target_misfit, modelfit._MAX_ITERATIONS)
     for mine, theirs in zip(got[:3], want[:3]):
@@ -711,7 +722,7 @@ def _both_routes(dataset, seed, restarts, target_misfit):
     routes = []
     for residuals in (lambda p: modelfit._state_residuals(p, signatures), _with_forward_differences(signatures)):
         starts = np.random.default_rng(seed).standard_normal((restarts, 32))
-        objectives = modelfit._levenberg(residuals, starts, target_misfit)[1]
+        objectives = _fit_state_levenberg(residuals, starts, target_misfit)[1]
         reached = np.flatnonzero(objectives <= target_misfit)
         routes.append((objectives, reached[0] + 1 if reached.size else restarts))
     return routes

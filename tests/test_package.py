@@ -22,9 +22,9 @@ EXPORTED = [
     "measurement_entanglement_degree", "operator_schmidt", "random_isomorphism",
     "refute_common_product_iso", "reshuffle", "schmidt_state", "states_equal_up_to_phase",
     "gram", "orthonormalize", "svd", "tensor", "tensor_op",
-    "ParseError", "parse_dataset_file", "write_dataset_file",
+    "ParseError", "parse_dataset_file",
     "FitResult", "ObservableModel", "StateFitResult", "StateVector",
-    "expectation_from_model", "fit_basis", "fit_state", "load_model", "load_state",
+    "fit_basis", "fit_state", "load_model", "load_state",
     "probabilities_from_model", "reference_fixture", "reference_published_operators", "synthesize",
     "CheckRow", "run_verification",
 ]

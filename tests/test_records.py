@@ -121,9 +121,9 @@ RECORDS = [
       np.zeros((2, 2)), 0.0),
      {}, {}, {"marginal_source": "singles"}, []),
     (ProductIsoSearchResult,
-     ("found", "witness", "trials"),
-     (True, Isomorphism(EYE4), 1),
-     {}, {}, {"trials": 2}, []),
+     ("found", "witness", "trials", "objective"),
+     (True, Isomorphism(EYE4), 1, 1e-30),
+     {}, {}, {"objective": 0.05}, []),
     (ObservableModel,
      ("experiment", "eigenvectors_raw", "eigenvectors", "eigenvalues", "operator", "a_labels", "b_labels"),
      ("AB", BASIS, BASIS, (1.0, -1.0, -1.0, 1.0), DIAG, ("Horse", "Bear"), ("Growls", "Whinnies")),
