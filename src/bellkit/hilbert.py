@@ -3,7 +3,9 @@
 Vectors are plain complex ndarrays.  Their external representation is
 polar — amplitude >= 0 with phase in degrees in [0, 360) — because that is
 how measurement bases are written down and exchanged in data files;
-from_polar_deg and polar_deg convert between the two.
+from_polar_deg and polar_deg convert between the two.  _levenberg is the
+damped Gauss-Newton core that modelfit's state search and entanglement's
+identification search share.
 """
 from __future__ import annotations
 
