@@ -332,9 +332,12 @@ def student_t_tail(t: float, df: int) -> float:
     [atan(t/sqrt(df)), pi/2], evaluated by composite Simpson quadrature.
     The grid ends where the integrand underflows, cos^(df-1) < e^-745, so
     its T_TAIL_POINTS nodes stay on the peak, whose width is about 1/sqrt(df).
+    ValueError for a NaN ``t`` or a ``df`` that is not finite and at least 1.
     """
-    if df < 1:
-        raise ValueError("df must be at least 1")
+    if math.isnan(t):
+        raise ValueError("t must not be NaN")
+    if not 1 <= df < math.inf:
+        raise ValueError(f"df must be finite and at least 1, got {df}")
     nu = float(df)
     norm_const = _half_gamma_ratio(nu) / math.sqrt(nu * math.pi)
     lo = math.atan(t / math.sqrt(nu))
@@ -357,12 +360,16 @@ def t_test_vs_threshold(samples, threshold: float, two_sided: bool = False) -> T
     Raises
     ------
     ValueError
-        For fewer than two samples or zero sample variance (the statistic
-        is undefined).
+        For fewer than two samples, a NaN or infinite sample or threshold,
+        or zero sample variance (the statistic is undefined).
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise ValueError("t test needs at least two samples")
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     mean = float(x.mean())
     std = float(x.std(ddof=1))
     if std == 0.0:

@@ -30,10 +30,6 @@ from .hilbert import (
 # Outcome labels of the product basis, in component order.
 PRODUCT_LABELS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
-# The index pairs (i, j), i < j, of a 4x4 matrix's rows or columns: its 2x2
-# minors are the 36 pairs of pairs.
-_PAIRS = np.triu_indices(4, 1)
-
 # refute_common_product_iso's Haar-random starts after the supplied ones,
 # and the stop rule it passes to hilbert._levenberg.
 SEARCH_STARTS = 4
@@ -53,10 +49,11 @@ _RESHUFFLED = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
 _MOVES = np.stack([(1j * (np.kron(g, np.eye(4)) - np.kron(np.eye(4), g.T)))[np.ix_(_RESHUFFLED, _RESHUFFLED)].T
                    for g in _NONLOCAL], axis=-1).reshape(16, 144)
 # The 36 2x2 minors a_i b_j - a_j b_i of a 4x4 matrix, rows (a, b) and
-# columns (i, j) each a pair of _PAIRS: _MINOR_ENTRIES[m] holds the flat
-# indices of minor m's entries (a_i, a_j, b_i, b_j).  Those entries
-# reversed, times _MINOR_SIGNS, are the minor's partial derivatives in them.
-# [_MINOR_ROWS, _MINOR_ENTRIES] indexes them in a (36, 16) array.
+# columns (i, j) each an index pair of _PAIRS: _MINOR_ENTRIES[m] holds the
+# flat indices of minor m's entries (a_i, a_j, b_i, b_j) (_minors).  Those
+# entries reversed, times _MINOR_SIGNS, are the minor's partial derivatives
+# in them.  [_MINOR_ROWS, _MINOR_ENTRIES] indexes them in a (36, 16) array.
+_PAIRS = np.triu_indices(4, 1)
 _MINOR_ENTRIES = np.array([4 * p[:, None] + q for p in _PAIRS for q in _PAIRS]).reshape(4, 36).T
 _MINOR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 _MINOR_ROWS = np.arange(36)[:, None]
@@ -290,16 +287,6 @@ def reshuffle(matrix) -> np.ndarray:
     return t.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(t.shape)
 
 
-def _minor_sum(r: np.ndarray) -> np.ndarray:
-    """Sum of |m|^2 over the 36 2x2 minors m of each matrix r[:, :, k] of a
-    stack (4, 4, K): sum_{i<j} s_i^2 s_j^2 over its singular values s, by
-    Cauchy-Binet, with no cancellation between large terms."""
-    i, j = _PAIRS
-    a, b = r[i], r[j]  # rows i and j of each pair
-    minors = a[:, i] * b[:, j] - a[:, j] * b[:, i]
-    return np.sum(minors.real**2 + minors.imag**2, axis=(0, 1))
-
-
 def _peak_scaled(operators) -> np.ndarray:
     """A matrix, or each of a stack, scaled by the power of two that brings
     its peak_part into [0.5, 1): exact, and every square stays finite."""
@@ -308,60 +295,38 @@ def _peak_scaled(operators) -> np.ndarray:
     return np.ldexp(parts, shift[..., None, None]).view(complex)
 
 
-def _transported_is_product(us: np.ndarray, operators: np.ndarray,
-                            rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Whether U M U^dagger has operator-Schmidt rank 1, for each unitary of a
-    stack (..., 4, 4), with one operator M or a matching stack of them.
+def _minors(flat: np.ndarray) -> tuple:
+    """The 36 2x2 minors (..., 36) of each flat 4x4 matrix of a stack
+    (..., 16), and their entries (a_i, a_j, b_i, b_j) (..., 36, 4)."""
+    s = flat[..., _MINOR_ENTRIES]
+    return s[..., 0] * s[..., 3] - s[..., 1] * s[..., 2], s
+
+
+def _transported_is_product(us: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """Whether U M U^dagger has operator-Schmidt rank 1 at RANK_TOL, for
+    stacks of unitaries and of operators, each (..., 4, 4) with at least
+    one stack axis, broadcast against each other.
 
     Each operator is first scaled by a power of two that brings its
     peak_part into [0.5, 1): that changes no rank and keeps every square
-    finite.  The stack moves to the last axis, so every product over it is
-    elementwise; a shared M is one flat matrix product.  With s the singular
-    values of the reshuffle R of the transport, F = sum s_i^2 and
-    e2 = sum_{i<j} s_i^2 s_j^2, two bounds settle nearly every entry:
-
-    * Not product: e2 > c F^2, c = max(1e-6, 100 rank_tol^2), proves
-      s_2 / s_1 > sqrt(c / 6) > 4 rank_tol, as s_1^2 s_2^2 <= e2 <=
-      6 s_1^2 s_2^2 and F >= s_1^2.  This e2 is sum_{p<q} (G_pp G_qq -
-      |G_pq|^2) over the Gram matrix G = R R^dagger; the floor on c absorbs
-      its round-off, a few 1e-16 F^2.
-    * Product: for the entries left, e2 from the exact 2x2 minors of R
-      (_minor_sum) with 64 e2 < rank_tol^2 F^2 proves s_2 / s_1 <
-      rank_tol / 2, as s_1^2 >= F / 4 gives (s_2 / s_1)^2 <= 16 e2 / F^2.
-      The factor 2 absorbs the round-off of R, e2 and the SVD.
-
-    Only the entries between the two bounds, zero operators among them, go
-    through np.linalg.svd and numerical_rank.
+    finite.  With s the singular values of the reshuffle R of the
+    transport, F = sum s_i^2 = sum |R|^2 and e2 = sum_{i<j} s_i^2 s_j^2, the
+    sum of |m|^2 over R's 36 2x2 minors m (Cauchy-Binet): 64 e2 < RANK_TOL^2
+    F^2 proves s_2 / s_1 < RANK_TOL / 2, as s_1^2 >= F / 4 gives
+    (s_2 / s_1)^2 <= 16 e2 / F^2.  The factor 2 absorbs the round-off of R,
+    e2 and the SVD.  The entries this does not prove product, zero
+    operators among them, go through one np.linalg.svd and numerical_rank.
     """
-    shape = np.shape(us)[:-2]
-    ut = np.reshape(us, (-1, 4, 4)).transpose(2, 1, 0).copy()  # ut[c, a] = U[a, c]
-    scaled = _peak_scaled(operators)
-    if scaled.ndim == 2:
-        um = (scaled.T @ ut.reshape(4, -1)).reshape(ut.shape)  # um[c, a] = (U M)[a, c]
-    else:
-        m = np.reshape(scaled, (-1, 4, 4)).transpose(1, 2, 0).copy()
-        um = m[0, :, None] * ut[0]
-        for d in range(1, 4):
-            um += m[d, :, None] * ut[d]
-    uc = ut.conj()
-    t = um[0, :, None] * uc[0]  # t[a, b] = (U M U^dagger)[a, b]
-    for c in range(1, 4):
-        t += um[c, :, None] * uc[c]
-    r = t.reshape(2, 2, 2, 2, -1).transpose(0, 2, 1, 3, 4).reshape(4, 4, -1)  # reshuffle
-    i, j = _PAIRS
-    norms = np.sum(r.real**2 + r.imag**2, axis=1)  # G_pp
-    f = norms[0] + norms[1] + norms[2] + norms[3]
-    g = r[i] * r[j].conj()
-    g = g[:, 0] + g[:, 1] + g[:, 2] + g[:, 3]  # G_pq, p < q
-    e2 = np.sum(norms[i] * norms[j] - (g.real**2 + g.imag**2), axis=0)
-    product = ~(e2 > max(1e-6, 100.0 * rank_tol**2) * f**2)
-    left = np.flatnonzero(product)
-    if left.size:
-        left = left[~(64.0 * _minor_sum(r[..., left]) < rank_tol**2 * f[left] ** 2)]
-    if left.size:
-        sigma = np.linalg.svd(np.moveaxis(r[..., left], -1, 0), compute_uv=False)
-        product[left] = numerical_rank(sigma, rank_tol) == 1
-    return product.reshape(shape)
+    r = reshuffle(us @ _peak_scaled(operators) @ us.conj().swapaxes(-1, -2))
+    flat = r.reshape(*r.shape[:-2], 16)
+    minors, _ = _minors(flat)
+    e2 = np.sum(minors.real**2 + minors.imag**2, axis=-1)
+    f = np.sum(flat.real**2 + flat.imag**2, axis=-1)
+    product = 64.0 * e2 < RANK_TOL**2 * f**2
+    left = ~product
+    if left.any():
+        product[left] = numerical_rank(np.linalg.svd(r[left], compute_uv=False)) == 1
+    return product
 
 
 def _operator_schmidt_of_transported(transported: np.ndarray) -> OperatorSchmidt:
@@ -541,16 +506,15 @@ def _minor_residuals(us: np.ndarray, operators: np.ndarray) -> tuple:
 
     r holds the real and imaginary parts of the 36 2x2 minors of each R_k =
     reshuffle(U M_k U^dagger), so |r|^2 = sum_k sum_{i<j} s_i^2 s_j^2 over
-    the singular values s of R_k (_minor_sum).  Under U <- exp(iH) U with
+    the singular values s of R_k (Cauchy-Binet).  Under U <- exp(iH) U with
     H = sum_g h_g G_g, T = U M U^dagger moves by i (G_g T - T G_g) per unit
     of h_g; its reshuffle carries through each minor by the product rule.
     """
     count, k = len(us), len(operators)
     t = us[:, None] @ operators @ us.conj().swapaxes(-1, -2)[:, None]
     x = t.reshape(count * k, 16)[:, _RESHUFFLED]  # each R_k, flat
-    s = x[:, _MINOR_ENTRIES]  # (B K, 36, 4)
+    minors, s = _minors(x)
     w = s[..., ::-1] * _MINOR_SIGNS
-    minors = s[..., 0] * w[..., 0] + s[..., 1] * w[..., 1]
     # d minor / d entry, for each minor and each flat entry of R_k
     weights = np.zeros((count * k, 36, 16), dtype=complex)
     weights[:, _MINOR_ROWS, _MINOR_ENTRIES] = w
@@ -609,10 +573,7 @@ def refute_common_product_iso(operators, extra_isos=(), seed: int = 0) -> Produc
     us, objectives, _, _ = _levenberg(
         lambda u: _minor_residuals(u, unit), starts, SEARCH_TARGET, SEARCH_MIN_DECREASE, SEARCH_STALL,
         SEARCH_ITERATIONS, retract=_retract)
-    product = np.ones(len(us), dtype=bool)
-    for op in ops:
-        product &= _transported_is_product(us, op)
-    hits = np.flatnonzero(product)
+    hits = np.flatnonzero(_transported_is_product(us[:, None], ops).all(axis=1))
     witness = Isomorphism(us[hits[0]], name="search") if hits.size else None
     return ProductIsoSearchResult(found=bool(hits.size), witness=witness, trials=len(us),
                                   objective=float(objectives.min()))

@@ -29,12 +29,11 @@ the squared 2x2 minors of the four reshuffled transports
 (entanglement.refute_common_product_iso); it passes when no start ends
 product and the best objective stays at least SEARCH_FLOOR.  Where
 shared-basis-evolutions and that search's end test operator-Schmidt rank,
-entanglement._transported_is_product settles nearly every operator without
-an SVD: a Gram-matrix bound rules out rank 1 for clearly entangled ones,
-and a bound on the exact 2x2 minors of the reshuffle proves rank 1 for
-product ones.  t-tail-reference compares the
-statistics module's quadrature with the closed-form finite sums of
-Abramowitz & Stegun 26.7.3-26.7.4.
+entanglement._transported_is_product transports a whole stack by plain
+matrix products: a bound on the exact 2x2 minors of the reshuffle proves
+rank 1 for product operators, and one SVD call settles the rest.
+t-tail-reference compares the statistics module's quadrature with the
+closed-form finite sums of Abramowitz & Stegun 26.7.3-26.7.4.
 """
 from __future__ import annotations
 
@@ -275,8 +274,9 @@ def _factorization_deviations(families: np.ndarray, states: np.ndarray) -> np.nd
 
 def _evolution_products(isos: np.ndarray, families: dict) -> np.ndarray:
     """Whether each evolution of EVOLUTION_PAIRS is product through its
-    trial's iso, as is_product_evolution finds it: shape (T, 2).  The
-    evolutions are checked as Evolution checks them."""
+    trial's iso, as is_product_evolution finds it: shape (T, 2), from the
+    exact minors of each transport and an SVD of those they do not prove
+    product.  The evolutions are checked as Evolution checks them."""
     products = []
     for src, dst in EVOLUTION_PAIRS:
         evolutions = families[dst] @ _dagger(families[src])

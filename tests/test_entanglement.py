@@ -655,8 +655,8 @@ def test_search_jacobian_matches_central_differences():
     assert r.shape == (3, 288) and jac.shape == (3, 288, 9)
     # |r|^2 is sum_{i<j} s_i^2 s_j^2 of each reshuffled transport
     transports = reshuffle(us[:, None] @ operators @ us.conj().swapaxes(-1, -2)[:, None])
-    minor_sums = entanglement._minor_sum(np.moveaxis(transports.reshape(12, 4, 4), 0, -1)).reshape(3, 4)
-    np.testing.assert_allclose(np.sum(r**2, axis=1), minor_sums.sum(axis=1), rtol=1e-12)
+    minors, _ = entanglement._minors(transports.reshape(3, 4, 16))
+    np.testing.assert_allclose(np.sum(r**2, axis=1), np.sum(np.abs(minors) ** 2, axis=(1, 2)), rtol=1e-12)
     step = 1e-6
     for g in range(9):
         h = np.zeros((3, 9))
@@ -682,8 +682,7 @@ def _ginibre(rng, *shape):
     return rng.standard_normal((*shape, 4, 4)) + 1j * rng.standard_normal((*shape, 4, 4))
 
 
-@pytest.mark.parametrize("rank_tol", [1e-12, 1e-7, 1e-3, 0.3])
-def test_product_verdict_matches_the_svd_rank_on_near_product_operators(rank_tol):
+def test_product_verdict_matches_the_svd_rank_on_near_product_operators():
     rng = np.random.default_rng(71)
     n = 2000
     a = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
@@ -701,13 +700,51 @@ def test_product_verdict_matches_the_svd_rank_on_near_product_operators(rank_tol
             operators = scale * near
             sigma = np.linalg.svd(reshuffle(us @ operators @ us.conj().swapaxes(-1, -2)),
                                   compute_uv=False)
-            expected = numerical_rank(sigma, rank_tol) == 1
-            got = entanglement._transported_is_product(us, operators, rank_tol)
+            expected = numerical_rank(sigma) == 1
+            got = entanglement._transported_is_product(us, operators)
             np.testing.assert_array_equal(got, expected)
             assert not got[0]  # the zero operator has rank 0
             verdicts.append(got)
-    if rank_tol < 0.3:
-        assert 0 < np.sum(verdicts) < np.size(verdicts)  # both verdicts occur
+    assert 0 < np.sum(verdicts) < np.size(verdicts)  # both verdicts occur
+
+
+def _final_search_unitaries(monkeypatch, operators):
+    """The final unitary of every start of the row's search on ``operators``."""
+    finals = []
+    core = entanglement._levenberg
+
+    def recording(*args, **kwargs):
+        out = core(*args, **kwargs)
+        finals.append(out[0])
+        return out
+
+    monkeypatch.setattr(entanglement, "_levenberg", recording)
+    refute_common_product_iso(operators, extra_isos=_reference_operators_and_isos()[1], seed=0)
+    monkeypatch.undo()
+    return finals[0]
+
+
+def test_product_verdict_pairs_a_stack_of_unitaries_with_a_stack_of_operators(monkeypatch):
+    # unitaries (N, 1, 4, 4) against operators (K, 4, 4): each pair's verdict
+    # is the SVD rank of the public route
+    rng = np.random.default_rng(79)
+    us = entanglement._haar_unitaries(_ginibre(rng, 6))
+    m = _ginibre(rng, 5)
+    operators = m + m.conj().swapaxes(-1, -2)
+    for k in (0, 2, 4):  # product through unitary k
+        a, b = (h + h.conj().T for h in (random_unitary(rng, 2), random_unitary(rng, 2)))
+        operators[k] = us[k].conj().T @ np.kron(a, b) @ us[k]
+    reference, _ = _reference_operators_and_isos()
+    _, planted = _planted_conjugation()
+    cases = [(us, operators)] + [(_final_search_unitaries(monkeypatch, ops), np.array(ops))
+                                 for ops in (reference, planted)]
+    found = []
+    for stack, ops in cases:
+        got = entanglement._transported_is_product(stack[:, None], ops)
+        expected = [[operator_schmidt(op, Isomorphism(u)).rank() == 1 for op in ops] for u in stack]
+        np.testing.assert_array_equal(got, expected)
+        found.append(int(got.sum()))
+    assert found[0] == 3 and found[2] >= len(planted)  # the planted search ends product
 
 
 def _svd_rows(monkeypatch):
@@ -737,19 +774,21 @@ def test_minor_sum_is_the_sum_of_products_of_squared_singular_value_pairs():
     m = _ginibre(rng, 1000) * 10.0 ** rng.uniform(-3.0, 3.0, (1000, 1, 1))
     s2 = np.linalg.svd(m, compute_uv=False) ** 2
     e2 = sum(s2[:, a] * s2[:, b] for a in range(4) for b in range(a + 1, 4))
-    got = entanglement._minor_sum(np.moveaxis(m, 0, -1))
+    minors, _ = entanglement._minors(m.reshape(1000, 16))
+    got = np.sum(minors.real**2 + minors.imag**2, axis=-1)
     assert np.max(np.abs(got / e2 - 1.0)) <= 1e-12
 
 
 def test_reference_search_rules_out_nearly_every_candidate_without_an_svd(monkeypatch):
-    # the least-squares steps take no SVD, and the final rank verdicts of
-    # every start are settled by the Gram and minor bounds
+    # the least-squares steps take no SVD; the final rank verdicts of every
+    # start and operator that the minors do not prove product go through
+    # one SVD call
     operators, extra = _reference_operators_and_isos()
     rows = _svd_rows(monkeypatch)
     result = refute_common_product_iso(operators, extra_isos=extra, seed=0)
     monkeypatch.undo()
     assert not result.found and result.trials == len(extra) + entanglement.SEARCH_STARTS
-    assert sum(rows) <= 4
+    assert len(rows) == 1 and rows[0] <= result.trials * len(operators)
 
 
 # ---------------------------------------------------------------------------

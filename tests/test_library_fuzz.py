@@ -19,6 +19,8 @@ from bellkit.bellstats import (
     ExperimentDataset,
     chsh,
     marginal_deviations,
+    student_t_tail,
+    t_test_vs_threshold,
 )
 from bellkit.entanglement import (
     Evolution,
@@ -64,9 +66,15 @@ UNIT_FACTORS = [np.eye(2) / math.sqrt(2)] * 4
     (lambda: FitResult(NAN, True, np.eye(4), None), "misfit must be nonnegative"),
     (lambda: CoincidenceTable("AB", 0.0, 0.0, 0.0, 0.0, sum_tol=NAN), "tolerance must lie in \\[0, 1\\)"),
     (lambda: fit_state(reference_fixture()[2], target_misfit=NAN), "target_misfit must be finite and positive"),
+    (lambda: student_t_tail(NAN, 5), "t must not be NaN"),
+    (lambda: student_t_tail(1.0, NAN), "df must be finite and at least 1, got nan"),
+    (lambda: t_test_vs_threshold([1.0, NAN, 2.0], 0.5), "samples must be finite"),
+    (lambda: t_test_vs_threshold([1.0, math.inf, 2.0], 0.5), "samples must be finite"),
+    (lambda: t_test_vs_threshold([1.0, 2.0, 3.0], NAN), "threshold must be finite, got nan"),
 ], ids=["check_unitary", "Isomorphism", "Evolution", "orthonormalize", "canonical_iso_of", "synthesize",
         "ObservableModel", "SchmidtDecomposition", "OperatorSchmidt", "FitResult", "CoincidenceTable",
-        "fit_state"])
+        "fit_state", "student_t_tail-t", "student_t_tail-df", "t_test-nan-sample", "t_test-inf-sample",
+        "t_test-threshold"])
 def test_nan_fails_every_bound_check(build, message):
     with pytest.raises(ValueError, match=message):
         build()
