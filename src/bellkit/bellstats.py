@@ -348,7 +348,7 @@ def student_t_tail(t: float, df: int) -> float:
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     integral = float(np.dot(weights, integrand)) * (theta[1] - theta[0]) / 3.0
-    return norm_const * math.sqrt(nu) * integral
+    return float(norm_const * math.sqrt(nu) * integral)
 
 
 def t_test_vs_threshold(samples, threshold: float, two_sided: bool = False) -> TTestResult:
@@ -357,11 +357,17 @@ def t_test_vs_threshold(samples, threshold: float, two_sided: bool = False) -> T
     The default reports the one-sided tail P(T > t); pass two_sided=True for
     the symmetric alternative.
 
+    The samples and the threshold are scaled by the power of two that
+    brings the largest sample magnitude into [0.5, 1), so no square of a
+    finite sample overflows; the scaling is exact, and samples of normal
+    size give the bits of the unscaled arithmetic.
+
     Raises
     ------
     ValueError
         For fewer than two samples, a NaN or infinite sample or threshold,
-        or zero sample variance (the statistic is undefined).
+        zero sample variance (the statistic is undefined), or a sample
+        standard deviation beyond the float range.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
@@ -370,12 +376,18 @@ def t_test_vs_threshold(samples, threshold: float, two_sided: bool = False) -> T
         raise ValueError("samples must be finite")
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
+    shift = -math.frexp(float(np.abs(x).max()))[1]
+    x = np.ldexp(x, shift)
     mean = float(x.mean())
     std = float(x.std(ddof=1))
     if std == 0.0:
         raise ValueError("zero sample variance: t statistic undefined")
     df = int(x.size - 1)
-    statistic = (mean - threshold) / (std / math.sqrt(x.size))
+    with np.errstate(over="ignore"):  # past the float range: inf, refused below for the std
+        statistic = (mean - float(np.ldexp(threshold, shift))) / (std / math.sqrt(x.size))
+        mean, std = float(np.ldexp(mean, -shift)), float(np.ldexp(std, -shift))
+    if math.isinf(std):
+        raise ValueError("sample standard deviation beyond the float range")
     if two_sided:
         p = 2.0 * student_t_tail(abs(statistic), df)
     else:

@@ -4,7 +4,8 @@ Exit codes separate failure classes so scripts can react: 0 success,
 2 structural parse error, 3 domain validation error, 4 a golden check or a
 required convergence failed.  Reports embed the input file hash, the seed,
 and the tool version — never timestamps — so identical invocations produce
-identical output, except the ``elapsed_ms`` of each verify-paper JSON row.
+identical output, except the ``elapsed_ms`` of each verify-paper JSON row:
+the wall time of that row, which no verdict reads.
 
 ``main(argv)`` may be called repeatedly in one process.  The argument
 parser and the identifications of the four built-in reference models are

@@ -6,7 +6,10 @@ operator matrices) and runs the seeded property suites (factorization,
 evolution structure, the CHSH bound, fit convergence).  Each check yields
 one row with the measured value, the expected value, the tolerance, and a
 pass/fail flag, so the command line can print a compact table and scripts
-can gate on the aggregate result.
+can gate on the aggregate result.  Each ``_check_*`` is a plain function of
+its data: no verdict reads the clock.  ``run_verification`` alone times the
+rows, each whole check, into ``CheckRow.elapsed_ms``; the runtime budgets
+are asserted in the acceptance tests, not here.
 
 The three seeded suites (product-factorization, shared-basis-evolutions,
 tsirelson-bound) run over a stack of trials at once.  Each makes one
@@ -103,7 +106,12 @@ ROUTE_TOL = 1e-12
 
 
 class CheckRow(_Record):
-    """One verification row: measured vs expected at a stated tolerance."""
+    """One verification row: measured vs expected at a stated tolerance.
+
+    ``passed`` depends on the measured values only.  ``elapsed_ms`` is the
+    wall time of the whole check, set by run_verification; the CLI prints
+    it in JSON rows only.
+    """
 
     def __init__(self, name: str, passed: bool, measured: str, expected: str, tolerance: str,
                  note: str = "", elapsed_ms: float = 0.0):
@@ -123,17 +131,6 @@ class CheckRow(_Record):
             "note": self.note,
             "elapsed_ms": float(self.elapsed_ms),
         }
-
-
-def _timed(fn, repeats: int = 1):
-    """Run ``fn`` ``repeats`` times; return (last result, best wall seconds)."""
-    best = math.inf
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return result, best
 
 
 def _unit_rows(z: np.ndarray) -> np.ndarray:
@@ -322,25 +319,23 @@ def _route_note(trial: int, gap: float) -> str:
 
 
 def _check_chsh_values(dataset) -> CheckRow:
-    report, elapsed = _timed(lambda: chsh(dataset), repeats=5)
+    report = chsh(dataset)
     worst = max(abs(report.e_values[k] - EXPECTED_E[k]) for k in EXPERIMENT_KEYS)
     worst = max(worst, abs(report.chsh - EXPECTED_CHSH))
     measured = ", ".join(f"E({k})={report.e_values[k]:+.5f}" for k in EXPERIMENT_KEYS)
     expected = ", ".join(f"E({k})={EXPECTED_E[k]:+.4f}" for k in EXPERIMENT_KEYS)
     return CheckRow(
         name="chsh-values",
-        passed=worst <= 5e-4 and elapsed < 1e-3,
+        passed=worst <= 5e-4,
         measured=f"{measured}, CHSH={report.chsh:.5f}",
         expected=f"{expected}, CHSH={EXPECTED_CHSH}",
-        tolerance="5e-4 each; runtime < 1 ms",
+        tolerance="5e-4 each",
         note=f"violation verdict {report.violates}, bound gap {report.tsirelson_gap:.5f}",
-        elapsed_ms=elapsed * 1e3,
     )
 
 
 def _check_marginal_witnesses(dataset) -> CheckRow:
-    rows, elapsed = _timed(lambda: marginal_deviations(dataset), repeats=5)
-    first_outcome = {r.side: r for r in rows if r.outcome == 1}
+    first_outcome = {r.side: r for r in marginal_deviations(dataset) if r.outcome == 1}
     worst = 0.0
     measured_parts = []
     expected_parts = []
@@ -351,57 +346,42 @@ def _check_marginal_witnesses(dataset) -> CheckRow:
         expected_parts.append(f"p({side}=1): {lhs_expected} vs {rhs_expected}")
     return CheckRow(
         name="marginal-witnesses",
-        passed=worst <= 1e-3 and elapsed < 1e-3,
+        passed=worst <= 1e-3,
         measured="; ".join(measured_parts),
         expected="; ".join(expected_parts),
-        tolerance="1e-3 each; runtime < 1 ms",
+        tolerance="1e-3 each",
         note="same-side marginals from the two experiments sharing that side",
-        elapsed_ms=elapsed * 1e3,
     )
 
 
 def _check_model_probabilities(fixture: tuple) -> CheckRow:
     state, models, dataset = fixture
-
-    def worst_dev():
-        worst = 0.0
-        for key in EXPERIMENT_KEYS:
-            table = probabilities_from_model(state, models[key])
-            worst = max(
-                worst, float(np.max(np.abs(table.probabilities - dataset.tables[key].probabilities)))
-            )
-        return worst
-
-    worst, elapsed = _timed(worst_dev)
+    worst = 0.0
+    for key in EXPERIMENT_KEYS:
+        table = probabilities_from_model(state, models[key])
+        worst = max(worst, float(np.max(np.abs(table.probabilities - dataset.tables[key].probabilities))))
     return CheckRow(
         name="model-probabilities",
         passed=worst <= 0.03,
         measured=f"worst of 16 coincidence probabilities off by {worst:.4f}",
         expected="reference tables reproduced from the rounded state and bases",
         tolerance="0.03 (two-decimal inputs)",
-        elapsed_ms=elapsed * 1e3,
     )
 
 
 def _check_operator_entries(fixture: tuple) -> CheckRow:
     _, models, _ = fixture
-
-    def worst_dev():
-        published = reference_published_operators()
-        worst = 0.0
-        for key in EXPERIMENT_KEYS:
-            diff = models[key].operator - published[key]
-            worst = max(worst, float(np.max(np.abs(diff.real))), float(np.max(np.abs(diff.imag))))
-        return worst
-
-    worst, elapsed = _timed(worst_dev)
+    published = reference_published_operators()
+    worst = 0.0
+    for key in EXPERIMENT_KEYS:
+        diff = models[key].operator - published[key]
+        worst = max(worst, float(np.max(np.abs(diff.real))), float(np.max(np.abs(diff.imag))))
     return CheckRow(
         name="operator-entries",
         passed=worst <= 0.01,
         measured=f"worst entry deviation {worst:.4f} (real/imaginary parts)",
         expected="synthesized operators match the published matrices",
         tolerance="0.01 per part (three-decimal references)",
-        elapsed_ms=elapsed * 1e3,
     )
 
 
@@ -410,25 +390,20 @@ FACTORIZATION_PAIRS = 1000
 
 def _check_product_factorization() -> CheckRow:
     seed = 101
-
-    def run():
-        _, families, states = _pair_stack(np.random.default_rng(seed), FACTORIZATION_PAIRS)
-        deviations = _factorization_deviations(families, states)
-        i = int(np.argmax(deviations))
-        _, family, state = _random_product_pair(_redraw(seed, i, PAIR_LAYOUT))
-        gap = max(abs(check_factorization(state, family).max_deviation - deviations[i]),
-                  _model_gap({"": families}, states, i, {"": family}, state))
-        return float(deviations[i]), _route_note(i, gap)
-
-    (worst, disagreement), elapsed = _timed(run)
+    _, families, states = _pair_stack(np.random.default_rng(seed), FACTORIZATION_PAIRS)
+    deviations = _factorization_deviations(families, states)
+    i = int(np.argmax(deviations))
+    _, family, state = _random_product_pair(_redraw(seed, i, PAIR_LAYOUT))
+    gap = max(abs(check_factorization(state, family).max_deviation - deviations[i]),
+              _model_gap({"": families}, states, i, {"": family}, state))
+    worst, disagreement = float(deviations[i]), _route_note(i, gap)
     return CheckRow(
         name="product-factorization",
-        passed=worst <= 1e-10 and not disagreement and elapsed < 1.0,
+        passed=worst <= 1e-10 and not disagreement,
         measured=f"worst joint-vs-marginal-product deviation {worst:.2e}",
         expected="joint probabilities factorize for product state/measurement pairs",
-        tolerance="1e-10; runtime < 1 s",
+        tolerance="1e-10",
         note=f"{FACTORIZATION_PAIRS} seeded random pairs{disagreement}",
-        elapsed_ms=elapsed * 1e3,
     )
 
 
@@ -437,56 +412,43 @@ EVOLUTION_QUARTETS = 500
 
 def _check_shared_basis_evolutions() -> CheckRow:
     seed = 102
-
-    def run():
-        isos, families, states = _quartet_stack(np.random.default_rng(seed), EVOLUTION_QUARTETS)
-        non_product = np.sum(~_evolution_products(isos, families), axis=1)
-        marginal = _worst_marginal_deviation(_table_stack(families, states))
-        i = int(np.argmax(non_product) if non_product.any() else np.argmax(marginal))
-        iso, trial_families, psi = _random_quartet(_redraw(seed, i, QUARTET_LAYOUT))
-        failures = sum(
-            not is_product_evolution(evolution_between(trial_families[src], trial_families[dst]), iso)
-            for src, dst in EVOLUTION_PAIRS
-        )
-        rows = marginal_deviations(_trial_tables(trial_families, psi))
-        deviation = max(row.deviation for row in rows)
-        gap = max(abs(failures - non_product[i]), abs(deviation - marginal[i]),
-                  _model_gap(families, states, i, trial_families, psi))
-        return float(marginal.max()), int(non_product.sum()), _route_note(i, gap)
-
-    (worst_marginal, product_failures, disagreement), elapsed = _timed(run)
+    isos, families, states = _quartet_stack(np.random.default_rng(seed), EVOLUTION_QUARTETS)
+    non_product = np.sum(~_evolution_products(isos, families), axis=1)
+    marginal = _worst_marginal_deviation(_table_stack(families, states))
+    i = int(np.argmax(non_product) if non_product.any() else np.argmax(marginal))
+    iso, trial_families, psi = _random_quartet(_redraw(seed, i, QUARTET_LAYOUT))
+    failures = sum(
+        not is_product_evolution(evolution_between(trial_families[src], trial_families[dst]), iso)
+        for src, dst in EVOLUTION_PAIRS
+    )
+    deviation = max(row.deviation for row in marginal_deviations(_trial_tables(trial_families, psi)))
+    gap = max(abs(failures - non_product[i]), abs(deviation - marginal[i]),
+              _model_gap(families, states, i, trial_families, psi))
+    worst_marginal, product_failures = float(marginal.max()), int(non_product.sum())
+    disagreement = _route_note(i, gap)
     return CheckRow(
         name="shared-basis-evolutions",
-        passed=product_failures == 0 and worst_marginal <= 1e-10 and not disagreement
-        and elapsed < 5.0,
+        passed=product_failures == 0 and worst_marginal <= 1e-10 and not disagreement,
         measured=(
             f"{product_failures} non-product evolutions, "
             f"worst marginal deviation {worst_marginal:.2e}"
         ),
         expected="evolutions between same-basis product measurements are product; "
         "marginals stay put",
-        tolerance="rank tolerance 1e-7, marginals 1e-10; runtime < 5 s",
+        tolerance="rank tolerance 1e-7, marginals 1e-10",
         note=f"{EVOLUTION_QUARTETS} seeded measurement quartets = "
         f"{2 * EVOLUTION_QUARTETS} evolution pairs{disagreement}",
-        elapsed_ms=elapsed * 1e3,
     )
 
 
 def _check_own_basis_product_form(fixture: tuple) -> CheckRow:
     state, models, _ = fixture
-
-    def run():
-        ranks = {}
-        for key in EXPERIMENT_KEYS:
-            iso = canonical_iso_of(models[key])
-            ranks[key] = operator_schmidt(models[key].operator, iso).rank()
-        image_ab = canonical_iso_of(models["AB"]).apply(state)
-        image_abp = canonical_iso_of(models["AB'"]).apply(state)
-        overlap = abs(np.vdot(image_ab, image_abp))
-        same = states_equal_up_to_phase(image_ab, image_abp)
-        return ranks, overlap, same
-
-    (ranks, overlap, same), elapsed = _timed(run)
+    ranks = {key: operator_schmidt(models[key].operator, canonical_iso_of(models[key])).rank()
+             for key in EXPERIMENT_KEYS}
+    image_ab = canonical_iso_of(models["AB"]).apply(state)
+    image_abp = canonical_iso_of(models["AB'"]).apply(state)
+    overlap = abs(np.vdot(image_ab, image_abp))
+    same = states_equal_up_to_phase(image_ab, image_abp)
     rank_text = ", ".join(f"{key}: {ranks[key]}" for key in EXPERIMENT_KEYS)
     return CheckRow(
         name="own-basis-product-form",
@@ -495,7 +457,6 @@ def _check_own_basis_product_form(fixture: tuple) -> CheckRow:
         expected="rank 1 under each measurement's own identification; overlap < 0.99",
         tolerance="rank tolerance 1e-7",
         note="the state's two contextual images are genuinely different vectors",
-        elapsed_ms=elapsed * 1e3,
     )
 
 
@@ -507,14 +468,10 @@ SEARCH_FLOOR = 1e-2
 
 def _check_no_common_product_basis(fixture: tuple) -> CheckRow:
     _, models, _ = fixture
-
-    def run():
-        operators = [models[key].operator for key in EXPERIMENT_KEYS]
-        canonical_ranks = [operator_schmidt(op).rank() for op in operators]
-        extra = [canonical_iso_of(models[key]) for key in EXPERIMENT_KEYS]
-        return canonical_ranks, refute_common_product_iso(operators, extra_isos=extra, seed=0)
-
-    (canonical_ranks, result), elapsed = _timed(run)
+    operators = [models[key].operator for key in EXPERIMENT_KEYS]
+    canonical_ranks = [operator_schmidt(op).rank() for op in operators]
+    extra = [canonical_iso_of(models[key]) for key in EXPERIMENT_KEYS]
+    result = refute_common_product_iso(operators, extra_isos=extra, seed=0)
     return CheckRow(
         name="no-common-product-basis",
         passed=any(rank > 1 for rank in canonical_ranks) and not result.found
@@ -529,7 +486,6 @@ def _check_no_common_product_basis(fixture: tuple) -> CheckRow:
         f"the four own bases plus {SEARCH_STARTS} seeded starts",
         note="modulo local unitaries 9 dimensions are free and each measurement costs 4 to be product, "
         "so two fit and four in general do not; a not-found result is evidence, not proof",
-        elapsed_ms=elapsed * 1e3,
     )
 
 
@@ -538,17 +494,13 @@ TSIRELSON_MODELS = 1000
 
 def _check_tsirelson_bound() -> CheckRow:
     seed = 103
-
-    def run():
-        _, families, states = _quartet_stack(np.random.default_rng(seed), TSIRELSON_MODELS)
-        values = np.abs(_chsh_values(_table_stack(families, states)))
-        i = int(np.argmax(values))
-        _, trial_families, psi = _random_quartet(_redraw(seed, i, QUARTET_LAYOUT))
-        reference = abs(chsh(_trial_tables(trial_families, psi)).chsh)
-        gap = max(abs(reference - values[i]), _model_gap(families, states, i, trial_families, psi))
-        return float(values[i]), _route_note(i, gap)
-
-    (worst, disagreement), elapsed = _timed(run)
+    _, families, states = _quartet_stack(np.random.default_rng(seed), TSIRELSON_MODELS)
+    values = np.abs(_chsh_values(_table_stack(families, states)))
+    i = int(np.argmax(values))
+    _, trial_families, psi = _random_quartet(_redraw(seed, i, QUARTET_LAYOUT))
+    reference = abs(chsh(_trial_tables(trial_families, psi)).chsh)
+    gap = max(abs(reference - values[i]), _model_gap(families, states, i, trial_families, psi))
+    worst, disagreement = float(values[i]), _route_note(i, gap)
     return CheckRow(
         name="tsirelson-bound",
         passed=worst <= TSIRELSON_BOUND + 1e-9 and not disagreement,
@@ -556,27 +508,20 @@ def _check_tsirelson_bound() -> CheckRow:
         expected=f"|CHSH| <= 2*sqrt(2) = {TSIRELSON_BOUND:.6f} for product models",
         tolerance="1e-9 slack",
         note=f"{TSIRELSON_MODELS} seeded single-identification product models{disagreement}",
-        elapsed_ms=elapsed * 1e3,
     )
 
 
 def _check_basis_fit_convergence(fixture: tuple) -> CheckRow:
     state, _, dataset = fixture
-
-    def run():
-        fits = [fit_basis(state, dataset.tables[key], target_misfit=1e-8)
-                for key in EXPERIMENT_KEYS]
-        return (max(fit.misfit for fit in fits),
-                max(unitary_deviation(fit.matrix) for fit in fits))
-
-    (worst_misfit, worst_unitarity), elapsed = _timed(run)
+    fits = [fit_basis(state, dataset.tables[key], target_misfit=1e-8) for key in EXPERIMENT_KEYS]
+    worst_misfit = max(fit.misfit for fit in fits)
+    worst_unitarity = max(unitary_deviation(fit.matrix) for fit in fits)
     return CheckRow(
         name="basis-fit-convergence",
-        passed=worst_misfit <= 1e-8 and worst_unitarity <= 1e-12 and elapsed < 60.0,
+        passed=worst_misfit <= 1e-8 and worst_unitarity <= 1e-12,
         measured=f"worst misfit {worst_misfit:.2e}, worst unitarity error {worst_unitarity:.2e}",
         expected="all four reference tables fit from the reference state",
-        tolerance="misfit 1e-8; each basis unitary within 1e-12; runtime < 60 s",
-        elapsed_ms=elapsed * 1e3,
+        tolerance="misfit 1e-8; each basis unitary within 1e-12",
     )
 
 
@@ -620,11 +565,7 @@ def _reference_t_tail(t: float, df: int) -> float:
 
 def _check_t_tail_reference() -> CheckRow:
     points = ((0.534522483824849, 3), (2.0, 10), (1.2, 80), (2.66, 80), (0.0, 7), (-1.0, 5))
-
-    def worst_dev():
-        return max(abs(student_t_tail(t, df) - _reference_t_tail(t, df)) for t, df in points)
-
-    worst, elapsed = _timed(worst_dev)
+    worst = max(abs(student_t_tail(t, df) - _reference_t_tail(t, df)) for t, df in points)
     return CheckRow(
         name="t-tail-reference",
         passed=worst <= 1e-6,
@@ -632,7 +573,6 @@ def _check_t_tail_reference() -> CheckRow:
         expected="the quadrature agrees with the closed-form finite sum",
         tolerance="1e-6",
         note=f"checked at {len(points)} (t, df) points including df = 80",
-        elapsed_ms=elapsed * 1e3,
     )
 
 
@@ -641,22 +581,30 @@ def run_verification(dataset=None) -> list:
 
     The reference fixture is built once and shared by the rows that read
     it; none of them changes it.  Returns a list of CheckRow.  The aggregate
-    verdict is ``all(row.passed for row in rows)``.
+    verdict is ``all(row.passed for row in rows)``.  The one clock of the
+    module times each whole check into its row's ``elapsed_ms``.
     """
     fixture = reference_fixture()
     if dataset is None:
         dataset = fixture[2]
-    return [
-        _check_chsh_values(dataset),
-        _check_marginal_witnesses(dataset),
-        _check_model_probabilities(fixture),
-        _check_operator_entries(fixture),
-        _check_product_factorization(),
-        _check_shared_basis_evolutions(),
-        _check_own_basis_product_form(fixture),
-        _check_no_common_product_basis(fixture),
-        _check_tsirelson_bound(),
-        _check_basis_fit_convergence(fixture),
-        _check_p_value_context(),
-        _check_t_tail_reference(),
-    ]
+    checks = (
+        (_check_chsh_values, dataset),
+        (_check_marginal_witnesses, dataset),
+        (_check_model_probabilities, fixture),
+        (_check_operator_entries, fixture),
+        (_check_product_factorization,),
+        (_check_shared_basis_evolutions,),
+        (_check_own_basis_product_form, fixture),
+        (_check_no_common_product_basis, fixture),
+        (_check_tsirelson_bound,),
+        (_check_basis_fit_convergence, fixture),
+        (_check_p_value_context,),
+        (_check_t_tail_reference,),
+    )
+    rows = []
+    for check, *args in checks:
+        start = time.perf_counter()
+        row = check(*args)
+        row.elapsed_ms = (time.perf_counter() - start) * 1e3
+        rows.append(row)
+    return rows

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -377,6 +378,32 @@ class TestTTest:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="variance"):
             t_test_vs_threshold([2.0, 2.0, 2.0], 2.0)
+
+    @pytest.mark.parametrize("samples, statistic", [
+        ([1e200, 1e200, 1.0], 2.0),  # the statistic of [1, 1, 0]
+        ([1e308, 1e308, -1e308], 0.5),
+    ])
+    def test_large_finite_samples_do_not_overflow(self, samples, statistic):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = t_test_vs_threshold(samples, 0.0)
+        assert res.statistic == pytest.approx(statistic, rel=1e-15)
+        # P(T > t) at df = 2 is 1/2 - t / (2 sqrt(t^2 + 2))
+        assert res.p_value == pytest.approx(0.5 - statistic / (2.0 * math.sqrt(statistic**2 + 2.0)), abs=1e-12)
+        assert type(res.p_value) is float
+        assert res.sample_mean == pytest.approx(sum(s / 3.0 for s in samples), rel=1e-15)
+        assert math.isfinite(res.sample_std)
+
+    def test_standard_deviation_beyond_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="sample standard deviation beyond the float range"):
+            t_test_vs_threshold([1.7e308, -1.7e308], 0.0)
+
+    def test_statistic_beyond_the_float_range_is_infinite_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = t_test_vs_threshold([0.1, 0.2, 0.3], 1.7e308)
+        assert res.statistic == -math.inf
+        assert res.sample_mean == pytest.approx(0.2, rel=1e-15)
 
     def test_negative_statistic_tail_above_half(self):
         res = t_test_vs_threshold([1.0, 1.5, 2.0, 1.2], 2.0)

@@ -251,3 +251,15 @@ def test_run_verification_builds_the_reference_fixture_once_and_leaves_it_unchan
     for key in fresh_models:
         assert np.array_equal(models[key].operator, fresh_models[key].operator), key
         assert np.array_equal(dataset.tables[key].probabilities, fresh_dataset.tables[key].probabilities), key
+
+
+def test_no_verdict_reads_the_clock(monkeypatch):
+    unpatched = verify.run_verification()
+    readings = iter(range(0, 10**6, 100))  # a clock that advances 100 s per reading
+    monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: float(next(readings))))
+    rows = verify.run_verification()
+    assert len(rows) == 12 and all(row.passed for row in rows)
+    for row, reference in zip(rows, unpatched):
+        assert row.to_dict() | {"elapsed_ms": 0.0} == reference.to_dict() | {"elapsed_ms": 0.0}, row.name
+        # two readings per row, both at the one timing site
+        assert row.elapsed_ms == 100_000.0, row.name

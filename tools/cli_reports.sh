@@ -67,6 +67,7 @@ for row in doc["checks"]:
 print(json.dumps(doc, sort_keys=True))
 ' "$out/verify-paper-json.out" > "$out/verify-paper-json.tmp"
 mv "$out/verify-paper-json.tmp" "$out/verify-paper-json.out"
+run verify-paper-file verify-paper "$data/reference_dataset_counts.json"
 run analyze-counts analyze "$data/reference_dataset_counts.json"
 run analyze-probs analyze "$data/reference_dataset.json"
 run fit fit "$data/reference_dataset_counts.json" --restarts 2 --seed 3 --format json
