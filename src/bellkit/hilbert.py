@@ -103,9 +103,7 @@ def tensor(u, v) -> np.ndarray:
     return np.kron(_values(u), _values(v))
 
 
-def tensor_op(a, b) -> np.ndarray:
-    """Tensor product of two operators in the same component ordering."""
-    return np.kron(_values(a), _values(b))
+tensor_op = tensor  # the same product, under its name for operators
 
 
 def gram(vectors) -> np.ndarray:

@@ -13,16 +13,14 @@ are asserted in the acceptance tests, not here.
 
 The three seeded suites (product-factorization, shared-basis-evolutions,
 tsirelson-bound) run over a stack of trials at once.  Each makes one
-``rng.standard_normal((trials, K))`` draw and cuts row i into the samples
-that the per-trial helpers draw after skipping i * K normals
-(``PAIR_LAYOUT``, ``QUARTET_LAYOUT``), so each trial is the model that the
-sequential per-trial draws give.  The stacks
-pass the checks the per-trial constructors make: isomorphisms and
-evolutions unitary within 1e-9, probability tables finite, in [0, 1] and
-summing to 1.  The trial the stack ranks worst is then drawn again on its
-own and run through the public per-trial functions; a row fails when the
-two routes differ by more than ``ROUTE_TOL`` in that trial's families,
-state or property value.
+``rng.standard_normal((trials, K))`` draw and cuts row i into trial i's
+samples, K normals per trial in draw order (``PAIR_LAYOUT``,
+``QUARTET_LAYOUT``).  The stacks pass the checks the per-trial
+constructors make: isomorphisms and evolutions unitary within 1e-9,
+probability tables finite, in [0, 1] and summing to 1.  The trial the
+stack ranks worst is then taken from the stack and run through the public
+per-trial functions; a row fails when the stacked and the public value of
+its property differ by more than ``ROUTE_TOL``.
 
 The suites' Haar-random isomorphisms come from an elementwise Gram-Schmidt
 (entanglement._haar_unitaries) that gives each trial the same bits in a
@@ -61,6 +59,7 @@ from .bellstats import (
 )
 from .entanglement import (
     SEARCH_STARTS,
+    Isomorphism,
     _haar_unitaries,
     _transported_is_product,
     canonical_iso_of,
@@ -70,7 +69,7 @@ from .entanglement import (
     is_product_evolution,
     marginal_product_deviations,
     operator_schmidt,
-    random_isomorphism,
+    random_isomorphism,  # not called, like tensor: perfbench/spans.py wraps verify's binding of both
     refute_common_product_iso,
     states_equal_up_to_phase,
 )
@@ -90,10 +89,10 @@ EXPECTED_CHSH = 2.4197
 EXPECTED_WITNESSES = (("A", 0.679, 0.618), ("A'", 0.864, 0.234))
 PUBLISHED_P_VALUE = 0.0171
 
-# The complex samples one trial of a seeded suite draws, in draw order.  A
+# The complex samples of one trial of a seeded suite, in draw order.  A
 # sample of shape s takes prod(s) normals for its real parts, then prod(s)
 # for its imaginary parts, as rng.standard_normal(s) + 1j *
-# rng.standard_normal(s) draws them.
+# rng.standard_normal(s) would draw them one trial at a time.
 PAIR_LAYOUT = ((4, 4), (2, 2), (2, 2), (2,), (2,))  # iso, ua, ub, two qubit states
 QUARTET_LAYOUT = ((4, 4), (2, 2), (2, 2), (2, 2), (2, 2), (4,))  # iso, ua, ua', ub, ub', psi
 
@@ -146,50 +145,10 @@ def _orthonormal_columns(z: np.ndarray) -> np.ndarray:
     return np.stack([first, _unit_rows(second)], axis=-1)
 
 
-def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _unit_rows(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-
-
-def _unitary2(rng: np.random.Generator) -> np.ndarray:
-    return _orthonormal_columns(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-
-
-def _product_family(inverse: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> list:
-    """Pull the product basis ua[:, i] (x) ub[:, j] back through an isomorphism.
-
-    Column 2i + j of kron(ua, ub) is ua[:, i] (x) ub[:, j].
-    """
-    return list((inverse @ np.kron(ua, ub)).T)
-
-
-def _random_product_pair(rng: np.random.Generator) -> tuple:
-    """(iso, a product family pulled back through iso, a product state pulled
-    back likewise), drawn in this order: iso, ua, ub, the two qubit states."""
-    iso = random_isomorphism(rng)
-    inverse = iso.matrix.conj().T
-    family = _product_family(inverse, _unitary2(rng), _unitary2(rng))
-    return iso, family, inverse @ tensor(_unit(rng, 2), _unit(rng, 2))
-
-
-def _random_quartet(rng: np.random.Generator) -> tuple:
-    """(iso, four product families pulled back through iso, a state psi), drawn
-    in this order: iso, ua, ua', ub, ub', psi."""
-    iso = random_isomorphism(rng)
-    inverse = iso.matrix.conj().T
-    ua, uap, ub, ubp = (_unitary2(rng) for _ in range(4))
-    families = {
-        "AB": _product_family(inverse, ua, ub),
-        "AB'": _product_family(inverse, ua, ubp),
-        "A'B": _product_family(inverse, uap, ub),
-        "A'B'": _product_family(inverse, uap, ubp),
-    }
-    return iso, families, _unit(rng, 4)
-
-
-def _trial_tables(families: dict, psi) -> dict:
-    """One CoincidenceTable per family of a single trial."""
+def _trial_tables(families: dict, states: np.ndarray, i: int) -> dict:
+    """One CoincidenceTable per family of trial i of a stack."""
     return {
-        key: CoincidenceTable(key, *collapse_probabilities(np.column_stack(family), psi))
+        key: CoincidenceTable(key, *collapse_probabilities(family[i], states[i]))
         for key, family in families.items()
     }
 
@@ -200,7 +159,7 @@ def _normals(layout) -> int:
 
 def _draw_stack(rng: np.random.Generator, trials: int, layout) -> list:
     """One (trials, *shape) array per layout entry.  Row i holds the samples
-    that the per-trial helpers draw after i * _normals(layout) normals."""
+    drawn after i * _normals(layout) normals, in layout order."""
     normals = rng.standard_normal((trials, _normals(layout)))
     samples, start = [], 0
     for shape in layout:
@@ -210,13 +169,6 @@ def _draw_stack(rng: np.random.Generator, trials: int, layout) -> list:
         samples.append((real + 1j * imag).reshape((trials, *shape)))
         start += 2 * size
     return samples
-
-
-def _redraw(seed: int, trial: int, layout) -> np.random.Generator:
-    """A generator of ``seed`` positioned at the first normal of ``trial``."""
-    rng = np.random.default_rng(seed)
-    rng.standard_normal(trial * _normals(layout))
-    return rng
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -238,8 +190,9 @@ def _haar_stack(z: np.ndarray) -> tuple:
 
 
 def _pair_stack(rng: np.random.Generator, trials: int) -> tuple:
-    """``trials`` draws of _random_product_pair at once: isos (T, 4, 4),
-    families (T, 4, 4) with the family vectors as columns, states (T, 4)."""
+    """``trials`` random product pairs at once: Haar isos (T, 4, 4), the
+    product bases ua (x) ub pulled back through each iso as the columns of
+    families (T, 4, 4), and product states pulled back likewise (T, 4)."""
     z_iso, z_ua, z_ub, z_a, z_b = _draw_stack(rng, trials, PAIR_LAYOUT)
     isos, inverse = _haar_stack(z_iso)
     families = inverse @ _kron_stack(_orthonormal_columns(z_ua), _orthonormal_columns(z_ub))
@@ -248,8 +201,9 @@ def _pair_stack(rng: np.random.Generator, trials: int) -> tuple:
 
 
 def _quartet_stack(rng: np.random.Generator, trials: int) -> tuple:
-    """``trials`` draws of _random_quartet at once: isos (T, 4, 4), the four
-    families (T, 4, 4) with the family vectors as columns, states (T, 4)."""
+    """``trials`` random product quartets at once: Haar isos (T, 4, 4), the
+    four product bases of ua, ua', ub, ub' pulled back through each iso as
+    the columns of families (T, 4, 4), and random unit states (T, 4)."""
     z_iso, z_ua, z_uap, z_ub, z_ubp, z_psi = _draw_stack(rng, trials, QUARTET_LAYOUT)
     isos, inverse = _haar_stack(z_iso)
     ua, uap, ub, ubp = (_orthonormal_columns(z) for z in (z_ua, z_uap, z_ub, z_ubp))
@@ -303,14 +257,6 @@ def _worst_marginal_deviation(tables: dict) -> np.ndarray:
 def _chsh_values(tables: dict) -> np.ndarray:
     """chsh(...).chsh, per trial."""
     return chsh_combination({key: expectation_of(p) for key, p in tables.items()})
-
-
-def _model_gap(families: dict, states: np.ndarray, i: int, trial_families: dict, psi) -> float:
-    """Largest entry difference between trial i of a stack and the same trial
-    drawn on its own, so that a slip in the draw layout shows even where the
-    suite's values sit at round-off."""
-    gaps = [np.abs(families[key][i] - np.column_stack(trial_families[key])) for key in families]
-    return float(max(np.max(gaps), np.max(np.abs(states[i] - psi))))
 
 
 def _route_note(trial: int, gap: float) -> str:
@@ -389,13 +335,10 @@ FACTORIZATION_PAIRS = 1000
 
 
 def _check_product_factorization() -> CheckRow:
-    seed = 101
-    _, families, states = _pair_stack(np.random.default_rng(seed), FACTORIZATION_PAIRS)
+    _, families, states = _pair_stack(np.random.default_rng(101), FACTORIZATION_PAIRS)
     deviations = _factorization_deviations(families, states)
     i = int(np.argmax(deviations))
-    _, family, state = _random_product_pair(_redraw(seed, i, PAIR_LAYOUT))
-    gap = max(abs(check_factorization(state, family).max_deviation - deviations[i]),
-              _model_gap({"": families}, states, i, {"": family}, state))
+    gap = abs(check_factorization(states[i], families[i].T).max_deviation - deviations[i])
     worst, disagreement = float(deviations[i]), _route_note(i, gap)
     return CheckRow(
         name="product-factorization",
@@ -411,19 +354,17 @@ EVOLUTION_QUARTETS = 500
 
 
 def _check_shared_basis_evolutions() -> CheckRow:
-    seed = 102
-    isos, families, states = _quartet_stack(np.random.default_rng(seed), EVOLUTION_QUARTETS)
+    isos, families, states = _quartet_stack(np.random.default_rng(102), EVOLUTION_QUARTETS)
     non_product = np.sum(~_evolution_products(isos, families), axis=1)
     marginal = _worst_marginal_deviation(_table_stack(families, states))
     i = int(np.argmax(non_product) if non_product.any() else np.argmax(marginal))
-    iso, trial_families, psi = _random_quartet(_redraw(seed, i, QUARTET_LAYOUT))
+    iso = Isomorphism(isos[i], name="random")
     failures = sum(
-        not is_product_evolution(evolution_between(trial_families[src], trial_families[dst]), iso)
+        not is_product_evolution(evolution_between(families[src][i].T, families[dst][i].T), iso)
         for src, dst in EVOLUTION_PAIRS
     )
-    deviation = max(row.deviation for row in marginal_deviations(_trial_tables(trial_families, psi)))
-    gap = max(abs(failures - non_product[i]), abs(deviation - marginal[i]),
-              _model_gap(families, states, i, trial_families, psi))
+    deviation = max(row.deviation for row in marginal_deviations(_trial_tables(families, states, i)))
+    gap = max(abs(failures - non_product[i]), abs(deviation - marginal[i]))
     worst_marginal, product_failures = float(marginal.max()), int(non_product.sum())
     disagreement = _route_note(i, gap)
     return CheckRow(
@@ -493,13 +434,10 @@ TSIRELSON_MODELS = 1000
 
 
 def _check_tsirelson_bound() -> CheckRow:
-    seed = 103
-    _, families, states = _quartet_stack(np.random.default_rng(seed), TSIRELSON_MODELS)
+    _, families, states = _quartet_stack(np.random.default_rng(103), TSIRELSON_MODELS)
     values = np.abs(_chsh_values(_table_stack(families, states)))
     i = int(np.argmax(values))
-    _, trial_families, psi = _random_quartet(_redraw(seed, i, QUARTET_LAYOUT))
-    reference = abs(chsh(_trial_tables(trial_families, psi)).chsh)
-    gap = max(abs(reference - values[i]), _model_gap(families, states, i, trial_families, psi))
+    gap = abs(abs(chsh(_trial_tables(families, states, i)).chsh) - values[i])
     worst, disagreement = float(values[i]), _route_note(i, gap)
     return CheckRow(
         name="tsirelson-bound",

@@ -5,6 +5,10 @@ values come from characteristic-polynomial roots, t-distribution tails from
 an incomplete-beta quadrature, and the 2x2 SVD from closed-form algebra.
 ``expectation_from_model`` takes a model's expectation from its operator,
 the route that checks the one through its outcome probabilities.
+``_random_product_pair`` and ``_random_quartet`` draw one trial of
+verify-paper's seeded suites at a time, from ``_unit``, ``_unitary2`` and
+``_product_family``: the sequential draws that the suites' stacks must
+reproduce trial by trial.
 ``levenberg_gather_scatter`` is the state search's Levenberg loop in its
 earlier form, which gathers the running starts from full arrays and scatters
 the kept steps back on every iteration; ``state_residuals_by_slots`` is its
@@ -17,8 +21,10 @@ import math
 
 import numpy as np
 
-from bellkit.hilbert import _INITIAL_DAMPING
+from bellkit.entanglement import random_isomorphism
+from bellkit.hilbert import _INITIAL_DAMPING, tensor
 from bellkit.modelfit import _MIN_DECREASE, _STALL_ITERATIONS
+from bellkit.verify import _orthonormal_columns, _unit_rows
 
 
 def singular_values_by_charpoly(m: np.ndarray) -> np.ndarray:
@@ -135,6 +141,46 @@ def expectation_from_model(state, model) -> float:
     if abs(value.imag) > 1e-9:
         raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)
+
+
+def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return _unit_rows(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+
+
+def _unitary2(rng: np.random.Generator) -> np.ndarray:
+    return _orthonormal_columns(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+
+
+def _product_family(inverse: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> list:
+    """Pull the product basis ua[:, i] (x) ub[:, j] back through an isomorphism.
+
+    Column 2i + j of kron(ua, ub) is ua[:, i] (x) ub[:, j].
+    """
+    return list((inverse @ np.kron(ua, ub)).T)
+
+
+def _random_product_pair(rng: np.random.Generator) -> tuple:
+    """(iso, a product family pulled back through iso, a product state pulled
+    back likewise), drawn in this order: iso, ua, ub, the two qubit states."""
+    iso = random_isomorphism(rng)
+    inverse = iso.matrix.conj().T
+    family = _product_family(inverse, _unitary2(rng), _unitary2(rng))
+    return iso, family, inverse @ tensor(_unit(rng, 2), _unit(rng, 2))
+
+
+def _random_quartet(rng: np.random.Generator) -> tuple:
+    """(iso, four product families pulled back through iso, a state psi), drawn
+    in this order: iso, ua, ua', ub, ub', psi."""
+    iso = random_isomorphism(rng)
+    inverse = iso.matrix.conj().T
+    ua, uap, ub, ubp = (_unitary2(rng) for _ in range(4))
+    families = {
+        "AB": _product_family(inverse, ua, ub),
+        "AB'": _product_family(inverse, ua, ubp),
+        "A'B": _product_family(inverse, uap, ub),
+        "A'B'": _product_family(inverse, uap, ubp),
+    }
+    return iso, families, _unit(rng, 4)
 
 
 def levenberg_gather_scatter(residuals, params: np.ndarray, target_misfit: float,
