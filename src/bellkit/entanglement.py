@@ -24,14 +24,14 @@ from .hilbert import (
     orthonormalize,
     peak_part,
     svd,
-    tensor_op,
+    tensor_op,  # not called: perfbench/spans.py wraps entanglement's binding
 )
 
 # Outcome labels of the product basis, in component order.
 PRODUCT_LABELS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
-# refute_common_product_iso's Haar-random starts after the supplied ones,
-# and the stop rule it passes to hilbert._levenberg.
+# refute_common_product_iso's seeded Haar-random starts, and the stop rule
+# it passes to hilbert._levenberg.
 SEARCH_STARTS = 4
 SEARCH_TARGET = 1e-24
 SEARCH_MIN_DECREASE = 1e-3
@@ -241,12 +241,6 @@ class OperatorSchmidt(_Record):
     def is_product(self) -> bool:
         return self.rank() == 1
 
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        for s, a, b in zip(self.sigma, self.factors_a, self.factors_b):
-            out += s * tensor_op(a, b)
-        return out
-
 
 class Evolution(_Record):
     """Unitary operator carrying one measurement's eigenstates to another's."""
@@ -295,11 +289,11 @@ def _peak_scaled(operators) -> np.ndarray:
     return np.ldexp(parts, shift[..., None, None]).view(complex)
 
 
-def _minors(flat: np.ndarray) -> tuple:
-    """The 36 2x2 minors (..., 36) of each flat 4x4 matrix of a stack
-    (..., 16), and their entries (a_i, a_j, b_i, b_j) (..., 36, 4)."""
-    s = flat[..., _MINOR_ENTRIES]
-    return s[..., 0] * s[..., 3] - s[..., 1] * s[..., 2], s
+def _minors(flat: np.ndarray) -> np.ndarray:
+    """The 36 2x2 minors a_i b_j - a_j b_i (..., 36) of each flat 4x4 matrix
+    of a stack (..., 16)."""
+    a_i, a_j, b_i, b_j = (flat[..., entries] for entries in _MINOR_ENTRIES.T)
+    return a_i * b_j - a_j * b_i
 
 
 def _transported_is_product(us: np.ndarray, operators: np.ndarray) -> np.ndarray:
@@ -319,7 +313,7 @@ def _transported_is_product(us: np.ndarray, operators: np.ndarray) -> np.ndarray
     """
     r = reshuffle(us @ _peak_scaled(operators) @ us.conj().swapaxes(-1, -2))
     flat = r.reshape(*r.shape[:-2], 16)
-    minors, _ = _minors(flat)
+    minors = _minors(flat)
     e2 = np.sum(minors.real**2 + minors.imag**2, axis=-1)
     f = np.sum(flat.real**2 + flat.imag**2, axis=-1)
     product = 64.0 * e2 < RANK_TOL**2 * f**2
@@ -513,11 +507,10 @@ def _minor_residuals(us: np.ndarray, operators: np.ndarray) -> tuple:
     count, k = len(us), len(operators)
     t = us[:, None] @ operators @ us.conj().swapaxes(-1, -2)[:, None]
     x = t.reshape(count * k, 16)[:, _RESHUFFLED]  # each R_k, flat
-    minors, s = _minors(x)
-    w = s[..., ::-1] * _MINOR_SIGNS
+    minors = _minors(x)
     # d minor / d entry, for each minor and each flat entry of R_k
     weights = np.zeros((count * k, 36, 16), dtype=complex)
-    weights[:, _MINOR_ROWS, _MINOR_ENTRIES] = w
+    weights[:, _MINOR_ROWS, _MINOR_ENTRIES] = x[:, _MINOR_ENTRIES[:, ::-1]] * _MINOR_SIGNS
     # R_k's moves row by row: OpenBLAS may run one (B K, 16) x (16, 144)
     # product on two threads, which took longer than the row-by-row
     # products whenever another process held a core
@@ -532,7 +525,7 @@ def _retract(us: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)[:, None, :]) @ (v.conj().swapaxes(-1, -2) @ us)
 
 
-def refute_common_product_iso(operators, extra_isos=(), seed: int = 0) -> ProductIsoSearchResult:
+def refute_common_product_iso(operators, seed: int = 0) -> ProductIsoSearchResult:
     """Search for one isomorphism rendering every operator product.
 
     Least squares on U(4) (Absil, Mahony & Sepulchre 2008): with each
@@ -548,10 +541,9 @@ def refute_common_product_iso(operators, extra_isos=(), seed: int = 0) -> Produc
     product: two measurements have a common product identification in
     general, three do not.
 
-    The starts are the supplied ``extra_isos`` (typically each
-    measurement's own canonical identification) followed by SEARCH_STARTS
-    seeded Haar-random isomorphisms, drawn exactly as ``random_isomorphism``
-    draws them from ``np.random.default_rng(seed)``.  They run as one stack
+    The starts are SEARCH_STARTS seeded Haar-random isomorphisms, drawn
+    exactly as ``random_isomorphism`` draws them from
+    ``np.random.default_rng(seed)``.  They run as one stack
     through hilbert._levenberg, with the exact Jacobian, until the objective
     is at most SEARCH_TARGET, after SEARCH_STALL iterations in a row without
     a relative decrease above SEARCH_MIN_DECREASE, or after
@@ -562,14 +554,20 @@ def refute_common_product_iso(operators, extra_isos=(), seed: int = 0) -> Produc
     reached.  A not-found result is evidence, not proof, that no such
     isomorphism exists; a best objective far above RANK_TOL^2 bounds how
     close the starts came.
+
+    Raises
+    ------
+    ValueError
+        If an operator entry is not finite.
     """
     ops = np.reshape([_values(op) for op in operators], (-1, 4, 4))
+    if not np.isfinite(ops).all():
+        raise ValueError("operators must have finite entries")
     scaled = _peak_scaled(ops)
     norms = np.sqrt(np.sum(scaled.real**2 + scaled.imag**2, axis=(-2, -1)))
     unit = np.divide(scaled, norms[:, None, None], out=np.zeros_like(scaled), where=norms[:, None, None] > 0)
     z = np.random.default_rng(seed).standard_normal((SEARCH_STARTS, 2, 4, 4))
-    starts = np.concatenate([np.reshape([iso.matrix for iso in extra_isos], (-1, 4, 4)),
-                             _haar_unitaries(z[:, 0] + 1j * z[:, 1])])
+    starts = _haar_unitaries(z[:, 0] + 1j * z[:, 1])
     us, objectives, _, _ = _levenberg(
         lambda u: _minor_residuals(u, unit), starts, SEARCH_TARGET, SEARCH_MIN_DECREASE, SEARCH_STALL,
         SEARCH_ITERATIONS, retract=_retract)

@@ -295,7 +295,8 @@ def test_operator_schmidt_reconstructs_transported_operator():
         op = h + h.conj().T
         iso = random_isomorphism(rng)
         dec = operator_schmidt(op, iso)
-        np.testing.assert_allclose(dec.reconstruct(), iso.transport(op), atol=1e-9)
+        rebuilt = sum(s * tensor_op(a, b) for s, a, b in zip(dec.sigma, dec.factors_a, dec.factors_b))
+        np.testing.assert_allclose(rebuilt, iso.transport(op), atol=1e-9)
 
 
 def _subnormal_product_operator():
@@ -552,10 +553,10 @@ EIGENBASES = {"X": np.array([[1, 1], [1, -1]]) / np.sqrt(2), "Y": np.array([[1, 
 PLANTED_FACTORS = (("X", "X"), ("X", "Y"), ("Z", "X"), ("Z", "Z"))
 
 
-def _reference_operators_and_isos():
-    """The four reference operators and their own identifications, as the row passes them."""
+def _reference_operators():
+    """The four reference operators, in the row's order."""
     _, models, _ = reference_fixture()
-    return [models[k].operator for k in KEYS], [canonical_iso_of(models[k]) for k in KEYS]
+    return [models[k].operator for k in KEYS]
 
 
 def _planted_conjugation():
@@ -566,10 +567,9 @@ def _planted_conjugation():
 
 
 def test_no_single_isomorphism_renders_all_reference_measurements_product():
-    operators, extra = _reference_operators_and_isos()
-    result = refute_common_product_iso(operators, extra_isos=extra, seed=0)
+    result = refute_common_product_iso(_reference_operators(), seed=0)
     assert not result.found and result.witness is None
-    assert result.trials == len(extra) + entanglement.SEARCH_STARTS
+    assert result.trials == entanglement.SEARCH_STARTS
     # far above the 1e-14 a rank-1 verdict at RANK_TOL needs
     assert result.objective >= verify.SEARCH_FLOOR
     assert result.objective == pytest.approx(0.0496353, rel=1e-6)
@@ -579,8 +579,8 @@ def test_no_single_isomorphism_renders_all_reference_measurements_product():
 def test_two_reference_measurements_share_a_product_identification_three_do_not(count, objective):
     # modulo local unitaries 9 dimensions are free, and each measurement
     # costs 4 to be product: 8 <= 9 < 12
-    operators, extra = _reference_operators_and_isos()
-    result = refute_common_product_iso(operators[:count], extra_isos=extra, seed=0)
+    operators = _reference_operators()
+    result = refute_common_product_iso(operators[:count], seed=0)
     if objective is None:
         assert result.found and result.objective <= 1e-20
         assert all(operator_schmidt(op, result.witness).rank() == 1 for op in operators[:count])
@@ -591,25 +591,23 @@ def test_two_reference_measurements_share_a_product_identification_three_do_not(
 
 
 def test_search_finds_witness_when_one_exists():
-    # a supplied identification under which all four are product already
-    # meets the target, so it never moves
+    # four measurements product under one Haar identification of seed 33,
+    # which none of seed 1's starts is: the search reaches one from them
     rng = np.random.default_rng(33)
     iso = random_isomorphism(rng)
     ops = [product_measurement(rng, iso)[0].operator for _ in range(4)]
-    result = refute_common_product_iso(ops, extra_isos=(iso,), seed=1)
-    assert result.found
-    assert result.trials == 1 + entanglement.SEARCH_STARTS
-    assert np.array_equal(result.witness.matrix, iso.matrix)
+    result = refute_common_product_iso(ops, seed=1)
+    assert result.found and result.trials == entanglement.SEARCH_STARTS
     assert result.objective <= 1e-20
+    assert all(operator_schmidt(op, result.witness).rank() == 1 for op in ops)
 
 
 def test_search_finds_a_planted_identification_that_is_no_start():
     # the planted U_0 is none of the starts, and the identifications that
     # render one operator product have measure zero in U(4), so no draw
-    # could have hit it; the row's own starts, seed and stop rule find it
+    # could have hit it; the row's seed and stop rule find it
     _, planted = _planted_conjugation()
-    _, extra = _reference_operators_and_isos()
-    result = refute_common_product_iso(planted, extra_isos=extra, seed=0)
+    result = refute_common_product_iso(planted, seed=0)
     assert result.found and result.objective <= 1e-20
     assert all(operator_schmidt(op, result.witness).rank() == 1 for op in planted)
 
@@ -623,12 +621,15 @@ def test_the_row_fails_on_a_planted_common_identification():
         np.testing.assert_allclose(models[key].operator, operator, atol=1e-12)
     row = verify._check_no_common_product_basis((None, models, None))
     assert not row.passed
-    assert "; a common product identification from 8 starts" in row.measured
+    assert f"; a common product identification from {entanglement.SEARCH_STARTS} starts" in row.measured
 
 
-def test_search_candidates_are_the_seeded_random_isomorphisms(monkeypatch):
-    # the starts: the supplied identifications, then the seeded Haar draws
-    operators, extra = _reference_operators_and_isos()
+@pytest.mark.parametrize("seed, search", [
+    (5, lambda: refute_common_product_iso(_reference_operators(), seed=5)),
+    (0, lambda: verify._check_no_common_product_basis(reference_fixture())),
+], ids=["library", "row"])
+def test_search_candidates_are_the_seeded_random_isomorphisms(seed, search, monkeypatch):
+    # the starts are exactly the seeded Haar draws, and nothing else
     recorded = []
     core = entanglement._levenberg
 
@@ -637,12 +638,11 @@ def test_search_candidates_are_the_seeded_random_isomorphisms(monkeypatch):
         return core(residuals, params, *args, **kwargs)
 
     monkeypatch.setattr(entanglement, "_levenberg", recording)
-    result = refute_common_product_iso(operators, extra_isos=extra[1:3], seed=5)
+    search()
     (starts,) = recorded
-    assert result.trials == len(starts) == 2 + entanglement.SEARCH_STARTS
-    assert np.array_equal(starts[:2], [iso.matrix for iso in extra[1:3]])
-    rng = np.random.default_rng(5)
-    for k, start in enumerate(starts[2:]):
+    assert len(starts) == entanglement.SEARCH_STARTS
+    rng = np.random.default_rng(seed)
+    for k, start in enumerate(starts):
         assert np.array_equal(start, random_isomorphism(rng).matrix), k
 
 
@@ -655,7 +655,7 @@ def test_search_jacobian_matches_central_differences():
     assert r.shape == (3, 288) and jac.shape == (3, 288, 9)
     # |r|^2 is sum_{i<j} s_i^2 s_j^2 of each reshuffled transport
     transports = reshuffle(us[:, None] @ operators @ us.conj().swapaxes(-1, -2)[:, None])
-    minors, _ = entanglement._minors(transports.reshape(3, 4, 16))
+    minors = entanglement._minors(transports.reshape(3, 4, 16))
     np.testing.assert_allclose(np.sum(r**2, axis=1), np.sum(np.abs(minors) ** 2, axis=(1, 2)), rtol=1e-12)
     step = 1e-6
     for g in range(9):
@@ -719,7 +719,7 @@ def _final_search_unitaries(monkeypatch, operators):
         return out
 
     monkeypatch.setattr(entanglement, "_levenberg", recording)
-    refute_common_product_iso(operators, extra_isos=_reference_operators_and_isos()[1], seed=0)
+    refute_common_product_iso(operators, seed=0)
     monkeypatch.undo()
     return finals[0]
 
@@ -734,7 +734,7 @@ def test_product_verdict_pairs_a_stack_of_unitaries_with_a_stack_of_operators(mo
     for k in (0, 2, 4):  # product through unitary k
         a, b = (h + h.conj().T for h in (random_unitary(rng, 2), random_unitary(rng, 2)))
         operators[k] = us[k].conj().T @ np.kron(a, b) @ us[k]
-    reference, _ = _reference_operators_and_isos()
+    reference = _reference_operators()
     _, planted = _planted_conjugation()
     cases = [(us, operators)] + [(_final_search_unitaries(monkeypatch, ops), np.array(ops))
                                  for ops in (reference, planted)]
@@ -774,7 +774,7 @@ def test_minor_sum_is_the_sum_of_products_of_squared_singular_value_pairs():
     m = _ginibre(rng, 1000) * 10.0 ** rng.uniform(-3.0, 3.0, (1000, 1, 1))
     s2 = np.linalg.svd(m, compute_uv=False) ** 2
     e2 = sum(s2[:, a] * s2[:, b] for a in range(4) for b in range(a + 1, 4))
-    minors, _ = entanglement._minors(m.reshape(1000, 16))
+    minors = entanglement._minors(m.reshape(1000, 16))
     got = np.sum(minors.real**2 + minors.imag**2, axis=-1)
     assert np.max(np.abs(got / e2 - 1.0)) <= 1e-12
 
@@ -783,11 +783,11 @@ def test_reference_search_rules_out_nearly_every_candidate_without_an_svd(monkey
     # the least-squares steps take no SVD; the final rank verdicts of every
     # start and operator that the minors do not prove product go through
     # one SVD call
-    operators, extra = _reference_operators_and_isos()
+    operators = _reference_operators()
     rows = _svd_rows(monkeypatch)
-    result = refute_common_product_iso(operators, extra_isos=extra, seed=0)
+    result = refute_common_product_iso(operators, seed=0)
     monkeypatch.undo()
-    assert not result.found and result.trials == len(extra) + entanglement.SEARCH_STARTS
+    assert not result.found and result.trials == entanglement.SEARCH_STARTS
     assert len(rows) == 1 and rows[0] <= result.trials * len(operators)
 
 

@@ -29,6 +29,7 @@ from bellkit.entanglement import (
     SchmidtDecomposition,
     canonical_iso_of,
     operator_schmidt,
+    refute_common_product_iso,
     schmidt_state,
 )
 from bellkit.hilbert import check_unitary, orthonormalize
@@ -71,10 +72,12 @@ UNIT_FACTORS = [np.eye(2) / math.sqrt(2)] * 4
     (lambda: t_test_vs_threshold([1.0, NAN, 2.0], 0.5), "samples must be finite"),
     (lambda: t_test_vs_threshold([1.0, math.inf, 2.0], 0.5), "samples must be finite"),
     (lambda: t_test_vs_threshold([1.0, 2.0, 3.0], NAN), "threshold must be finite, got nan"),
+    (lambda: refute_common_product_iso([np.eye(4), NAN_MATRIX]), "operators must have finite entries"),
+    (lambda: refute_common_product_iso([np.eye(4), np.full((4, 4), math.inf)]), "operators must have finite entries"),
 ], ids=["check_unitary", "Isomorphism", "Evolution", "orthonormalize", "canonical_iso_of", "synthesize",
         "ObservableModel", "SchmidtDecomposition", "OperatorSchmidt", "FitResult", "CoincidenceTable",
         "fit_state", "student_t_tail-t", "student_t_tail-df", "t_test-nan-sample", "t_test-inf-sample",
-        "t_test-threshold"])
+        "t_test-threshold", "refute-nan", "refute-inf"])
 def test_nan_fails_every_bound_check(build, message):
     with pytest.raises(ValueError, match=message):
         build()
