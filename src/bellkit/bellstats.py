@@ -166,7 +166,12 @@ class SinglesTable(_Record):
 
 
 class ExperimentDataset(_Record):
-    """Four coincidence tables (and optional singles) from one experiment."""
+    """Four coincidence tables (and optional singles) from one experiment.
+
+    ``singles`` is parsed, checked and written back with the dataset; no
+    analysis reads it: each side's marginals come from the coincidence
+    tables (marginal_deviations).
+    """
 
     def __init__(self, name: str, tables: dict, singles: SinglesTable | None = None,
                  n_subjects: int | None = None):

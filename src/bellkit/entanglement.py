@@ -418,19 +418,16 @@ def states_equal_up_to_phase(u, v) -> bool:
 
 
 class FactorizationReport(_Record):
-    """Joint outcome probabilities against the product of marginals.
+    """Joint outcome probabilities against the product of their marginals.
 
-    ``joint[i, j]`` is the probability of outcome (i+1, j+1); ``expected``
-    holds the products marginal_a[i] * marginal_b[j].  ``marginal_source``
-    records whether marginals came from supplied singles data or from the
-    joint table's row/column sums.
+    ``joint[i, j]`` is the probability of outcome (i+1, j+1); ``marginal_a``
+    and ``marginal_b`` are its row and column sums, and ``expected`` holds
+    the products marginal_a[i] * marginal_b[j].
     """
 
     def __init__(self, joint: np.ndarray, marginal_a: np.ndarray, marginal_b: np.ndarray,
-                 marginal_source: str, expected: np.ndarray, deviations: np.ndarray,
-                 max_deviation: float):
+                 expected: np.ndarray, deviations: np.ndarray, max_deviation: float):
         self.joint, self.marginal_a, self.marginal_b = joint, marginal_a, marginal_b
-        self.marginal_source = marginal_source
         self.expected, self.deviations, self.max_deviation = expected, deviations, max_deviation
 
 
@@ -448,8 +445,8 @@ def marginal_product_deviations(joint, marginal_a, marginal_b) -> tuple:
     return expected, np.abs(joint - expected)
 
 
-def check_factorization(state, measurement, singles=None) -> FactorizationReport:
-    """Compare joint collapse probabilities with products of marginals.
+def check_factorization(state, measurement) -> FactorizationReport:
+    """Compare joint collapse probabilities with products of their marginals.
 
     Parameters
     ----------
@@ -458,27 +455,20 @@ def check_factorization(state, measurement, singles=None) -> FactorizationReport
     measurement : ObservableModel or sequence of four vectors
         Four-outcome coincidence measurement; outcome k carries the product
         label PRODUCT_LABELS[k].
-    singles : pair of pairs, optional
-        Externally measured one-side marginals ((pA1, pA2), (pB1, pB2)).
-        When omitted, marginals are the joint table's row and column sums.
+
+    The marginals are the joint table's row and column sums.  To compare
+    the joint table with marginals measured elsewhere, pass ``joint`` and
+    them to marginal_product_deviations.
     """
     psi = _values(state)
     joint = collapse_probabilities(np.column_stack(_model_eigenvectors(measurement)), psi)
     joint = joint.reshape(2, 2)
-    if singles is not None:
-        marginal_a = np.asarray(singles[0], dtype=float)
-        marginal_b = np.asarray(singles[1], dtype=float)
-        source = "singles"
-    else:
-        marginal_a = joint.sum(axis=1)
-        marginal_b = joint.sum(axis=0)
-        source = "joint"
+    marginal_a, marginal_b = joint.sum(axis=1), joint.sum(axis=0)
     expected, deviations = marginal_product_deviations(joint, marginal_a, marginal_b)
     return FactorizationReport(
         joint=joint,
         marginal_a=marginal_a,
         marginal_b=marginal_b,
-        marginal_source=source,
         expected=expected,
         deviations=deviations,
         max_deviation=float(deviations.max()),

@@ -173,8 +173,9 @@ def _levenberg(residuals, params: np.ndarray, target: float, min_decrease: float
     ``objectives`` holds every start's, frozen from its stop on.  Returns
     (params, objectives, history, evaluations): history[k] holds every
     start's objective after iteration k; evaluations counts the points at
-    which ``residuals`` ran.
+    which ``residuals`` ran.  The starts passed in are not modified.
     """
+    params = params.copy()
     r, jac = residuals(params)
     f = np.einsum("bi,bi->b", r, r)
     objectives, damping, stalled = f.copy(), np.full_like(f, _INITIAL_DAMPING), np.zeros(f.shape, dtype=int)

@@ -44,8 +44,12 @@ def sha256_of_file(path) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Canonical serialized form: 2-space indent, preserved key order."""
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """Canonical serialized form: 2-space indent, preserved key order.
+
+    ValueError for a NaN or infinite number, which JSON cannot hold.  Text
+    reports are not written through here, so this check does not cover them.
+    """
+    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def _reject_constant(name: str):

@@ -327,27 +327,13 @@ _MIN_DECREASE = 1e-10
 _BLOCK_STARTS = 256
 
 
-def _angles_of(v: np.ndarray) -> tuple:
-    """Polar and azimuthal angle of a nonzero R^3 vector."""
-    return (math.atan2(math.hypot(v[0], v[1]), v[2]), math.atan2(v[1], v[0]))
-
-
-def _qubit_basis(theta: float, phi: float) -> np.ndarray:
+def _qubit_basis(direction: np.ndarray) -> np.ndarray:
     """The 2x2 basis whose rows are the eigenvectors (+1, -1) of the Pauli
-    operator along the given direction."""
+    operator along a nonzero R^3 direction."""
+    theta = math.atan2(math.hypot(direction[0], direction[1]), direction[2])
+    phi = math.atan2(direction[1], direction[0])
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return np.array([[c, s * np.exp(1j * phi)], [-s * np.exp(-1j * phi), c]], dtype=complex)
-
-
-def _product_model_from_angles(angles, table: CoincidenceTable) -> ObservableModel:
-    """The product measurement whose four eigenvectors, outcomes (1,1), (1,2),
-    (2,1), (2,2), are the rows of basis_a (x) basis_b."""
-    return synthesize(
-        tensor(_qubit_basis(angles[0], angles[1]), _qubit_basis(angles[2], angles[3])),
-        experiment=table.experiment,
-        a_labels=table.a_labels,
-        b_labels=table.b_labels,
-    )
 
 
 def fit_state(dataset: ExperimentDataset, seed: int = 0, restarts: int = 64,
@@ -405,7 +391,8 @@ def fit_state(dataset: ExperimentDataset, seed: int = 0, restarts: int = 64,
     state = StateVector(z / np.linalg.norm(z), provenance="fitted")
     per_experiment = {}
     for table, target, (a, b) in zip(tables, targets, winner[8:].reshape(4, 2, 3)):
-        model = _product_model_from_angles([*_angles_of(a), *_angles_of(b)], table)
+        model = synthesize(tensor(_qubit_basis(a), _qubit_basis(b)), experiment=table.experiment,
+                           a_labels=table.a_labels, b_labels=table.b_labels)
         misfit = np.sum((probabilities_from_model(state, model).probabilities - target) ** 2)
         per_experiment[table.experiment] = (model, float(misfit))
     reached = np.flatnonzero(objectives <= target_misfit)

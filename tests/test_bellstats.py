@@ -18,6 +18,7 @@ from bellkit.bellstats import (
     ExperimentDataset,
     SinglesTable,
     check_probabilities,
+    check_sum_tolerance,
     chsh,
     counts_to_probabilities,
     expectation,
@@ -79,6 +80,9 @@ class TestCoincidenceTable:
         # a tolerance of 1 or more would admit the all-zero table, NaN any sum
         with pytest.raises(ValueError, match=r"tolerance must lie in \[0, 1\)"):
             CoincidenceTable("AB", 0.0, 0.0, 0.0, 0.0, sum_tol=sum_tol)
+
+    def test_sum_tolerance_of_zero_is_accepted(self):
+        assert check_sum_tolerance(0.0) == 0.0
 
     def test_rounded_source_tolerance(self):
         t = CoincidenceTable("A'B", *ROUNDED["A'B"], sum_tol=0.005)  # sums to 0.999
@@ -415,6 +419,11 @@ class TestTTest:
         # At df = 10**7 the t and normal tails differ by about 1e-8; the
         # peak of cos^(df-1) is about 3e-4 wide.
         assert abs(student_t_tail(t, 10**7) - math.erfc(t / math.sqrt(2.0)) / 2.0) <= 1e-7
+
+    @pytest.mark.parametrize("t", [-3.0, -0.5, 0.0, 0.7, 2.0, 40.0])
+    def test_tail_at_one_df_is_the_cauchy_tail(self, t):
+        # df = 1 integrates cos^0 = 1 over [atan(t), pi/2], which Simpson's rule does exactly
+        assert abs(student_t_tail(t, 1) - (0.5 - math.atan(t) / math.pi)) <= 1e-12
 
     @pytest.mark.parametrize("nu, ratio", [
         # Gamma((nu + 1) / 2) / Gamma(nu / 2) to 40 digits, evaluated offline

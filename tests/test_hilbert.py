@@ -61,6 +61,8 @@ def test_numerical_rank_of_zero_and_of_a_stack():
     assert hilbert.numerical_rank(svd(np.zeros((4, 4)))[1]) == 0
     stack = np.array([[3.0, 1.0, 0.0, 0.0], [2.0, 1e-9, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
     np.testing.assert_array_equal(hilbert.numerical_rank(stack), [2, 1, 0])
+    # a zero tolerance counts every positive singular value, however small
+    assert hilbert.numerical_rank(np.array([2.0, 1e-300, 0.0]), 0.0) == 2
 
 
 @pytest.mark.parametrize("rank_tol", [np.nan, np.inf, -np.inf, -1.0, 1.0, 1e308])
@@ -317,3 +319,15 @@ def test_levenberg_steps_through_the_retraction():
                                                   retract=rotate)
     np.testing.assert_allclose(params, [[np.sqrt(0.5), np.sqrt(0.5)]], atol=1e-7)
     assert objectives[0] == pytest.approx(2 * (np.sqrt(0.5) - 0.5) ** 2, rel=1e-12)
+
+
+def test_levenberg_leaves_its_starts_unchanged():
+    # three starts, one already at the target: the first stops at once, the
+    # other two run and stop later, and the array passed in keeps its values
+    c = np.array([0.5, -1.0])
+    starts = np.array([c, [3.0, 2.0], [-4.0, 0.25]])
+    before = starts.copy()
+    params, _, _, _ = hilbert._levenberg(lambda p: (p - c, np.broadcast_to(np.eye(2), (len(p), 2, 2))),
+                                         starts, 1e-20, 1e-12, 8, 100)
+    np.testing.assert_array_equal(starts, before)
+    np.testing.assert_allclose(params, [c, c, c], atol=1e-9)

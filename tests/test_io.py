@@ -43,6 +43,12 @@ def test_canonical_json_two_space_indent_and_trailing_newline():
     assert text == '{\n  "a": [\n    1,\n    2\n  ]\n}\n'
 
 
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_json_refuses_non_finite_numbers(number):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        io.canonical_json({"x": number})
+
+
 def test_sha256_of_file_matches_hashlib(tmp_path):
     path = tmp_path / "blob.bin"
     path.write_bytes(b"coincidence")

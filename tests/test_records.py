@@ -116,10 +116,9 @@ RECORDS = [
      {}, {}, {"target": "A'B"},
      [({"matrix": 2 * EYE4}, "evolution operator is not unitary")]),
     (FactorizationReport,
-     ("joint", "marginal_a", "marginal_b", "marginal_source", "expected", "deviations", "max_deviation"),
-     (np.full((2, 2), 0.25), np.full(2, 0.5), np.full(2, 0.5), "joint", np.full((2, 2), 0.25),
-      np.zeros((2, 2)), 0.0),
-     {}, {}, {"marginal_source": "singles"}, []),
+     ("joint", "marginal_a", "marginal_b", "expected", "deviations", "max_deviation"),
+     (np.full((2, 2), 0.25), np.full(2, 0.5), np.full(2, 0.5), np.full((2, 2), 0.25), np.zeros((2, 2)), 0.0),
+     {}, {}, {"max_deviation": 0.5}, []),
     (ProductIsoSearchResult,
      ("found", "witness", "trials", "objective"),
      (True, Isomorphism(EYE4), 1, 1e-30),
