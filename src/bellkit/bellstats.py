@@ -189,27 +189,30 @@ class MarginalDeviation(_Record):
 
     ``lhs`` and ``rhs`` are the same one-side marginal computed from the two
     coincidence experiments that share that side; under the marginal law
-    (no-signaling) they must be equal.
+    (no-signaling) they must be equal.  ``deviation`` is |lhs - rhs|.
     """
 
     def __init__(self, side: str, outcome: int, experiment_lhs: str, experiment_rhs: str,
-                 lhs: float, rhs: float, deviation: float):
+                 lhs: float, rhs: float):
         self.side, self.outcome = side, outcome
         self.experiment_lhs, self.experiment_rhs = experiment_lhs, experiment_rhs
-        self.lhs, self.rhs, self.deviation = lhs, rhs, deviation
+        self.lhs, self.rhs = lhs, rhs
+        self.deviation = abs(lhs - rhs)
 
 
 class ChshReport(_Record):
-    """CHSH evaluation of a four-experiment dataset."""
+    """CHSH evaluation of a four-experiment dataset.
 
-    def __init__(self, e_values: dict, chsh: float, violates: bool, tsirelson_gap: float,
-                 marginal_deviations: list):
-        self.e_values, self.chsh, self.violates = e_values, chsh, violates
-        self.tsirelson_gap, self.marginal_deviations = tsirelson_gap, marginal_deviations
-        if abs(self.chsh - chsh_combination(self.e_values)) > 1e-12:
-            raise ValueError("chsh does not match its defining combination of E values")
-        if self.violates != (abs(self.chsh) > 2.0):
-            raise ValueError("violates flag inconsistent with |chsh| > 2")
+    ``chsh`` is the combination of ``e_values`` (chsh_combination),
+    ``violates`` whether |chsh| > 2, and ``tsirelson_gap`` is
+    TSIRELSON_BOUND - |chsh|.
+    """
+
+    def __init__(self, e_values: dict, marginal_deviations: list):
+        self.e_values, self.marginal_deviations = e_values, marginal_deviations
+        self.chsh = chsh_combination(e_values)
+        self.violates = abs(self.chsh) > 2.0
+        self.tsirelson_gap = TSIRELSON_BOUND - abs(self.chsh)
 
 
 def expectation_of(probs):
@@ -244,14 +247,7 @@ def chsh(dataset) -> ChshReport:
     """
     tables = _tables_of(dataset)
     e_values = {key: expectation(tables[key]) for key in EXPERIMENT_KEYS}
-    value = chsh_combination(e_values)
-    return ChshReport(
-        e_values=e_values,
-        chsh=value,
-        violates=abs(value) > 2.0,
-        tsirelson_gap=TSIRELSON_BOUND - abs(value),
-        marginal_deviations=marginal_deviations(tables),
-    )
+    return ChshReport(e_values, marginal_deviations(tables))
 
 
 def marginal_deviations(dataset) -> list:
@@ -267,19 +263,8 @@ def marginal_deviations(dataset) -> list:
         lhs_pair = side_marginals(tables[exp_lhs].probabilities, table_side)
         rhs_pair = side_marginals(tables[exp_rhs].probabilities, table_side)
         for outcome in (1, 2):
-            lhs = float(lhs_pair[outcome - 1])
-            rhs = float(rhs_pair[outcome - 1])
-            rows.append(
-                MarginalDeviation(
-                    side=side,
-                    outcome=outcome,
-                    experiment_lhs=exp_lhs,
-                    experiment_rhs=exp_rhs,
-                    lhs=lhs,
-                    rhs=rhs,
-                    deviation=abs(lhs - rhs),
-                )
-            )
+            rows.append(MarginalDeviation(side, outcome, exp_lhs, exp_rhs,
+                                          float(lhs_pair[outcome - 1]), float(rhs_pair[outcome - 1])))
     return rows
 
 
@@ -296,13 +281,21 @@ def counts_to_probabilities(counts, n) -> tuple:
 
 
 class TTestResult(_Record):
-    """One-sample t test of a mean against a fixed threshold."""
+    """One-sample t test of a mean against a fixed threshold.
 
-    def __init__(self, statistic: float, df: int, p_value: float, sample_mean: float,
-                 sample_std: float, threshold: float, two_sided: bool):
-        self.statistic, self.df, self.p_value = statistic, df, p_value
+    ``p_value`` is the tail P(T > statistic) at ``df`` degrees of freedom,
+    or twice P(T > |statistic|) when ``two_sided`` (student_t_tail).
+    """
+
+    def __init__(self, statistic: float, df: int, sample_mean: float, sample_std: float,
+                 threshold: float, two_sided: bool):
+        self.statistic, self.df = statistic, df
         self.sample_mean, self.sample_std = sample_mean, sample_std
         self.threshold, self.two_sided = threshold, two_sided
+        if two_sided:
+            self.p_value = 2.0 * student_t_tail(abs(statistic), df)
+        else:
+            self.p_value = student_t_tail(statistic, df)
 
 
 # From this df on, _half_gamma_ratio sums an asymptotic series: the lgamma
@@ -393,16 +386,4 @@ def t_test_vs_threshold(samples, threshold: float, two_sided: bool = False) -> T
         mean, std = float(np.ldexp(mean, -shift)), float(np.ldexp(std, -shift))
     if math.isinf(std):
         raise ValueError("sample standard deviation beyond the float range")
-    if two_sided:
-        p = 2.0 * student_t_tail(abs(statistic), df)
-    else:
-        p = student_t_tail(statistic, df)
-    return TTestResult(
-        statistic=statistic,
-        df=df,
-        p_value=p,
-        sample_mean=mean,
-        sample_std=std,
-        threshold=threshold,
-        two_sided=two_sided,
-    )
+    return TTestResult(statistic, df, mean, std, threshold, two_sided)

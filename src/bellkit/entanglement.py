@@ -190,16 +190,18 @@ def canonical_iso_of(measurement) -> Isomorphism:
 class SchmidtDecomposition(_Record):
     """State decomposition psi = sum_k c_k u_k (x) v_k through an isomorphism.
 
-    ``left`` and ``right`` are 2x2: column k is u_k and v_k.  ``==`` ignores
-    ``iso_name``.
+    ``matrix`` is the 2x2 coefficient matrix of psi's image, entry (i, j)
+    on product basis vector (i, j).  Its SVD gives ``coefficients`` (the
+    c_k, descending), ``left`` and ``right``, 2x2 with column k holding u_k
+    and v_k.  ``==`` ignores ``iso_name``.
     """
 
     _uncompared = ("iso_name",)
 
-    def __init__(self, coefficients: np.ndarray, left: np.ndarray, right: np.ndarray,
-                 iso_name: str = "canonical"):
-        self.coefficients = np.asarray(coefficients, dtype=float)
-        self.left, self.right, self.iso_name = left, right, iso_name
+    def __init__(self, matrix: np.ndarray, iso_name: str = "canonical"):
+        self.matrix, self.iso_name = matrix, iso_name
+        u, self.coefficients, vh = svd(matrix)
+        self.left, self.right = u, vh.T  # column k holds the second-factor components
         total = float(np.sum(self.coefficients**2))
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"Schmidt coefficients must satisfy sum c^2 = 1, got {total}")
@@ -215,24 +217,17 @@ class SchmidtDecomposition(_Record):
 class OperatorSchmidt(_Record):
     """Operator decomposition T = sum_k sigma_k A_k (x) B_k.
 
-    ``transported`` is the operator's image under the isomorphism; the
-    factors are Hilbert-Schmidt orthonormal 2x2 matrices.
+    ``transported`` is the operator's image T under the isomorphism.  The
+    SVD of reshuffle(T) gives ``sigma`` (descending) and the factors
+    ``factors_a`` and ``factors_b``, Hilbert-Schmidt orthonormal 2x2
+    matrices.
     """
 
-    def __init__(self, sigma: np.ndarray, factors_a: list, factors_b: list, transported: np.ndarray):
-        self.sigma = np.asarray(sigma, dtype=float)
-        self.factors_a, self.factors_b, self.transported = factors_a, factors_b, transported
-        # Both sides scaled by the power of two that brings peak_part into
-        # [0.5, 1): exact, so no square can overflow and nothing is divided
-        # by a subnormal peak.  Subnormal sigma are only kept to the spacing
-        # 2^-1074, which is 2^(shift - 1074) in these units.
-        shift = -np.frexp(peak_part(self.transported))[1]
-        t = np.asarray(self.transported)
-        hs_sq = float(np.sum(np.ldexp(t.real, shift) ** 2 + np.ldexp(t.imag, shift) ** 2))
-        sigma = np.ldexp(self.sigma, shift)
-        slack = 1e-9 * hs_sq + float(np.sum(sigma)) * 2.0 ** (int(shift) - 1074)
-        if not abs(float(np.sum(sigma**2)) - hs_sq) <= slack:
-            raise ValueError("sum sigma^2 must equal the squared Hilbert-Schmidt norm")
+    def __init__(self, transported: np.ndarray):
+        self.transported = transported
+        u, self.sigma, vh = svd(reshuffle(transported))
+        self.factors_a = [u[:, k].reshape(2, 2) for k in range(4)]
+        self.factors_b = [vh[k, :].reshape(2, 2) for k in range(4)]
 
     def rank(self, rank_tol: float = RANK_TOL) -> int:
         return numerical_rank(self.sigma, rank_tol)
@@ -323,29 +318,13 @@ def _transported_is_product(us: np.ndarray, operators: np.ndarray) -> np.ndarray
     return product
 
 
-def _operator_schmidt_of_transported(transported: np.ndarray) -> OperatorSchmidt:
-    u, sigma, vh = svd(reshuffle(transported))
-    factors_a = [u[:, k].reshape(2, 2) for k in range(4)]
-    factors_b = [vh[k, :].reshape(2, 2) for k in range(4)]
-    return OperatorSchmidt(
-        sigma=sigma, factors_a=factors_a, factors_b=factors_b, transported=transported
-    )
-
-
 def schmidt_state(state, iso: Isomorphism | None = None) -> SchmidtDecomposition:
     """Schmidt decomposition of a unit state relative to an isomorphism."""
     iso = iso if iso is not None else canonical_iso()
     psi = _values(state)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("schmidt_state expects a unit state")
-    coeffs = iso.apply(psi).reshape(2, 2)
-    u, sigma, vh = svd(coeffs)
-    return SchmidtDecomposition(
-        coefficients=sigma,
-        left=u,
-        right=vh.T,  # column k holds the second-factor components
-        iso_name=iso.name,
-    )
+    return SchmidtDecomposition(iso.apply(psi).reshape(2, 2), iso.name)
 
 
 def operator_schmidt(operator, iso: Isomorphism | None = None) -> OperatorSchmidt:
@@ -366,7 +345,7 @@ def operator_schmidt(operator, iso: Isomorphism | None = None) -> OperatorSchmid
         raise ValueError("operator must be 4x4")
     if not is_hermitian(op):
         raise ValueError("operator_schmidt expects a Hermitian operator")
-    return _operator_schmidt_of_transported(iso.transport(op))
+    return OperatorSchmidt(iso.transport(op))
 
 
 def measurement_entanglement_degree(operator, iso: Isomorphism | None = None) -> float:
@@ -402,7 +381,7 @@ def evolution_between(source_model, target_model) -> Evolution:
 def is_product_evolution(evolution: Evolution, iso: Isomorphism | None = None) -> bool:
     """Whether a unitary evolution is a tensor product relative to ``iso``, at RANK_TOL."""
     iso = iso if iso is not None else canonical_iso()
-    return _operator_schmidt_of_transported(iso.transport(evolution.matrix)).is_product
+    return OperatorSchmidt(iso.transport(evolution.matrix)).is_product
 
 
 def states_equal_up_to_phase(u, v) -> bool:
@@ -421,14 +400,16 @@ class FactorizationReport(_Record):
     """Joint outcome probabilities against the product of their marginals.
 
     ``joint[i, j]`` is the probability of outcome (i+1, j+1); ``marginal_a``
-    and ``marginal_b`` are its row and column sums, and ``expected`` holds
-    the products marginal_a[i] * marginal_b[j].
+    and ``marginal_b`` are its row and column sums, ``expected`` holds the
+    products marginal_a[i] * marginal_b[j], ``deviations`` the |joint -
+    expected| and ``max_deviation`` their largest entry.
     """
 
-    def __init__(self, joint: np.ndarray, marginal_a: np.ndarray, marginal_b: np.ndarray,
-                 expected: np.ndarray, deviations: np.ndarray, max_deviation: float):
-        self.joint, self.marginal_a, self.marginal_b = joint, marginal_a, marginal_b
-        self.expected, self.deviations, self.max_deviation = expected, deviations, max_deviation
+    def __init__(self, joint: np.ndarray):
+        self.joint = joint
+        self.marginal_a, self.marginal_b = joint.sum(axis=1), joint.sum(axis=0)
+        self.expected, self.deviations = marginal_product_deviations(joint, self.marginal_a, self.marginal_b)
+        self.max_deviation = float(self.deviations.max())
 
 
 def collapse_probabilities(vectors, states) -> np.ndarray:
@@ -462,26 +443,18 @@ def check_factorization(state, measurement) -> FactorizationReport:
     """
     psi = _values(state)
     joint = collapse_probabilities(np.column_stack(_model_eigenvectors(measurement)), psi)
-    joint = joint.reshape(2, 2)
-    marginal_a, marginal_b = joint.sum(axis=1), joint.sum(axis=0)
-    expected, deviations = marginal_product_deviations(joint, marginal_a, marginal_b)
-    return FactorizationReport(
-        joint=joint,
-        marginal_a=marginal_a,
-        marginal_b=marginal_b,
-        expected=expected,
-        deviations=deviations,
-        max_deviation=float(deviations.max()),
-    )
+    return FactorizationReport(joint.reshape(2, 2))
 
 
 class ProductIsoSearchResult(_Record):
     """Outcome of the least-squares search for a common product-rendering
-    isomorphism: ``trials`` counts the starts run and ``objective`` is the
-    lowest objective any start reached."""
+    isomorphism: ``witness`` is the isomorphism found, or None, and
+    ``found`` whether there is one; ``trials`` counts the starts run and
+    ``objective`` is the lowest objective any start reached."""
 
-    def __init__(self, found: bool, witness: Isomorphism | None, trials: int, objective: float):
-        self.found, self.witness, self.trials, self.objective = found, witness, trials, objective
+    def __init__(self, witness: Isomorphism | None, trials: int, objective: float):
+        self.witness, self.trials, self.objective = witness, trials, objective
+        self.found = witness is not None
 
 
 def _minor_residuals(us: np.ndarray, operators: np.ndarray) -> tuple:
@@ -563,5 +536,4 @@ def refute_common_product_iso(operators, seed: int = 0) -> ProductIsoSearchResul
         SEARCH_ITERATIONS, retract=_retract)
     hits = np.flatnonzero(_transported_is_product(us[:, None], ops).all(axis=1))
     witness = Isomorphism(us[hits[0]], name="search") if hits.size else None
-    return ProductIsoSearchResult(found=bool(hits.size), witness=witness, trials=len(us),
-                                  objective=float(objectives.min()))
+    return ProductIsoSearchResult(witness, len(us), float(objectives.min()))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _Record, io
 from .bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset
-from .hilbert import _levenberg, _values, from_polar_deg, gram, is_hermitian, orthonormalize, tensor
+from .hilbert import _levenberg, _values, from_polar_deg, gram, orthonormalize, tensor
 
 _EIGENVALUE_PATTERN = (1.0, -1.0, -1.0, 1.0)
 
@@ -33,26 +33,23 @@ class ObservableModel(_Record):
 
     ``eigenvectors_raw`` holds the vectors as supplied (possibly rounded) and
     ``eigenvectors`` their orthonormal repair, each a list of four complex
-    4-vectors.  Golden tests can target either form.
+    4-vectors.  Golden tests can target either form.  ``operator`` is the
+    spectral synthesis sum(lambda_k |v_k><v_k|) over the repaired vectors.
     """
 
     def __init__(self, experiment: str, eigenvectors_raw: list, eigenvectors: list, eigenvalues: tuple,
-                 operator: np.ndarray, a_labels: tuple = ("1", "2"), b_labels: tuple = ("1", "2")):
+                 a_labels: tuple = ("1", "2"), b_labels: tuple = ("1", "2")):
         self.experiment = experiment
         self.eigenvectors_raw, self.eigenvectors = eigenvectors_raw, eigenvectors
-        self.eigenvalues, self.operator = eigenvalues, operator
+        self.eigenvalues = eigenvalues
         self.a_labels, self.b_labels = a_labels, b_labels
         if len(self.eigenvectors) != 4 or len(self.eigenvectors_raw) != 4:
             raise ValueError("model needs four eigenvectors")
         if len(self.eigenvalues) != 4:
             raise ValueError("model needs four eigenvalues")
-        repaired = self.eigenvectors
-        if not np.max(np.abs(gram(repaired) - np.eye(4))) <= 1e-9:
+        if not np.max(np.abs(gram(self.eigenvectors) - np.eye(4))) <= 1e-9:
             raise ValueError("repaired eigenvectors must be orthonormal within 1e-9")
-        if not np.max(np.abs(_spectral_sum(self.eigenvalues, repaired) - self.operator)) <= 1e-9:
-            raise ValueError("operator does not match its spectral synthesis")
-        if not is_hermitian(self.operator):
-            raise ValueError("operator must be Hermitian")
+        self.operator = _spectral_sum(self.eigenvalues, self.eigenvectors)
         if all(abs(lam) == 1.0 for lam in self.eigenvalues):
             if not np.max(np.abs(self.operator @ self.operator - np.eye(4))) <= 1e-9:
                 raise ValueError("operator of a +/-1 measurement must square to the identity")
@@ -139,16 +136,7 @@ def synthesize(eigenvectors, eigenvalues=_EIGENVALUE_PATTERN, experiment: str = 
             f"eigenvectors are not orthonormal within 0.05 before repair: "
             f"worst pair {worst} deviates by {dev[worst]:.4f}"
         )
-    repaired = orthonormalize(raw)
-    return ObservableModel(
-        experiment=experiment,
-        eigenvectors_raw=raw,
-        eigenvectors=repaired,
-        eigenvalues=eigenvalues,
-        operator=_spectral_sum(eigenvalues, repaired),
-        a_labels=tuple(a_labels),
-        b_labels=tuple(b_labels),
-    )
+    return ObservableModel(experiment, raw, orthonormalize(raw), eigenvalues, tuple(a_labels), tuple(b_labels))
 
 
 def probabilities_from_model(state, model: ObservableModel) -> CoincidenceTable:

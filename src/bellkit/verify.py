@@ -384,10 +384,10 @@ def _check_shared_basis_evolutions() -> CheckRow:
 
 def _check_own_basis_product_form(fixture: tuple) -> CheckRow:
     state, models, _ = fixture
-    ranks = {key: operator_schmidt(models[key].operator, canonical_iso_of(models[key])).rank()
-             for key in EXPERIMENT_KEYS}
-    image_ab = canonical_iso_of(models["AB"]).apply(state)
-    image_abp = canonical_iso_of(models["AB'"]).apply(state)
+    isos = {key: canonical_iso_of(models[key]) for key in EXPERIMENT_KEYS}
+    ranks = {key: operator_schmidt(models[key].operator, isos[key]).rank() for key in EXPERIMENT_KEYS}
+    image_ab = isos["AB"].apply(state)
+    image_abp = isos["AB'"].apply(state)
     overlap = abs(np.vdot(image_ab, image_abp))
     same = states_equal_up_to_phase(image_ab, image_abp)
     rank_text = ", ".join(f"{key}: {ranks[key]}" for key in EXPERIMENT_KEYS)

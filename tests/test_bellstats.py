@@ -13,7 +13,6 @@ from bellkit import bellstats
 from bellkit.bellstats import (
     EXPERIMENT_KEYS,
     TSIRELSON_BOUND,
-    ChshReport,
     CoincidenceTable,
     ExperimentDataset,
     SinglesTable,
@@ -238,25 +237,6 @@ class TestChsh:
         report = chsh(tables)
         assert report.e_values["AB"] == pytest.approx(1.0, abs=1e-12)
         assert report.chsh == pytest.approx(2.0, abs=1e-12)
-
-    def test_report_consistency_validation(self):
-        good = chsh(counts_dataset())
-        with pytest.raises(ValueError, match="combination"):
-            ChshReport(
-                e_values=good.e_values,
-                chsh=good.chsh + 0.1,
-                violates=True,
-                tsirelson_gap=good.tsirelson_gap,
-                marginal_deviations=[],
-            )
-        with pytest.raises(ValueError, match="violates"):
-            ChshReport(
-                e_values=good.e_values,
-                chsh=good.chsh,
-                violates=False,
-                tsirelson_gap=good.tsirelson_gap,
-                marginal_deviations=[],
-            )
 
 
 class TestMarginalDeviations:

@@ -321,17 +321,6 @@ def test_operator_schmidt_of_a_subnormal_product_operator():
         assert operator_schmidt(op).rank() > 1
 
 
-def test_hilbert_schmidt_check_rejects_a_wrong_sigma_at_subnormal_scale():
-    op, iso = _subnormal_product_operator()
-    dec = operator_schmidt(op, iso)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        for factor in (1.0 + 1e-8, 2.0, 0.5):
-            with pytest.raises(ValueError, match="Hilbert-Schmidt"):
-                entanglement.OperatorSchmidt(sigma=factor * dec.sigma, factors_a=dec.factors_a,
-                                             factors_b=dec.factors_b, transported=dec.transported)
-
-
 # ---------------------------------------------------------------------------
 # entanglement degree
 
@@ -677,6 +666,35 @@ def test_search_objective_ignores_local_unitaries():
     before = np.sum(entanglement._minor_residuals(us, operators)[0] ** 2, axis=1)
     after = np.sum(entanglement._minor_residuals(local @ us, operators)[0] ** 2, axis=1)
     np.testing.assert_allclose(after, before, rtol=1e-12)
+
+
+def test_reference_search_ends_by_a_nondegenerate_local_minimum(monkeypatch):
+    # the row's best start ends where the gradient 2 J^T r almost vanishes
+    # and the Hessian over the 9 non-local directions, by central differences
+    # of the exact gradient, is positive definite: 0.0496 is a local minimum
+    # modulo local unitaries, not a point the stop rule left on a slope
+    operators = np.array(_reference_operators())
+    unit = operators / np.linalg.norm(operators, axis=(1, 2))[:, None, None]
+    finals = _final_search_unitaries(monkeypatch, operators)
+    r, jac = entanglement._minor_residuals(finals, unit)
+    best = int(np.argmin(np.sum(r**2, axis=1)))
+    assert np.sum(r[best] ** 2) == pytest.approx(0.0496353, rel=1e-6)
+    assert np.linalg.norm(2 * jac[best].T @ r[best]) <= 1e-3
+    step = 1e-5
+    moves = np.concatenate([step * np.eye(9), -step * np.eye(9)])
+    points = entanglement._retract(np.repeat(finals[best:best + 1], 18, axis=0), moves)
+    r, jac = entanglement._minor_residuals(points, unit)
+    gradients = 2 * np.einsum("bri,br->bi", jac, r)
+    hessian = (gradients[:9] - gradients[9:]) / (2 * step)
+    assert np.linalg.eigvalsh((hessian + hessian.T) / 2)[0] >= 0.1
+
+
+def test_no_seed_finds_a_lower_reference_objective():
+    # the row's seed 0 is no lucky draw: over 300 seeds of 4 starts each,
+    # none goes below the minimum seed 0 reaches
+    operators = _reference_operators()
+    objectives = [refute_common_product_iso(operators, seed=seed).objective for seed in range(300)]
+    assert min(objectives) >= 0.0496
 
 
 def _ginibre(rng, *shape):

@@ -50,7 +50,6 @@ from oracles import random_state, random_unitary
 NAN = math.nan
 NAN_VECTORS = [np.full(4, NAN)] * 4
 NAN_MATRIX = np.full((4, 4), NAN)
-UNIT_FACTORS = [np.eye(2) / math.sqrt(2)] * 4
 
 
 @pytest.mark.parametrize("build, message", [
@@ -60,10 +59,10 @@ UNIT_FACTORS = [np.eye(2) / math.sqrt(2)] * 4
     (lambda: orthonormalize(NAN_VECTORS), "beyond repair"),
     (lambda: canonical_iso_of(NAN_VECTORS), "deviate from orthonormality by nan"),
     (lambda: synthesize(NAN_VECTORS), "not orthonormal within 0.05 before repair"),
-    (lambda: ObservableModel("AB", NAN_VECTORS, NAN_VECTORS, (1, -1, -1, 1), np.diag([1.0, -1, -1, 1])),
+    (lambda: ObservableModel("AB", NAN_VECTORS, NAN_VECTORS, (1, -1, -1, 1)),
      "repaired eigenvectors must be orthonormal"),
-    (lambda: SchmidtDecomposition([NAN, NAN], np.eye(2), np.eye(2)), "sum c\\^2 = 1"),
-    (lambda: OperatorSchmidt([NAN] * 4, UNIT_FACTORS, UNIT_FACTORS, np.eye(4)), "sum sigma\\^2"),
+    (lambda: SchmidtDecomposition(np.full((2, 2), NAN)), "svd expects finite entries"),
+    (lambda: OperatorSchmidt(NAN_MATRIX), "svd expects finite entries"),
     (lambda: FitResult(NAN, True, np.eye(4), None), "misfit must be nonnegative"),
     (lambda: CoincidenceTable("AB", 0.0, 0.0, 0.0, 0.0, sum_tol=NAN), "tolerance must lie in \\[0, 1\\)"),
     (lambda: fit_state(reference_fixture()[2], target_misfit=NAN), "target_misfit must be finite and positive"),

@@ -11,7 +11,6 @@ from bellkit import io
 from bellkit.bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset, chsh
 from bellkit.hilbert import from_polar_deg, gram, polar_deg, tensor
 from bellkit.modelfit import (
-    ObservableModel,
     StateVector,
     fit_basis,
     fit_state,
@@ -159,17 +158,6 @@ def test_synthesize_accepts_rounded_but_repairable_family():
     for model in models.values():
         assert np.max(np.abs(gram(model.eigenvectors) - np.eye(4))) <= 1e-9
         assert np.max(np.abs(gram(model.eigenvectors_raw) - np.eye(4))) > 0.0
-
-
-def test_observable_model_rejects_mismatched_operator():
-    with pytest.raises(ValueError, match="spectral synthesis"):
-        ObservableModel(
-            experiment="x",
-            eigenvectors_raw=list(np.eye(4, dtype=complex)),
-            eigenvectors=list(np.eye(4, dtype=complex)),
-            eigenvalues=(1, -1, -1, 1),
-            operator=np.eye(4, dtype=complex),
-        )
 
 
 def test_outcome_labels_combine_sides():

@@ -1,12 +1,19 @@
-"""bellkit's 17 record classes: construction, defaults, ``==``, ``repr``,
-hashing and the checks each constructor runs."""
+"""bellkit's record classes: construction, defaults, ``==``, ``repr``,
+hashing, the checks each constructor runs, and the fields that eight of
+them compute from their arguments.
+
+A record's fields, in ``==`` and ``repr``, are its constructor's
+parameters; the fields it computes from them are attributes only."""
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import bellkit
 from bellkit.bellstats import (
     TSIRELSON_BOUND,
     ChshReport,
@@ -15,6 +22,11 @@ from bellkit.bellstats import (
     MarginalDeviation,
     SinglesTable,
     TTestResult,
+    chsh,
+    expectation,
+    marginal_deviations,
+    student_t_tail,
+    t_test_vs_threshold,
 )
 from bellkit.entanglement import (
     Evolution,
@@ -23,15 +35,18 @@ from bellkit.entanglement import (
     OperatorSchmidt,
     ProductIsoSearchResult,
     SchmidtDecomposition,
+    canonical_iso_of,
+    check_factorization,
+    operator_schmidt,
+    refute_common_product_iso,
+    reshuffle,
+    schmidt_state,
 )
-from bellkit.modelfit import FitResult, ObservableModel, StateFitResult, StateVector
+from bellkit.modelfit import FitResult, ObservableModel, StateFitResult, StateVector, reference_fixture
 from bellkit.verify import CheckRow
 
 EYE4 = np.eye(4, dtype=complex)
-EYE2 = np.eye(2, dtype=complex)
-DIAG = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 BASIS = list(EYE4)
-HALF_EYE2 = [np.eye(2) / math.sqrt(2)]
 
 
 def _tables(p11: float = 0.25) -> dict:
@@ -43,7 +58,7 @@ TABLES = _tables()
 SINGLES = SinglesTable({"A": (0.5, 0.5)})
 STATE = StateVector(np.array([1, 0, 0, 0], dtype=complex))
 E_VALUES = {"AB": -0.5, "AB'": 0.5, "A'B": 0.5, "A'B'": 0.5}
-MODEL = ObservableModel("AB", BASIS, BASIS, (1.0, -1.0, -1.0, 1.0), DIAG)
+MODEL = ObservableModel("AB", BASIS, BASIS, (1.0, -1.0, -1.0, 1.0))
 
 # Each record: its fields in parameter order, valid arguments, the defaults
 # of its trailing parameters, overrides that keep it == and that make it !=
@@ -81,18 +96,16 @@ RECORDS = [
      [({"tables": {k: v for k, v in TABLES.items() if k != "AB"}}, "missing coincidence tables: \\['AB'\\]"),
       ({"tables": {**TABLES, "BB": TABLES["AB"]}}, "unknown coincidence tables: \\['BB'\\]")]),
     (MarginalDeviation,
-     ("side", "outcome", "experiment_lhs", "experiment_rhs", "lhs", "rhs", "deviation"),
-     ("A", 1, "AB", "AB'", 0.679, 0.618, 0.061),
-     {}, {}, {"deviation": 0.0}, []),
+     ("side", "outcome", "experiment_lhs", "experiment_rhs", "lhs", "rhs"),
+     ("A", 1, "AB", "AB'", 0.679, 0.618),
+     {}, {}, {"rhs": 0.679}, []),
     (ChshReport,
-     ("e_values", "chsh", "violates", "tsirelson_gap", "marginal_deviations"),
-     (E_VALUES, 2.0, False, TSIRELSON_BOUND - 2.0, []),
-     {}, {"e_values": dict(E_VALUES)}, {"tsirelson_gap": 0.0},
-     [({"chsh": 2.1}, "does not match its defining combination"),
-      ({"violates": True}, "violates flag inconsistent")]),
+     ("e_values", "marginal_deviations"),
+     (E_VALUES, []),
+     {}, {"e_values": dict(E_VALUES)}, {"e_values": {**E_VALUES, "AB": -0.6}}, []),
     (TTestResult,
-     ("statistic", "df", "p_value", "sample_mean", "sample_std", "threshold", "two_sided"),
-     (2.2, 80, 0.0171, 2.4, 1.7, 2.0, False),
+     ("statistic", "df", "sample_mean", "sample_std", "threshold", "two_sided"),
+     (2.2, 80, 2.4, 1.7, 2.0, False),
      {}, {}, {"two_sided": True}, []),
     (Isomorphism,
      ("matrix", "name"),
@@ -101,39 +114,38 @@ RECORDS = [
      [({"matrix": np.eye(3)}, "must be 4x4"),
       ({"matrix": 2 * EYE4}, "isomorphism matrix is not unitary")]),
     (SchmidtDecomposition,
-     ("coefficients", "left", "right", "iso_name"),
-     (np.array([0.6, 0.8]), EYE2, EYE2, "mine"),
+     ("matrix", "iso_name"),
+     (np.diag([0.8, 0.6]), "mine"),
      {"iso_name": "canonical"}, {"iso_name": "other"}, None,
-     [({"coefficients": np.array([1.0, 1.0])}, "sum c\\^2 = 1, got 2.0")]),
+     [({"matrix": np.eye(2)}, "sum c\\^2 = 1, got 2.0"),
+      ({"matrix": np.full((2, 2), math.inf)}, "svd expects finite entries")]),
     (OperatorSchmidt,
-     ("sigma", "factors_a", "factors_b", "transported"),
-     (np.array([2.0, 0.0, 0.0, 0.0]), HALF_EYE2, HALF_EYE2, EYE4),
-     {}, {}, {"factors_a": []},
-     [({"sigma": np.array([1.0, 0.0, 0.0, 0.0])}, "sum sigma\\^2 must equal")]),
+     ("transported",),
+     (EYE4,),
+     {}, {}, None,
+     [({"transported": np.full((4, 4), math.inf)}, "svd expects finite entries")]),
     (Evolution,
      ("matrix", "source", "target"),
      (EYE4, "AB", "AB'"),
      {}, {}, {"target": "A'B"},
      [({"matrix": 2 * EYE4}, "evolution operator is not unitary")]),
     (FactorizationReport,
-     ("joint", "marginal_a", "marginal_b", "expected", "deviations", "max_deviation"),
-     (np.full((2, 2), 0.25), np.full(2, 0.5), np.full(2, 0.5), np.full((2, 2), 0.25), np.zeros((2, 2)), 0.0),
-     {}, {}, {"max_deviation": 0.5}, []),
+     ("joint",),
+     (np.full((2, 2), 0.25),),
+     {}, {}, None, []),
     (ProductIsoSearchResult,
-     ("found", "witness", "trials", "objective"),
-     (True, Isomorphism(EYE4), 1, 1e-30),
+     ("witness", "trials", "objective"),
+     (Isomorphism(EYE4), 1, 1e-30),
      {}, {}, {"objective": 0.05}, []),
     (ObservableModel,
-     ("experiment", "eigenvectors_raw", "eigenvectors", "eigenvalues", "operator", "a_labels", "b_labels"),
-     ("AB", BASIS, BASIS, (1.0, -1.0, -1.0, 1.0), DIAG, ("Horse", "Bear"), ("Growls", "Whinnies")),
+     ("experiment", "eigenvectors_raw", "eigenvectors", "eigenvalues", "a_labels", "b_labels"),
+     ("AB", BASIS, BASIS, (1.0, -1.0, -1.0, 1.0), ("Horse", "Bear"), ("Growls", "Whinnies")),
      {"a_labels": ("1", "2"), "b_labels": ("1", "2")}, {}, {"experiment": "AB'"},
      [({"eigenvectors": BASIS[:3]}, "model needs four eigenvectors"),
       ({"eigenvalues": (1.0, -1.0, -1.0)}, "model needs four eigenvalues"),
       ({"eigenvectors": [2 * v for v in BASIS]}, "orthonormal within 1e-9"),
-      ({"operator": EYE4}, "does not match its spectral synthesis"),
-      ({"eigenvalues": (1j, -1.0, -1.0, 1.0), "operator": np.diag([1j, -1, -1, 1])}, "must be Hermitian"),
-      # within 1e-9 of the synthesis, Hermitian, and its square 1.8e-9 off the identity
-      ({"operator": DIAG + 0.9e-9}, "must square to the identity")]),
+      # orthonormal within 0.9e-9, and the operator's square 1.8e-9 off the identity
+      ({"eigenvectors": [(1 + 0.45e-9) * BASIS[0], *BASIS[1:]]}, "must square to the identity")]),
     (StateVector,
      ("raw", "provenance"),
      (np.array([0.6, 0.8j, 0.0, 0.0]), "fitted"),
@@ -190,9 +202,11 @@ def test_record(cls, fields, args, defaults, same, differ, checks):
 
 
 def test_record_repr_text():
-    row = MarginalDeviation("A", 1, "AB", "AB'", 0.679, 0.618, 0.061)
+    row = MarginalDeviation("A", 1, "AB", "AB'", 0.679, 0.618)
+    # computed attributes are not fields
     assert repr(row) == ("MarginalDeviation(side='A', outcome=1, experiment_lhs='AB', "
-                         "experiment_rhs=\"AB'\", lhs=0.679, rhs=0.618, deviation=0.061)")
+                         "experiment_rhs=\"AB'\", lhs=0.679, rhs=0.618)")
+    assert row.deviation == abs(0.679 - 0.618)
     # class attributes are not fields
     assert repr(FitResult(0.0, True, None, None)) == "FitResult(misfit=0.0, converged=True, matrix=None, model=None)"
     assert FitResult(0.0, True, None, None).restarts_used == 1
@@ -201,8 +215,72 @@ def test_record_repr_text():
 def test_record_arrays_compare_as_in_a_tuple():
     # == compares the field tuples: an array field matches itself, and two
     # distinct arrays leave numpy's elementwise result, which has no truth value
-    left = np.eye(2)
-    decomposition = SchmidtDecomposition([0.6, 0.8], left, left)
-    assert decomposition == SchmidtDecomposition(decomposition.coefficients, left, left, "other")
+    matrix = np.diag([0.8, 0.6])
+    decomposition = SchmidtDecomposition(matrix)
+    assert decomposition == SchmidtDecomposition(matrix, "other")
     with pytest.raises(ValueError, match="truth value of an array"):
-        decomposition == SchmidtDecomposition([0.6, 0.8], left, left)  # noqa: B015
+        decomposition == SchmidtDecomposition(matrix.copy())  # noqa: B015
+
+
+def test_every_record_class_has_a_row():
+    for module in pkgutil.iter_modules(bellkit.__path__):
+        importlib.import_module(f"bellkit.{module.name}")
+    classes, unseen = set(), [bellkit._Record]
+    while unseen:
+        for cls in unseen.pop().__subclasses__():
+            classes.add(cls)
+            unseen.append(cls)
+    assert classes == {spec[0] for spec in RECORDS}
+
+
+@pytest.fixture(scope="module")
+def derived_fields():
+    """Per record class, pairs of a record its builder returns on the
+    reference fixture and the fields the record computes, each computed here
+    by the expression its docstring gives."""
+    state, models, dataset = reference_fixture()
+    psi, iso = state.values, canonical_iso_of(models["AB"])
+    e = {key: expectation(table) for key, table in dataset.tables.items()}
+    value = e["A'B'"] + e["A'B"] + e["AB'"] - e["AB"]
+    one_sided, two_sided = (t_test_vs_threshold([2.1, 2.5, 1.9, 2.8, 2.4], 2.0, sides) for sides in (False, True))
+    left, coefficients, right = np.linalg.svd(iso.apply(psi).reshape(2, 2))
+    transported = iso.transport(models["AB'"].operator)
+    u, sigma, vh = np.linalg.svd(reshuffle(transported))
+    report = check_factorization(psi, models["AB"])
+    marginal_a, marginal_b = report.joint.sum(axis=1), report.joint.sum(axis=0)
+    expected = np.outer(marginal_a, marginal_b)
+    operators = [models[key].operator for key in ("AB", "AB'", "A'B", "A'B'")]
+    v = np.column_stack(models["AB"].eigenvectors)
+    return {
+        ChshReport: [(chsh(dataset), {"chsh": value, "violates": abs(value) > 2.0,
+                                      "tsirelson_gap": TSIRELSON_BOUND - abs(value)})],
+        MarginalDeviation: [(row, {"deviation": abs(row.lhs - row.rhs)}) for row in marginal_deviations(dataset)],
+        TTestResult: [(one_sided, {"p_value": student_t_tail(one_sided.statistic, one_sided.df)}),
+                      (two_sided, {"p_value": 2.0 * student_t_tail(abs(two_sided.statistic), two_sided.df)})],
+        SchmidtDecomposition: [(schmidt_state(psi, iso),
+                                {"coefficients": coefficients, "left": left, "right": right.T})],
+        OperatorSchmidt: [(operator_schmidt(models["AB'"].operator, iso),
+                           {"sigma": sigma, "factors_a": [u[:, k].reshape(2, 2) for k in range(4)],
+                            "factors_b": [vh[k, :].reshape(2, 2) for k in range(4)]})],
+        FactorizationReport: [(report, {"marginal_a": marginal_a, "marginal_b": marginal_b, "expected": expected,
+                                        "deviations": np.abs(report.joint - expected),
+                                        "max_deviation": np.abs(report.joint - expected).max()})],
+        # no witness for the quartet, one for a pair
+        ProductIsoSearchResult: [(refute_common_product_iso(operators), {"found": False, "witness": None}),
+                                 (refute_common_product_iso(operators[:2]), {"found": True})],
+        ObservableModel: [(models["AB"], {"operator": (v * np.asarray(models["AB"].eigenvalues)) @ v.conj().T})],
+    }
+
+
+@pytest.mark.parametrize("cls", [ChshReport, MarginalDeviation, TTestResult, SchmidtDecomposition,
+                                 OperatorSchmidt, FactorizationReport, ProductIsoSearchResult, ObservableModel],
+                         ids=lambda cls: cls.__name__)
+def test_record_computes_the_fields_its_builder_computed(derived_fields, cls):
+    for record, expected in derived_fields[cls]:
+        assert type(record) is cls
+        for name, value in expected.items():
+            assert np.array_equal(getattr(record, name), value), name
+        # the record rebuilt from its own fields computes the same bits
+        again = cls(*(getattr(record, name) for name in cls._fields))
+        for name in expected:
+            assert np.array_equal(getattr(again, name), getattr(record, name)), name

@@ -13,9 +13,10 @@ import types
 import numpy as np
 import pytest
 
-from bellkit import entanglement, verify
+from bellkit import verify
 from bellkit.bellstats import chsh, marginal_deviations
 from bellkit.entanglement import (
+    OperatorSchmidt,
     check_factorization,
     evolution_between,
     is_product_evolution,
@@ -95,7 +96,7 @@ def test_stacked_ranks_marginals_and_chsh_match_every_trial(seed, trials):
         for k, (src, dst) in enumerate(verify.EVOLUTION_PAIRS):
             evolution = evolution_between(trial_families[src], trial_families[dst])
             transported = iso.transport(evolution.matrix)
-            rank = entanglement._operator_schmidt_of_transported(transported).rank()
+            rank = OperatorSchmidt(transported).rank()
             assert products[i, k] == (rank == 1), (i, src, dst)
             assert products[i, k] == is_product_evolution(evolution, iso), (i, src, dst)
         one_trial = {key: [np.column_stack(family)] for key, family in trial_families.items()}
