@@ -90,7 +90,9 @@ class CoincidenceTable(_Record):
     a_labels, b_labels : pairs of str
         Outcome names of the two sides, e.g. ("Horse", "Bear").
     counts : tuple of four int, optional
-        Raw counts behind the probabilities.
+        Raw counts behind the probabilities, checked against ``n`` by
+        counts_to_probabilities; counts/n must match the probabilities
+        within 1e-9.
     n : int, optional
         Number of trials; required when counts are given.
     sum_tol : float
@@ -113,16 +115,10 @@ class CoincidenceTable(_Record):
         if len(self.a_labels) != 2 or len(self.b_labels) != 2:
             raise ValueError("a_labels and b_labels must each have two entries")
         if self.counts is not None:
-            if self.n is None or self.n <= 0:
-                raise ValueError("counts require a positive n")
-            if len(self.counts) != 4 or any(c < 0 for c in self.counts):
+            if len(self.counts) != 4:
                 raise ValueError("counts must be four nonnegative integers")
-            if sum(self.counts) != self.n:
-                raise ValueError(
-                    f"{self.experiment}: counts sum to {sum(self.counts)}, expected n={self.n}"
-                )
-            for c, p in zip(self.counts, probs):
-                if abs(c / self.n - p) > 1e-9:
+            for c, q, p in zip(self.counts, counts_to_probabilities(self.counts, self.n), probs):
+                if abs(q - p) > 1e-9:
                     raise ValueError(
                         f"{self.experiment}: counts/n disagree with probabilities "
                         f"({c}/{self.n} vs {p})"
@@ -269,9 +265,13 @@ def marginal_deviations(dataset) -> list:
 
 
 def counts_to_probabilities(counts, n) -> tuple:
-    """Relative frequencies counts[k]/n with consistency checks."""
+    """Relative frequencies counts[k]/n.  ValueError unless n is positive
+    and the counts are nonnegative integers (in value) summing to n."""
     if n is None or n <= 0:
         raise ValueError("n must be a positive integer")
+    # float() would overflow on integers beyond the float range; NaN and inf fail
+    if not all(isinstance(c, (int, np.integer)) or float(c).is_integer() for c in counts):
+        raise ValueError(f"counts must be integers, got {tuple(counts)}")
     counts = [int(c) for c in counts]
     if any(c < 0 for c in counts):
         raise ValueError("counts must be nonnegative")

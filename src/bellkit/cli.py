@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import json
 import os
 import sys
 from importlib import resources

@@ -18,7 +18,7 @@ from .hilbert import (
     _levenberg,
     _values,
     check_unitary,
-    gram,
+    gram,  # not called: perfbench/spans.py wraps entanglement's binding
     is_hermitian,
     numerical_rank,
     orthonormalize,
@@ -169,20 +169,13 @@ def canonical_iso_of(measurement) -> Isomorphism:
     Raises
     ------
     ValueError
-        If the eigenvector family deviates from orthonormality by more than
-        0.05 before repair, or is linearly dependent.
+        If there are not four eigenvectors, or as hilbert.orthonormalize
+        refuses a family beyond 0.05 of orthonormal.
     """
     vecs = _model_eigenvectors(measurement)
     if len(vecs) != 4:
         raise ValueError("need four eigenvectors")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation fails the bound
-        dev = float(np.max(np.abs(gram(vecs) - np.eye(4))))
-    if not dev <= 0.05:
-        raise ValueError(
-            f"eigenvectors deviate from orthonormality by {dev:.4f}, beyond repair tolerance 0.05"
-        )
-    repaired = orthonormalize(vecs)
-    matrix = np.array([v.conj() for v in repaired])
+    matrix = np.array([v.conj() for v in orthonormalize(vecs)])
     name = getattr(measurement, "experiment", None)
     return Isomorphism(matrix, name=f"from-model:{name}" if name else "from-model")
 
@@ -318,12 +311,22 @@ def _transported_is_product(us: np.ndarray, operators: np.ndarray) -> np.ndarray
     return product
 
 
-def schmidt_state(state, iso: Isomorphism | None = None) -> SchmidtDecomposition:
-    """Schmidt decomposition of a unit state relative to an isomorphism."""
-    iso = iso if iso is not None else canonical_iso()
+def _unit_values(state, caller: str) -> np.ndarray:
+    """A state's components; ValueError naming ``caller`` unless they have
+    unit norm within 1e-9 (NaN fails)."""
     psi = _values(state)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise ValueError("schmidt_state expects a unit state")
+    with np.errstate(over="ignore"):  # an overflowing norm fails the bound
+        norm = np.linalg.norm(psi)
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"{caller} expects a unit state")
+    return psi
+
+
+def schmidt_state(state, iso: Isomorphism | None = None) -> SchmidtDecomposition:
+    """Schmidt decomposition of a unit state (norm within 1e-9) relative to
+    an isomorphism."""
+    iso = iso if iso is not None else canonical_iso()
+    psi = _unit_values(state, "schmidt_state")
     return SchmidtDecomposition(iso.apply(psi).reshape(2, 2), iso.name)
 
 
@@ -432,7 +435,7 @@ def check_factorization(state, measurement) -> FactorizationReport:
     Parameters
     ----------
     state : array-like or StateVector
-        Unit state in C^4.
+        Unit state in C^4, norm within 1e-9 (ValueError otherwise).
     measurement : ObservableModel or sequence of four vectors
         Four-outcome coincidence measurement; outcome k carries the product
         label PRODUCT_LABELS[k].
@@ -441,7 +444,7 @@ def check_factorization(state, measurement) -> FactorizationReport:
     the joint table with marginals measured elsewhere, pass ``joint`` and
     them to marginal_product_deviations.
     """
-    psi = _values(state)
+    psi = _unit_values(state, "check_factorization")
     joint = collapse_probabilities(np.column_stack(_model_eigenvectors(measurement)), psi)
     return FactorizationReport(joint.reshape(2, 2))
 

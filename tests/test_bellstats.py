@@ -306,6 +306,9 @@ class TestCountsToProbabilities:
         with pytest.raises(ValueError, match="nonnegative"):
             counts_to_probabilities((-1, 41, 21, 20), 81)
 
+    def test_integer_counts_beyond_the_float_range_are_counts(self):
+        assert counts_to_probabilities((10**400, 0, 0, 0), 10**400) == (1.0, 0.0, 0.0, 0.0)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=4, max_size=4).filter(lambda c: sum(c) > 0))
     def test_round_trip(self, counts):

@@ -28,6 +28,7 @@ from bellkit.entanglement import (
     OperatorSchmidt,
     SchmidtDecomposition,
     canonical_iso_of,
+    check_factorization,
     operator_schmidt,
     refute_common_product_iso,
     schmidt_state,
@@ -50,17 +51,21 @@ from oracles import random_state, random_unitary
 NAN = math.nan
 NAN_VECTORS = [np.full(4, NAN)] * 4
 NAN_MATRIX = np.full((4, 4), NAN)
+NAN_FAMILY = "family is beyond repair: not orthonormal within 0.05, worst pair \\(0, 0\\) deviates by nan"
 
 
 @pytest.mark.parametrize("build, message", [
     (lambda: check_unitary(NAN_MATRIX, "matrix"), "matrix is not unitary"),
     (lambda: Isomorphism(NAN_MATRIX), "isomorphism matrix is not unitary"),
     (lambda: Evolution(NAN_MATRIX, "AB", "AB'"), "evolution operator is not unitary"),
-    (lambda: orthonormalize(NAN_VECTORS), "beyond repair"),
-    (lambda: canonical_iso_of(NAN_VECTORS), "deviate from orthonormality by nan"),
-    (lambda: synthesize(NAN_VECTORS), "not orthonormal within 0.05 before repair"),
-    (lambda: ObservableModel("AB", NAN_VECTORS, NAN_VECTORS, (1, -1, -1, 1)),
-     "repaired eigenvectors must be orthonormal"),
+    (lambda: orthonormalize(NAN_VECTORS), NAN_FAMILY),
+    (lambda: canonical_iso_of(NAN_VECTORS), NAN_FAMILY),
+    (lambda: synthesize(NAN_VECTORS), NAN_FAMILY),
+    (lambda: ObservableModel("AB", NAN_VECTORS, (1, -1, -1, 1)), NAN_FAMILY),
+    (lambda: ObservableModel("AB", list(np.eye(4)), (1, -1, NAN, 1)), "eigenvalues must be finite"),
+    (lambda: schmidt_state(np.full(4, NAN)), "schmidt_state expects a unit state"),
+    (lambda: check_factorization(np.full(4, NAN), np.eye(4)), "check_factorization expects a unit state"),
+    (lambda: fit_basis(np.full(4, NAN), [0.25] * 4), "state must be a unit vector"),
     (lambda: SchmidtDecomposition(np.full((2, 2), NAN)), "svd expects finite entries"),
     (lambda: OperatorSchmidt(NAN_MATRIX), "svd expects finite entries"),
     (lambda: FitResult(NAN, True, np.eye(4), None), "misfit must be nonnegative"),
@@ -74,12 +79,23 @@ NAN_MATRIX = np.full((4, 4), NAN)
     (lambda: refute_common_product_iso([np.eye(4), NAN_MATRIX]), "operators must have finite entries"),
     (lambda: refute_common_product_iso([np.eye(4), np.full((4, 4), math.inf)]), "operators must have finite entries"),
 ], ids=["check_unitary", "Isomorphism", "Evolution", "orthonormalize", "canonical_iso_of", "synthesize",
-        "ObservableModel", "SchmidtDecomposition", "OperatorSchmidt", "FitResult", "CoincidenceTable",
+        "ObservableModel", "ObservableModel-eigenvalue", "schmidt_state", "check_factorization", "fit_basis-state",
+        "SchmidtDecomposition", "OperatorSchmidt", "FitResult", "CoincidenceTable",
         "fit_state", "student_t_tail-t", "student_t_tail-df", "t_test-nan-sample", "t_test-inf-sample",
         "t_test-threshold", "refute-nan", "refute-inf"])
 def test_nan_fails_every_bound_check(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda psi: schmidt_state(psi), "schmidt_state expects a unit state"),
+    (lambda psi: check_factorization(psi, np.eye(4)), "check_factorization expects a unit state"),
+    (lambda psi: fit_basis(psi, [0.25] * 4), "state must be a unit vector"),
+], ids=["schmidt_state", "check_factorization", "fit_basis"])
+def test_an_overflowing_norm_fails_the_unit_checks_without_a_warning(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(np.full(4, 1e200))
 
 
 # Settings that fit_state cannot run: range() and SeedSequence take only

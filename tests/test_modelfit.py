@@ -9,8 +9,10 @@ import pytest
 import bellkit.modelfit as modelfit
 from bellkit import io
 from bellkit.bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset, chsh
-from bellkit.hilbert import from_polar_deg, gram, polar_deg, tensor
+from bellkit.entanglement import canonical_iso_of
+from bellkit.hilbert import from_polar_deg, gram, orthonormalize, polar_deg, tensor
 from bellkit.modelfit import (
+    ObservableModel,
     StateVector,
     fit_basis,
     fit_state,
@@ -144,6 +146,19 @@ def test_synthesize_rejects_far_from_orthonormal_family():
     vecs[1] = vecs[0]  # duplicated vector: worst pair (0, 1) deviates by 1
     with pytest.raises(ValueError, match=r"worst pair \(0, 1\)"):
         synthesize(vecs)
+
+
+@pytest.mark.parametrize("family, worst", [
+    ([np.eye(4)[0], np.eye(4)[0], np.eye(4)[2], np.eye(4)[3]], "(0, 1) deviates by 1.0000"),
+    ([np.full(4, np.nan)] * 4, "(0, 0) deviates by nan"),
+], ids=["duplicate", "nan"])
+def test_every_repair_site_refuses_with_the_message_of_orthonormalize(family, worst):
+    message = f"family is beyond repair: not orthonormal within 0.05, worst pair {worst}"
+    for build in (orthonormalize, synthesize, canonical_iso_of,
+                  lambda vectors: ObservableModel("AB", vectors, (1.0, -1.0, -1.0, 1.0))):
+        with pytest.raises(ValueError) as raised:
+            build(family)
+        assert str(raised.value) == message, build
 
 
 @pytest.mark.parametrize("eigenvalue", [np.inf, -np.inf, np.nan, 2e150])

@@ -42,6 +42,7 @@ from bellkit.entanglement import (
     reshuffle,
     schmidt_state,
 )
+from bellkit.hilbert import orthonormalize
 from bellkit.modelfit import FitResult, ObservableModel, StateFitResult, StateVector, reference_fixture
 from bellkit.verify import CheckRow
 
@@ -58,7 +59,7 @@ TABLES = _tables()
 SINGLES = SinglesTable({"A": (0.5, 0.5)})
 STATE = StateVector(np.array([1, 0, 0, 0], dtype=complex))
 E_VALUES = {"AB": -0.5, "AB'": 0.5, "A'B": 0.5, "A'B'": 0.5}
-MODEL = ObservableModel("AB", BASIS, BASIS, (1.0, -1.0, -1.0, 1.0))
+MODEL = ObservableModel("AB", BASIS, (1.0, -1.0, -1.0, 1.0))
 
 # Each record: its fields in parameter order, valid arguments, the defaults
 # of its trailing parameters, overrides that keep it == and that make it !=
@@ -77,7 +78,10 @@ RECORDS = [
       ({"p11": 1.5}, "must lie in \\[0, 1\\]"),
       ({"p11": 0.3}, "sum to 1.05"),
       ({"a_labels": ("1",)}, "two entries"),
-      ({"n": None}, "positive n"),
+      ({"n": None}, "n must be a positive integer"),
+      ({"counts": (2, -1, 1, 2)}, "counts must be nonnegative"),
+      ({"counts": (1.9, 1, 1, 1)}, "counts must be integers, got \\(1.9, 1, 1, 1\\)"),
+      ({"counts": (math.inf, 1, 1, 1)}, "counts must be integers"),
       ({"counts": (1, 1, 1)}, "four nonnegative integers"),
       ({"counts": (2, 1, 1, 1)}, "counts sum to 5"),
       ({"counts": (2, 0, 1, 1)}, "disagree with probabilities")]),
@@ -138,14 +142,16 @@ RECORDS = [
      (Isomorphism(EYE4), 1, 1e-30),
      {}, {}, {"objective": 0.05}, []),
     (ObservableModel,
-     ("experiment", "eigenvectors_raw", "eigenvectors", "eigenvalues", "a_labels", "b_labels"),
-     ("AB", BASIS, BASIS, (1.0, -1.0, -1.0, 1.0), ("Horse", "Bear"), ("Growls", "Whinnies")),
+     ("experiment", "eigenvectors_raw", "eigenvalues", "a_labels", "b_labels"),
+     ("AB", BASIS, (1.0, -1.0, -1.0, 1.0), ("Horse", "Bear"), ("Growls", "Whinnies")),
      {"a_labels": ("1", "2"), "b_labels": ("1", "2")}, {}, {"experiment": "AB'"},
-     [({"eigenvectors": BASIS[:3]}, "model needs four eigenvectors"),
+     [({"eigenvectors_raw": BASIS[:3]}, "model needs four eigenvectors of dimension 4"),
+      ({"eigenvectors_raw": [v[:3] for v in BASIS]}, "model needs four eigenvectors of dimension 4"),
       ({"eigenvalues": (1.0, -1.0, -1.0)}, "model needs four eigenvalues"),
-      ({"eigenvectors": [2 * v for v in BASIS]}, "orthonormal within 1e-9"),
-      # orthonormal within 0.9e-9, and the operator's square 1.8e-9 off the identity
-      ({"eigenvectors": [(1 + 0.45e-9) * BASIS[0], *BASIS[1:]]}, "must square to the identity")]),
+      # a non-real eigenvalue would make the operator non-Hermitian
+      ({"eigenvalues": (2j, -1.0, -1.0, 1.0)}, "at most 1e150 in magnitude, and real, got \\(2j, "),
+      ({"eigenvalues": (1.0, -1.0, -2e150, 1.0)}, "at most 1e150 in magnitude"),
+      ({"eigenvectors_raw": [2 * v for v in BASIS]}, "worst pair \\(0, 0\\) deviates by 3.0000")]),
     (StateVector,
      ("raw", "provenance"),
      (np.array([0.6, 0.8j, 0.0, 0.0]), "fitted"),
@@ -268,7 +274,8 @@ def derived_fields():
         # no witness for the quartet, one for a pair
         ProductIsoSearchResult: [(refute_common_product_iso(operators), {"found": False, "witness": None}),
                                  (refute_common_product_iso(operators[:2]), {"found": True})],
-        ObservableModel: [(models["AB"], {"operator": (v * np.asarray(models["AB"].eigenvalues)) @ v.conj().T})],
+        ObservableModel: [(models["AB"], {"eigenvectors": orthonormalize(models["AB"].eigenvectors_raw),
+                                          "operator": (v * np.asarray(models["AB"].eigenvalues)) @ v.conj().T})],
     }
 
 
