@@ -126,16 +126,12 @@ class CoincidenceTable(_Record):
 
     @classmethod
     def from_counts(cls, experiment, counts, n, a_labels=("1", "2"), b_labels=("1", "2")) -> "CoincidenceTable":
-        probs = counts_to_probabilities(counts, n)
-        return cls(
-            experiment,
-            *probs,
-            a_labels=a_labels,
-            b_labels=b_labels,
-            counts=tuple(int(c) for c in counts),
-            n=int(n),
-            sum_tol=1e-9,
-        )
+        table = cls(experiment, *counts_to_probabilities(counts, n), a_labels=a_labels, b_labels=b_labels,
+                    sum_tol=1e-9)
+        # set after construction: the probabilities are counts/n already, so
+        # __init__'s check of counts against them would count them again
+        table.counts, table.n = tuple(int(c) for c in counts), int(n)
+        return table
 
     @property
     def probabilities(self) -> np.ndarray:

@@ -280,6 +280,7 @@ def cmd_fit(args) -> int:
         doc["mode"] = "state"
         doc["restarts"] = restarts
         doc["objective"] = result.objective
+        doc["marginal_bound"] = result.marginal_bound
         doc["converged"] = result.converged
         doc["iterations"] = result.iterations
         doc["evaluations"] = result.evaluations
@@ -290,7 +291,8 @@ def cmd_fit(args) -> int:
         lines += [
             f"mode: state search, seed {seed}, restarts {restarts}",
             "",
-            f"  objective {result.objective:.3e}  converged {'yes' if result.converged else 'NO'}  "
+            f"  objective {result.objective:.3e}  marginal bound {result.marginal_bound:.3e}  "
+            f"converged {'yes' if result.converged else 'NO'}  "
             f"iterations {result.iterations}  evaluations {result.evaluations}",
             "  state amplitudes " + ", ".join(f"{a:.4f}" for a in fitted_state["amplitudes"]),
             "  state phases (deg) " + ", ".join(f"{p:.2f}" for p in fitted_state["phases_deg"]),

@@ -122,9 +122,11 @@ def orthonormalize(vectors):
     than 20 vectors vanishes, and none of four falls under 0.89.  Four
     vectors are processed in REPAIR_ORDER, any other number in natural
     order, and returned at their original positions, so outcome labels keep
-    their meaning.
+    their meaning.  An empty family is returned as an empty list.
     """
     vs = [_values(v) for v in vectors]
+    if not vs:
+        return []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation fails the bound
         dev = np.abs(gram(vs) - np.eye(len(vs)))
     worst = tuple(int(k) for k in np.unravel_index(int(np.argmax(dev)), dev.shape))

@@ -7,10 +7,12 @@ models keep both the raw vectors and their orthonormal repair.
 
 fit_basis is exact: one Householder reflection maps the state onto the
 square roots of the target probabilities, and it takes only a target misfit.
-fit_state solves its least-squares problem by the batched Levenberg
-iteration of hilbert._levenberg over its seeded restarts, in blocks of a
-fixed size, with the residuals' exact Jacobian; it takes a seed, a number of
-restarts and a target misfit.
+fit_state shares each single measurement between the two tables that run
+it and solves its least-squares problem by the batched Levenberg iteration
+of hilbert._levenberg over its seeded restarts, in blocks of a fixed size,
+with the residuals' exact Jacobian; it takes a seed, a number of restarts
+and a target misfit, and reports the closed-form lower bound that the
+marginal law puts on its objective.
 """
 from __future__ import annotations
 
@@ -229,17 +231,20 @@ class StateFitResult(_Record):
     ``per_experiment`` maps experiment keys to (ObservableModel, misfit):
     the product measurement of the winning start for that table, and its
     misfit recomputed from the model's outcome probabilities at ``state``.
-    ``trace`` lists the winning start's accepted objective values, so it is
-    nonincreasing.  ``restarts_used`` is the index of the first start that
-    reaches the target misfit plus 1, or the number of starts if none does.
+    ``marginal_bound`` is the closed-form lower bound on ``objective`` that
+    the marginal law gives (fit_state).  ``trace`` lists the winning start's
+    accepted objective values, so it is nonincreasing.  ``restarts_used`` is
+    the index of the first start that reaches the target misfit plus 1, or
+    the number of starts if none does.
     ``iterations`` is the most batched iterations any block of starts ran,
     and ``evaluations`` counts the points where residuals and Jacobian were
     evaluated: each start's first point and one per iteration it ran.
     """
 
-    def __init__(self, state: StateVector, objective: float, converged: bool, per_experiment: dict,
-                 trace: list, restarts_used: int, iterations: int, evaluations: int):
-        self.state, self.objective, self.converged = state, objective, converged
+    def __init__(self, state: StateVector, objective: float, marginal_bound: float, converged: bool,
+                 per_experiment: dict, trace: list, restarts_used: int, iterations: int, evaluations: int):
+        self.state, self.objective, self.marginal_bound = state, objective, marginal_bound
+        self.converged = converged
         self.per_experiment, self.trace = per_experiment, trace
         self.restarts_used, self.iterations, self.evaluations = restarts_used, iterations, evaluations
 
@@ -255,6 +260,13 @@ _MASKS[:, 2, 1:, 1:] = _MASKS[0, 0, 1:, 0] = _MASKS[0, 1, 0, 1:] = _MASKS[1, 0, 
 _C_AND_CT = np.concatenate([np.arange(16), np.arange(16).reshape(4, 4).T.ravel()])
 _USES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])[..., None]  # which of (a, b) a.m, b.n, a.t.b read
 _SPREAD = (np.eye(16)[:, None, :] * _MASKS[0].reshape(3, 16)).reshape(16, 48)  # (1, a) (x) (1, b) to w
+# The side that each table's directions a and b measure, in EXPERIMENT_KEYS order, the sides numbered A, A', B, B':
+# AB reads A and B, AB' A and B', A'B A' and B, A'B' A' and B'.
+_SLOT_SIDES = np.array([0, 2, 0, 3, 1, 2, 1, 3])
+# fit_state's 20 parameters q are x = (Re z, Im z), then the directions of A, A', B and B'; p = q E^T gives the 32
+# per-table parameters of _state_residuals, and its Jacobian in q is J E.
+_EXPANSION = np.block([[np.eye(8), np.zeros((8, 12))],
+                       [np.zeros((24, 8)), np.kron(np.eye(4)[_SLOT_SIDES], np.eye(3))]])
 
 
 def _signature(target: np.ndarray) -> tuple:
@@ -314,21 +326,28 @@ def fit_state(dataset: ExperimentDataset, seed: int = 0, restarts: int = 64,
               target_misfit: float = 1e-10) -> StateFitResult:
     """Search for the unit state best explained by product measurements.
 
-    Objective: the sum over the four coincidence tables of the minimal
-    product-basis misfit at the candidate state — the same quantity as
-    running fit_basis restricted to U_a (x) U_b bases.  A state reaches
+    Objective: the sum over the four coincidence tables of the product-basis
+    misfit at the candidate state, where each single measurement is shared
+    by the two tables that run it, as in the paper: A by AB and AB', A' by
+    A'B and A'B', B by AB and A'B, and B' by AB' and A'B'.  A state reaches
     objective ~0 exactly when the whole dataset admits a representation by
-    that state and four product measurements.  Each table has its own
-    directions, so the marginal law is not imposed: data violating it can
-    reach ~0, and a positive objective is what the starts found, not a proof.
+    that state and four single measurements, one per side.
+
+    The marginal law is imposed: the two tables of a side share its bias
+    a.m (or b.n).  So the objective is at least ``marginal_bound``, the sum
+    over the four sides of (difference of the side's biases in its two
+    normalized tables)^2 / 8, which is d^2 / 2 for the side's first-outcome
+    deviation d of bellstats.marginal_deviations.  That bound is certified in
+    closed form; how far the objective lies above it is what the starts
+    found, not a proof.
 
     For projectors along unit Bloch directions a and b, a table's misfit is
     ((a.m - ra)^2 + (b.n - rb)^2 + (a.t.b - rc)^2) / 4, where m, n and t are
     the state's marginal Bloch vectors and correlation matrix and (ra, rb,
     rc) the table's signature.  So the objective is the squared norm of 12
-    residuals in 32 smooth parameters: psi = z / |z| with z in C^4, and per
-    table two unnormalized R^3 directions divided by their norms, with an
-    exact Jacobian evaluated alongside the residuals.
+    residuals in 20 smooth parameters: psi = z / |z| with z in C^4, and per
+    side one unnormalized R^3 direction divided by its norm, with an exact
+    Jacobian evaluated alongside the residuals.
 
     The ``restarts`` starts, drawn as standard normals from ``seed``, run
     through Levenberg's damped Gauss-Newton method in blocks of 256 stacked
@@ -343,12 +362,20 @@ def fit_state(dataset: ExperimentDataset, seed: int = 0, restarts: int = 64,
     tables = [dataset.tables[k] for k in EXPERIMENT_KEYS]
     targets = [_normalized_target(t) for t in tables]
     signatures = np.array([_signature(t) for t in targets])
+    # a side's two tables share one bias, at best the mean of their two targets
+    biases = signatures[:, :2].ravel()
+    gaps = biases - (np.bincount(_SLOT_SIDES, biases) / 2)[_SLOT_SIDES]
+
+    def residuals(q):
+        r, jac = _state_residuals(q @ _EXPANSION.T, signatures)
+        return r, jac @ _EXPANSION
+
     rng = np.random.default_rng(seed)
     objectives, winners, traces, iterations, evaluations = [], [], [], 0, 0
     for first in range(0, restarts, _BLOCK_STARTS):
-        starts = rng.standard_normal((min(_BLOCK_STARTS, restarts - first), 32))
-        params, f, history, count = _levenberg(lambda p: _state_residuals(p, signatures), starts, target_misfit,
-                                               _MIN_DECREASE, _STALL_ITERATIONS, _MAX_ITERATIONS)
+        starts = rng.standard_normal((min(_BLOCK_STARTS, restarts - first), 20))
+        params, f, history, count = _levenberg(residuals, starts, target_misfit, _MIN_DECREASE, _STALL_ITERATIONS,
+                                               _MAX_ITERATIONS)
         # keep only the block's best start, so memory stays bounded by one block
         winner = int(np.argmin(f))
         objectives.append(f)
@@ -358,7 +385,7 @@ def fit_state(dataset: ExperimentDataset, seed: int = 0, restarts: int = 64,
         evaluations += count
     objectives = np.concatenate(objectives)
     best = int(np.argmin(objectives))
-    winner, trace = winners[best // _BLOCK_STARTS], traces[best // _BLOCK_STARTS]
+    winner, trace = _EXPANSION @ winners[best // _BLOCK_STARTS], traces[best // _BLOCK_STARTS]
     z = winner[:4] + 1j * winner[4:8]
     # the global phase is free: make the first component real and nonnegative
     z = np.concatenate([[abs(z[0])], z[1:] * np.exp(-1j * np.angle(z[0]))])
@@ -373,6 +400,7 @@ def fit_state(dataset: ExperimentDataset, seed: int = 0, restarts: int = 64,
     return StateFitResult(
         state=state,
         objective=float(objectives[best]),
+        marginal_bound=float(gaps @ gaps) / 4,
         converged=bool(reached.size),
         per_experiment=per_experiment,
         trace=[float(v) for v in trace[np.r_[True, np.diff(trace) < 0]]],

@@ -140,6 +140,19 @@ class TestCoincidenceTable:
         np.testing.assert_allclose(t.probabilities, np.array([4, 51, 21, 5]) / 81.0, atol=1e-15)
         assert t.n == 81
 
+    def test_from_counts_counts_once(self, monkeypatch):
+        calls = []
+
+        def counting(counts, n):
+            calls.append((counts, n))
+            return counts_to_probabilities(counts, n)
+
+        monkeypatch.setattr(bellstats, "counts_to_probabilities", counting)
+        t = CoincidenceTable.from_counts("AB", [np.int64(4), 51, 21, 5], np.int64(81))
+        assert len(calls) == 1
+        assert t == CoincidenceTable("AB", 4 / 81, 51 / 81, 21 / 81, 5 / 81, counts=(4, 51, 21, 5), n=81, sum_tol=1e-9)
+        assert type(t.n) is int and all(type(c) is int for c in t.counts)
+
 
 class TestSinglesAndDataset:
     def test_singles_pair_must_sum_to_one(self):

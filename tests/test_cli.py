@@ -425,7 +425,8 @@ def test_fit_state_mode_reports_objective_and_is_deterministic(capsys):
     assert code == 0
     assert doc["mode"] == "state"
     assert doc["converged"] is False  # no product representation of this dataset
-    assert doc["objective"] > 1e-4
+    assert doc["marginal_bound"] == pytest.approx(0.5605090687, rel=1e-9)
+    assert doc["objective"] >= doc["marginal_bound"]
     assert set(doc["fits"]) == {"AB", "AB'", "A'B", "A'B'"}
     assert doc["state"]["provenance"] == "fitted"
     norm = math.sqrt(sum(a * a for a in doc["state"]["amplitudes"]))
@@ -437,6 +438,12 @@ def test_fit_state_mode_reports_objective_and_is_deterministic(capsys):
     code2, doc2 = run_json(capsys, argv)
     assert code2 == 0
     assert doc2 == doc
+
+
+def test_fit_state_mode_prints_the_bound_beside_the_objective(capsys):
+    code = main(["fit", COUNTS_FILE, "--restarts", "2", "--seed", "3"])
+    assert code == 0
+    assert "  objective 5.704e-01  marginal bound 5.605e-01  converged NO  " in capsys.readouterr().out
 
 
 def test_fit_strict_converge_exit_code(capsys):

@@ -250,6 +250,9 @@ class TestOrthonormalize:
         for k in range(4):
             np.testing.assert_allclose(fixed[k], e[:, k], atol=1e-15)
 
+    def test_empty_family_is_empty(self):
+        assert orthonormalize([]) == []
+
     def test_dependent_family_rejected(self):
         e = np.eye(4, dtype=complex)
         with pytest.raises(ValueError, match="beyond repair"):

@@ -217,6 +217,17 @@ def test_whatever_a_constructor_accepts_every_downstream_function_accepts(drawn_
             assert _finite(probabilities_from_model(state, model).probabilities)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**16))
+def test_fit_state_never_ends_below_its_marginal_bound(data_seed, seed):
+    # the two tables of a side share its bias, so no start can end below the
+    # closed-form bound; random tables break the marginal law
+    rng = np.random.default_rng(data_seed)
+    tables = {key: CoincidenceTable(key, *rng.dirichlet(np.ones(4))) for key in EXPERIMENT_KEYS}
+    result = fit_state(ExperimentDataset("random", tables), seed=seed, restarts=2)
+    assert result.objective >= result.marginal_bound - 1e-12
+
+
 def test_the_fuzzed_constructors_accept_some_draws():
     """Guard against a strategy that only ever draws refused inputs."""
     found = {"table": False, "state": False, "model": False}

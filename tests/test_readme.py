@@ -14,7 +14,7 @@ README = SRC.parent / "README.md"
 
 # The lines each ```python block prints, in the order of the blocks.
 PRINTED = [
-    ["2.419753086419753", "4", "1", "0.0016 False"],
+    ["2.419753086419753", "4", "1", "0.5704 False"],
 ]
 
 

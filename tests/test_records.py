@@ -165,9 +165,9 @@ RECORDS = [
      {}, {}, {"converged": False},
      [({"misfit": -1.0}, "misfit must be nonnegative")]),
     (StateFitResult,
-     ("state", "objective", "converged", "per_experiment", "trace", "restarts_used", "iterations",
-      "evaluations"),
-     (STATE, 1e-12, True, {"AB": (MODEL, 1e-12)}, [0.5, 1e-12], 1, 12, 13),
+     ("state", "objective", "marginal_bound", "converged", "per_experiment", "trace", "restarts_used",
+      "iterations", "evaluations"),
+     (STATE, 1e-12, 0.0, True, {"AB": (MODEL, 1e-12)}, [0.5, 1e-12], 1, 12, 13),
      {}, {}, {"evaluations": 14}, []),
     (CheckRow,
      ("name", "passed", "measured", "expected", "tolerance", "note", "elapsed_ms"),
