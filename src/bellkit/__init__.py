@@ -3,70 +3,50 @@ for two-part coincidence experiments on a 4-dimensional complex state space.
 
 Every name in ``__all__`` loads on first use (PEP 562): ``import bellkit``
 imports no submodule, and ``bellkit.reference_fixture`` imports only
-modelfit and the modules it needs, not verify or entanglement.  Submodules
-are reachable the same way, as ``bellkit.verify``.  ``bellkit.cli`` still
-imports every module when it loads, because its commands bind their callees
-by name at import time.
+modelfit and the modules it needs (tables, hilbert, io), not bellstats,
+fitting, verify or entanglement.  Submodules are reachable the same way, as
+``bellkit.verify``.  ``bellkit.cli`` still imports every module when it
+loads, because its commands bind their callees by name at import time.
 """
 
 __version__ = "0.1.0"
 
-# Each submodule and the names it exports, in the order of __all__.
+# The public names, grouped by topic: tables and statistics, entanglement,
+# linear algebra, files, models and fits, golden checks.
+__all__ = [
+    "__version__",
+    "EXPERIMENT_KEYS", "TSIRELSON_BOUND", "ChshReport", "CoincidenceTable", "ExperimentDataset",
+    "SinglesTable", "TTestResult", "chsh", "counts_to_probabilities", "expectation",
+    "marginal_deviations", "student_t_tail", "t_test_vs_threshold",
+    "Evolution", "Isomorphism", "OperatorSchmidt", "SchmidtDecomposition", "canonical_iso",
+    "canonical_iso_of", "check_factorization", "evolution_between", "is_product_evolution",
+    "measurement_entanglement_degree", "operator_schmidt", "random_isomorphism",
+    "refute_common_product_iso", "reshuffle", "schmidt_state", "states_equal_up_to_phase",
+    "gram", "orthonormalize", "svd", "tensor", "tensor_op",
+    "ParseError", "parse_dataset_file",
+    "FitResult", "ObservableModel", "StateFitResult", "StateVector",
+    "fit_basis", "fit_state", "load_model", "load_state",
+    "probabilities_from_model", "reference_fixture", "reference_published_operators", "synthesize",
+    "CheckRow", "run_verification",
+]
+
+# Each submodule and the names of __all__ it defines.
 _EXPORTS = {
-    "bellstats": (
-        "EXPERIMENT_KEYS",
-        "TSIRELSON_BOUND",
-        "ChshReport",
-        "CoincidenceTable",
-        "ExperimentDataset",
-        "SinglesTable",
-        "TTestResult",
-        "chsh",
-        "counts_to_probabilities",
-        "expectation",
-        "marginal_deviations",
-        "student_t_tail",
-        "t_test_vs_threshold",
-    ),
-    "entanglement": (
-        "Evolution",
-        "Isomorphism",
-        "OperatorSchmidt",
-        "SchmidtDecomposition",
-        "canonical_iso",
-        "canonical_iso_of",
-        "check_factorization",
-        "evolution_between",
-        "is_product_evolution",
-        "measurement_entanglement_degree",
-        "operator_schmidt",
-        "random_isomorphism",
-        "refute_common_product_iso",
-        "reshuffle",
-        "schmidt_state",
-        "states_equal_up_to_phase",
-    ),
+    "bellstats": ("TSIRELSON_BOUND", "ChshReport", "TTestResult", "chsh", "expectation", "marginal_deviations",
+                  "student_t_tail", "t_test_vs_threshold"),
+    "entanglement": ("Evolution", "Isomorphism", "OperatorSchmidt", "SchmidtDecomposition", "canonical_iso",
+                     "canonical_iso_of", "check_factorization", "evolution_between", "is_product_evolution",
+                     "measurement_entanglement_degree", "operator_schmidt", "random_isomorphism",
+                     "refute_common_product_iso", "reshuffle", "schmidt_state", "states_equal_up_to_phase"),
+    "fitting": ("FitResult", "StateFitResult", "fit_basis", "fit_state"),
     "hilbert": ("gram", "orthonormalize", "svd", "tensor", "tensor_op"),
     "io": ("ParseError", "parse_dataset_file"),
-    "modelfit": (
-        "FitResult",
-        "ObservableModel",
-        "StateFitResult",
-        "StateVector",
-        "fit_basis",
-        "fit_state",
-        "load_model",
-        "load_state",
-        "probabilities_from_model",
-        "reference_fixture",
-        "reference_published_operators",
-        "synthesize",
-    ),
+    "modelfit": ("ObservableModel", "StateVector", "load_model", "load_state", "probabilities_from_model",
+                 "reference_fixture", "reference_published_operators", "synthesize"),
+    "tables": ("EXPERIMENT_KEYS", "CoincidenceTable", "ExperimentDataset", "SinglesTable", "counts_to_probabilities"),
     "verify": ("CheckRow", "run_verification"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = ["__version__", *_OWNER]
 
 
 def __getattr__(name):

@@ -24,8 +24,9 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .bellstats import EXPERIMENT_KEYS, TSIRELSON_BOUND, check_sum_tolerance, chsh
+from .bellstats import TSIRELSON_BOUND, chsh
 from .entanglement import canonical_iso, canonical_iso_of, measurement_entanglement_degree, operator_schmidt, schmidt_state
+from .fitting import check_fit_settings, fit_basis, fit_state
 from .hilbert import RANK_TOL, polar_deg
 from .io import (
     ParseError,
@@ -35,14 +36,8 @@ from .io import (
     parse_operator_file,
     sha256_of_file,
 )
-from .modelfit import (
-    check_fit_settings,
-    fit_basis,
-    fit_state,
-    load_model,
-    load_state,
-    reference_fixture,
-)
+from .modelfit import load_model, load_state, reference_fixture
+from .tables import EXPERIMENT_KEYS, check_sum_tolerance
 from .verify import run_verification
 
 EXIT_OK = 0

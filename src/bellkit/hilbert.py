@@ -4,7 +4,7 @@ Vectors are plain complex ndarrays.  Their external representation is
 polar — amplitude >= 0 with phase in degrees in [0, 360) — because that is
 how measurement bases are written down and exchanged in data files;
 from_polar_deg and polar_deg convert between the two.  _levenberg is the
-damped Gauss-Newton core that modelfit's state search and entanglement's
+damped Gauss-Newton core that fitting's state search and entanglement's
 identification search share.
 """
 from __future__ import annotations
@@ -99,8 +99,12 @@ def polar_deg(vector) -> tuple:
 def tensor(u, v) -> np.ndarray:
     """Tensor product of two vectors, ordered (u1v1, u1v2, u2v1, u2v2), or of
     two matrices, whose rows are then the tensor products of their rows in
-    that order."""
-    return np.kron(_values(u), _values(v))
+    that order.  Each entry is one product u_i v_k, as in np.kron, by
+    broadcasting."""
+    u, v = _values(u), _values(v)
+    if u.ndim == 1:
+        return (u[:, None] * v).reshape(-1)
+    return (u[:, None, :, None] * v[:, None, :]).reshape(len(u) * len(v), -1)
 
 
 tensor_op = tensor  # the same product, under its name for operators

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 
-from .bellstats import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset, SinglesTable
+from .tables import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset, SinglesTable
 
 SCHEMA_VERSION = 1
 

@@ -45,11 +45,8 @@ import numpy as np
 
 from . import _Record
 from .bellstats import (
-    EXPERIMENT_KEYS,
     MARGINAL_PLAN,
     TSIRELSON_BOUND,
-    CoincidenceTable,
-    check_probabilities,
     chsh,
     chsh_combination,
     expectation_of,
@@ -73,13 +70,10 @@ from .entanglement import (
     refute_common_product_iso,
     states_equal_up_to_phase,
 )
+from .fitting import fit_basis
 from .hilbert import check_unitary, tensor, unitary_deviation
-from .modelfit import (
-    fit_basis,
-    probabilities_from_model,
-    reference_fixture,
-    reference_published_operators,
-)
+from .modelfit import probabilities_from_model, reference_fixture, reference_published_operators
+from .tables import EXPERIMENT_KEYS, CoincidenceTable, check_probabilities
 
 # Published values the reference dataset must reproduce.
 EXPECTED_E = {"AB": -0.7778, "A'B": 0.6543, "AB'": 0.3580, "A'B'": 0.6296}

@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from bellkit.entanglement import random_isomorphism
+from bellkit.fitting import _MIN_DECREASE, _STALL_ITERATIONS
 from bellkit.hilbert import _INITIAL_DAMPING, tensor
-from bellkit.modelfit import _MIN_DECREASE, _STALL_ITERATIONS
 from bellkit.verify import _orthonormal_columns, _unit_rows
 
 

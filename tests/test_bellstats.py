@@ -9,21 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellkit import bellstats
+from bellkit import bellstats, tables
 from bellkit.bellstats import (
-    EXPERIMENT_KEYS,
     TSIRELSON_BOUND,
+    chsh,
+    expectation,
+    marginal_deviations,
+    student_t_tail,
+    t_test_vs_threshold,
+)
+from bellkit.tables import (
+    EXPERIMENT_KEYS,
     CoincidenceTable,
     ExperimentDataset,
     SinglesTable,
     check_probabilities,
     check_sum_tolerance,
-    chsh,
     counts_to_probabilities,
-    expectation,
-    marginal_deviations,
-    student_t_tail,
-    t_test_vs_threshold,
 )
 
 from oracles import t_tail_by_incomplete_beta
@@ -147,11 +149,18 @@ class TestCoincidenceTable:
             calls.append((counts, n))
             return counts_to_probabilities(counts, n)
 
-        monkeypatch.setattr(bellstats, "counts_to_probabilities", counting)
+        monkeypatch.setattr(tables, "counts_to_probabilities", counting)
         t = CoincidenceTable.from_counts("AB", [np.int64(4), 51, 21, 5], np.int64(81))
         assert len(calls) == 1
         assert t == CoincidenceTable("AB", 4 / 81, 51 / 81, 21 / 81, 5 / 81, counts=(4, 51, 21, 5), n=81, sum_tol=1e-9)
         assert type(t.n) is int and all(type(c) is int for c in t.counts)
+
+    @pytest.mark.parametrize("counts", [(1, 2, 3), (1, 2, 3, 0, 0)], ids=["three", "five"])
+    def test_from_counts_refuses_other_than_four_counts_as_construction_does(self, counts):
+        with pytest.raises(ValueError, match="^counts must be four nonnegative integers$"):
+            CoincidenceTable.from_counts("AB", counts, 6)
+        with pytest.raises(ValueError, match="^counts must be four nonnegative integers$"):
+            CoincidenceTable("AB", 0.25, 0.25, 0.25, 0.25, counts=counts, n=6)
 
 
 class TestSinglesAndDataset:

@@ -11,11 +11,12 @@ import pytest
 
 import bellkit
 from bellkit import cli
-from bellkit.bellstats import EXPERIMENT_KEYS
 from bellkit.cli import main
 from bellkit.entanglement import canonical_iso_of
+from bellkit.fitting import fit_basis, fit_state
 from bellkit.io import canonical_json, operator_to_dict, parse_dataset_file, sha256_of_file, state_to_dict
-from bellkit.modelfit import fit_basis, fit_state, load_model, load_state, reference_fixture
+from bellkit.modelfit import load_model, load_state, reference_fixture
+from bellkit.tables import EXPERIMENT_KEYS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "bellkit" / "data"
 COUNTS_FILE = str(DATA / "reference_dataset_counts.json")

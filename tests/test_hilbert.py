@@ -128,6 +128,20 @@ def test_tensor_norm_invariant():
         assert abs(np.linalg.norm(tensor(u, v)) - np.linalg.norm(u) * np.linalg.norm(v)) <= 1e-12
 
 
+def _complex_arrays(shape):
+    size = math.prod(shape)
+    entries = st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False)
+    return st.lists(entries, min_size=size, max_size=size).map(lambda xs: np.array(xs).reshape(shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(2,), (2, 2)]).flatmap(lambda shape: st.tuples(_complex_arrays(shape), _complex_arrays(shape))))
+def test_tensor_equals_np_kron(pair):
+    # each entry is the one product u_i v_k that np.kron takes, so the bits agree
+    u, v = pair
+    assert np.array_equal(tensor(u, v), np.kron(u, v))
+
+
 def test_tensor_op_mixed_product_invariant():
     rng = np.random.default_rng(8)
     for _ in range(200):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bellkit import io
-from bellkit.bellstats import ExperimentDataset
+from bellkit.tables import ExperimentDataset
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "bellkit" / "data"
 

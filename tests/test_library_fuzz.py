@@ -13,15 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bellkit.bellstats import (
-    EXPERIMENT_KEYS,
-    CoincidenceTable,
-    ExperimentDataset,
-    chsh,
-    marginal_deviations,
-    student_t_tail,
-    t_test_vs_threshold,
-)
+from bellkit.bellstats import chsh, marginal_deviations, student_t_tail, t_test_vs_threshold
 from bellkit.entanglement import (
     Evolution,
     Isomorphism,
@@ -33,18 +25,17 @@ from bellkit.entanglement import (
     refute_common_product_iso,
     schmidt_state,
 )
+import bellkit.fitting as fitting
+from bellkit.fitting import FitResult, fit_basis, fit_state
 from bellkit.hilbert import check_unitary, orthonormalize
-import bellkit.modelfit as modelfit
 from bellkit.modelfit import (
-    FitResult,
     ObservableModel,
     StateVector,
-    fit_basis,
-    fit_state,
     probabilities_from_model,
     reference_fixture,
     synthesize,
 )
+from bellkit.tables import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset
 
 from oracles import random_state, random_unitary
 
@@ -116,7 +107,7 @@ def test_fit_config_refuses_what_fit_state_cannot_run(fields, message):
 
 
 def test_fit_config_accepts_numpy_integers(monkeypatch):
-    monkeypatch.setattr(modelfit, "_MAX_ITERATIONS", 5)
+    monkeypatch.setattr(fitting, "_MAX_ITERATIONS", 5)
     _, _, dataset = reference_fixture()
     assert fit_state(dataset, seed=np.int64(3), restarts=np.int32(2)).restarts_used == 2
 

@@ -6,28 +6,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bellkit.fitting as fitting
 import bellkit.modelfit as modelfit
 from bellkit import io
-from bellkit.bellstats import (
-    EXPERIMENT_KEYS,
-    MARGINAL_PLAN,
-    CoincidenceTable,
-    ExperimentDataset,
-    chsh,
-    marginal_deviations,
-)
+from bellkit.bellstats import MARGINAL_PLAN, chsh, marginal_deviations
 from bellkit.entanglement import canonical_iso_of
+from bellkit.fitting import fit_basis, fit_state
 from bellkit.hilbert import from_polar_deg, gram, orthonormalize, polar_deg, tensor
 from bellkit.modelfit import (
     ObservableModel,
     StateVector,
-    fit_basis,
-    fit_state,
     load_model,
     probabilities_from_model,
     reference_fixture,
     synthesize,
 )
+from bellkit.tables import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset
 
 from oracles import (
     expectation_from_model,
@@ -560,7 +554,7 @@ def test_fit_state_restarts_used_is_the_first_start_reaching_the_target(monkeypa
     # start k's search does not depend on the other starts, and a smaller
     # batch draws the first rows of a larger one; with 6 iterations only
     # some starts of this dataset reach the target
-    monkeypatch.setattr(modelfit, "_MAX_ITERATIONS", 6)
+    monkeypatch.setattr(fitting, "_MAX_ITERATIONS", 6)
     _, dataset = _product_dataset(np.random.default_rng(1))
     result = fit_state(dataset, seed=3, target_misfit=1e-8, restarts=8)
     assert result.converged
@@ -576,35 +570,35 @@ def test_fit_state_restarts_used_is_the_first_start_reaching_the_target(monkeypa
 
 def _tied(residuals):
     """Residuals in fit_state's 20 parameters, from residuals in the 32 per-table
-    parameters of modelfit._state_residuals: p = q E^T, and J E."""
+    parameters of fitting._state_residuals: p = q E^T, and J E."""
 
     def tied(q):
-        r, jac = residuals(q @ modelfit._EXPANSION.T)
-        return r, jac @ modelfit._EXPANSION
+        r, jac = residuals(q @ fitting._EXPANSION.T)
+        return r, jac @ fitting._EXPANSION
 
     return tied
 
 
 def _fit_state_levenberg(residuals, starts, target_misfit):
     """The Levenberg core run by fit_state's stop rule, read at call time."""
-    return modelfit._levenberg(residuals, starts, target_misfit, modelfit._MIN_DECREASE,
-                               modelfit._STALL_ITERATIONS, modelfit._MAX_ITERATIONS)
+    return fitting._levenberg(residuals, starts, target_misfit, fitting._MIN_DECREASE,
+                               fitting._STALL_ITERATIONS, fitting._MAX_ITERATIONS)
 
 
 def test_fit_state_blocks_of_starts_match_one_stack(monkeypatch):
     # 300 starts span two blocks; the winner of this seed lies in the second
-    monkeypatch.setattr(modelfit, "_MAX_ITERATIONS", 6)
+    monkeypatch.setattr(fitting, "_MAX_ITERATIONS", 6)
     _, _, dataset = reference_fixture()
-    restarts = modelfit._BLOCK_STARTS + 44
+    restarts = fitting._BLOCK_STARTS + 44
     result = fit_state(dataset, seed=1, target_misfit=1e-8, restarts=restarts)
-    signatures = np.array([modelfit._signature(t.probabilities / t.probabilities.sum())
+    signatures = np.array([fitting._signature(t.probabilities / t.probabilities.sum())
                            for t in (dataset.tables[k] for k in EXPERIMENT_KEYS)])
     starts = np.random.default_rng(1).standard_normal((restarts, 20))
     params, objectives, history, evaluations = _fit_state_levenberg(
-        _tied(lambda p: modelfit._state_residuals(p, signatures)), starts, 1e-8
+        _tied(lambda p: fitting._state_residuals(p, signatures)), starts, 1e-8
     )
     best = int(np.argmin(objectives))
-    assert best >= modelfit._BLOCK_STARTS
+    assert best >= fitting._BLOCK_STARTS
     assert result.objective == objectives[best]
     z = params[best, :4] + 1j * params[best, 4:8]
     assert abs(np.vdot(z / np.linalg.norm(z), result.state.values)) == pytest.approx(1.0, abs=1e-12)
@@ -619,21 +613,21 @@ def test_fit_state_blocks_of_starts_match_one_stack(monkeypatch):
 def test_fit_state_memory_is_bounded_by_one_block(monkeypatch):
     import tracemalloc
 
-    monkeypatch.setattr(modelfit, "_MAX_ITERATIONS", 2)
+    monkeypatch.setattr(fitting, "_MAX_ITERATIONS", 2)
     _, _, dataset = reference_fixture()
     peaks = {}
-    for restarts in (modelfit._BLOCK_STARTS, 1000):
+    for restarts in (fitting._BLOCK_STARTS, 1000):
         tracemalloc.start()
         try:
             fit_state(dataset, seed=0, restarts=restarts)
             peaks[restarts] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[1000] <= 1.1 * peaks[modelfit._BLOCK_STARTS]
+    assert peaks[1000] <= 1.1 * peaks[fitting._BLOCK_STARTS]
 
 
 def _signatures_of(dataset):
-    return np.array([modelfit._signature(t.probabilities / t.probabilities.sum())
+    return np.array([fitting._signature(t.probabilities / t.probabilities.sum())
                      for t in (dataset.tables[k] for k in EXPERIMENT_KEYS)])
 
 
@@ -645,11 +639,11 @@ def _both_loops(dataset, starts, target_misfit):
 
     def residuals(params):
         sizes.append(len(params))
-        return modelfit._state_residuals(params, signatures)
+        return fitting._state_residuals(params, signatures)
 
     got = _fit_state_levenberg(residuals, starts.copy(), target_misfit)
-    want = levenberg_gather_scatter(lambda p: modelfit._state_residuals(p, signatures), starts.copy(),
-                                    target_misfit, modelfit._MAX_ITERATIONS)
+    want = levenberg_gather_scatter(lambda p: fitting._state_residuals(p, signatures), starts.copy(),
+                                    target_misfit, fitting._MAX_ITERATIONS)
     for mine, theirs in zip(got[:3], want[:3]):
         assert np.array_equal(mine, theirs)
     assert got[3] == want[3] == sum(sizes)
@@ -663,7 +657,7 @@ def test_levenberg_is_bit_identical_to_the_gather_scatter_loop(data, starts, max
     # realizable product data the starts reach the target at different
     # iterations, so the compact rows shrink more than once
     dataset = reference_fixture()[2] if data == "reference" else _product_dataset(np.random.default_rng(1))[1]
-    monkeypatch.setattr(modelfit, "_MAX_ITERATIONS", max_iterations)
+    monkeypatch.setattr(fitting, "_MAX_ITERATIONS", max_iterations)
     draws = np.random.default_rng(3).standard_normal((starts, 32))
     (_, _, history, _), sizes = _both_loops(dataset, draws, 1e-10)
     assert len(history) == len(sizes) <= max_iterations + 1
@@ -678,8 +672,8 @@ def test_levenberg_start_at_the_target_runs_no_iteration():
     dataset = _product_dataset(np.random.default_rng(1))[1]
     draws = np.random.default_rng(3).standard_normal((8, 32))
     solved, objectives, _, _ = levenberg_gather_scatter(
-        lambda p: modelfit._state_residuals(p, _signatures_of(dataset)), draws.copy(), 1e-10,
-        modelfit._MAX_ITERATIONS)
+        lambda p: fitting._state_residuals(p, _signatures_of(dataset)), draws.copy(), 1e-10,
+        fitting._MAX_ITERATIONS)
     draws[0] = solved[int(np.argmin(objectives))]
     (params, _, history, _), sizes = _both_loops(dataset, draws, 1e-10)
     assert history[0, 0] <= 1e-10
@@ -692,7 +686,7 @@ def test_fit_state_counts_iterations_and_residual_evaluations(monkeypatch):
     # no start of the reference dataset converges or stalls within 5
     # iterations: each evaluates its residuals and Jacobian once at its
     # start, then once at the trial point of each iteration
-    monkeypatch.setattr(modelfit, "_MAX_ITERATIONS", 5)
+    monkeypatch.setattr(fitting, "_MAX_ITERATIONS", 5)
     _, _, dataset = reference_fixture()
     result = fit_state(dataset, seed=1, target_misfit=1e-8, restarts=3)
     assert result.iterations == 5
@@ -722,7 +716,7 @@ def test_state_jacobian_matches_central_differences_over_scales():
             block = list(block)
             scale[block] = 10.0 ** rng.uniform(-3, 3)
             params[block] *= scale[block] / np.linalg.norm(params[block])
-        r, jac = modelfit._state_residuals(params[None], signatures)
+        r, jac = fitting._state_residuals(params[None], signatures)
         assert r.shape == (1, 12) and jac.shape == (1, 12, 32)
         # the residuals themselves, from psi and the Pauli products
         z = params[:4] + 1j * params[4:8]
@@ -735,7 +729,7 @@ def test_state_jacobian_matches_central_differences_over_scales():
         for i in range(32):
             step = np.zeros(32)
             step[i] = 1e-5 * scale[i]
-            plus, minus = (modelfit._state_residuals((params + sign * step)[None], signatures)[0][0]
+            plus, minus = (fitting._state_residuals((params + sign * step)[None], signatures)[0][0]
                            for sign in (1, -1))
             central[:, i] = (plus - minus) / (2 * step[i])
         error = np.abs(central - jac[0]).max(axis=0)
@@ -758,7 +752,7 @@ def test_state_residuals_agree_with_the_slot_by_slot_route_to_round_off():
         params = rng.standard_normal((count, 32))
         for block in [slice(0, 8)] + [slice(8 + 3 * i, 11 + 3 * i) for i in range(8)]:
             params[:, block] *= 10.0 ** rng.uniform(-3, 3, (count, 1))
-        r, jac = modelfit._state_residuals(params, signatures)
+        r, jac = fitting._state_residuals(params, signatures)
         r_ref, jac_ref = state_residuals_by_slots(params, signatures)
         assert r.shape == r_ref.shape and jac.shape == jac_ref.shape
         assert np.all(np.abs(r - r_ref) <= 16 * eps)
@@ -773,7 +767,7 @@ def _with_forward_differences(signatures, step=1e-7):
     Jacobian in those parameters in place of the exact J E."""
 
     def values(q):
-        return modelfit._state_residuals(q @ modelfit._EXPANSION.T, signatures)[0]
+        return fitting._state_residuals(q @ fitting._EXPANSION.T, signatures)[0]
 
     def residuals(q):
         r = values(q)
@@ -785,10 +779,10 @@ def _with_forward_differences(signatures, step=1e-7):
 
 def _both_routes(dataset, seed, restarts, target_misfit):
     """(objectives, restarts used) of the exact and the forward-difference route."""
-    signatures = np.array([modelfit._signature(t.probabilities / t.probabilities.sum())
+    signatures = np.array([fitting._signature(t.probabilities / t.probabilities.sum())
                            for t in (dataset.tables[k] for k in EXPERIMENT_KEYS)])
     routes = []
-    for residuals in (_tied(lambda p: modelfit._state_residuals(p, signatures)), _with_forward_differences(signatures)):
+    for residuals in (_tied(lambda p: fitting._state_residuals(p, signatures)), _with_forward_differences(signatures)):
         starts = np.random.default_rng(seed).standard_normal((restarts, 20))
         objectives = _fit_state_levenberg(residuals, starts, target_misfit)[1]
         reached = np.flatnonzero(objectives <= target_misfit)

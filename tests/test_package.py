@@ -56,6 +56,15 @@ def test_reference_fixture_loads_neither_verify_nor_entanglement_nor_cli():
     assert report["run_verification"] is True
 
 
+def test_reference_fixture_loads_exactly_the_modules_it_runs():
+    # the statistics and the fits are off this path: code that drifts back
+    # onto it shows here
+    done = subprocess.run([sys.executable, "-c", FRESH, str(SRC)], capture_output=True, text=True,
+                          timeout=120, check=True)
+    loaded = {name for name in json.loads(done.stdout)["after_fixture"] if name.split(".")[0] == "bellkit"}
+    assert loaded == {"bellkit", "bellkit.tables", "bellkit.hilbert", "bellkit.io", "bellkit.modelfit"}
+
+
 def test_cli_import_loads_no_dataclasses():
     # bellkit's records are plain classes: creating dataclasses would cost
     # about a fifth of the cold start; hashlib loads when a file is hashed
@@ -68,6 +77,11 @@ def test_cli_import_loads_no_dataclasses():
 
 def test_all_keeps_its_names_and_order():
     assert bellkit.__all__ == EXPORTED
+
+
+def test_every_export_has_one_owning_submodule():
+    owners = [name for names in bellkit._EXPORTS.values() for name in names]
+    assert sorted(owners) == sorted(set(owners)) == sorted(set(EXPORTED) - {"__version__"})
 
 
 def test_each_export_is_its_submodules_object():

@@ -17,10 +17,7 @@ import bellkit
 from bellkit.bellstats import (
     TSIRELSON_BOUND,
     ChshReport,
-    CoincidenceTable,
-    ExperimentDataset,
     MarginalDeviation,
-    SinglesTable,
     TTestResult,
     chsh,
     expectation,
@@ -42,8 +39,10 @@ from bellkit.entanglement import (
     reshuffle,
     schmidt_state,
 )
+from bellkit.fitting import FitResult, StateFitResult
 from bellkit.hilbert import orthonormalize
-from bellkit.modelfit import FitResult, ObservableModel, StateFitResult, StateVector, reference_fixture
+from bellkit.modelfit import ObservableModel, StateVector, reference_fixture
+from bellkit.tables import CoincidenceTable, ExperimentDataset, SinglesTable
 from bellkit.verify import CheckRow
 
 EYE4 = np.eye(4, dtype=complex)

@@ -9,12 +9,15 @@ bellkit is compiled in every run, as in the benchmark) and with bytecode
 that compileall wrote beforehand, as an installed package has.  The trees
 alternate which runs first.  For each regime and tree the script prints the
 median and interquartile range in ms, and in how many of the paired runs
-the tree was the faster one.  Uses the standard library only.
+the tree was the faster one.  First it prints, per tree, the bellkit modules
+that the set-up loads and the source lines of each, so code added to that
+path shows.  Uses the standard library only.
 """
 from __future__ import annotations
 
 import argparse
 import compileall
+import json
 import shutil
 import statistics
 import subprocess
@@ -31,6 +34,22 @@ import bellkit
 bellkit.reference_fixture()
 print(time.perf_counter() - start)
 """
+
+LOADED = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import bellkit
+bellkit.reference_fixture()
+print(json.dumps({name: module.__file__ for name, module in sys.modules.items() if name.split(".")[0] == "bellkit"}))
+"""
+
+
+def _loaded(src: str, cwd: str) -> dict:
+    """Source lines of each bellkit module the set-up loads, by module name."""
+    done = subprocess.run([sys.executable, "-B", "-c", LOADED, src], capture_output=True, text=True,
+                          cwd=cwd, timeout=60, check=True)
+    return {name: len(Path(path).read_text(encoding="utf-8").splitlines())
+            for name, path in sorted(json.loads(done.stdout).items())}
 
 
 def _once(src: str, flags: list, cwd: str) -> float:
@@ -49,6 +68,11 @@ def main() -> None:
         for k, tree in enumerate(args.trees):
             copies.append(str(Path(tmp, str(k))))
             shutil.copytree(tree, copies[k], ignore=shutil.ignore_patterns("__pycache__"))
+        print("modules the set-up loads, with their source lines")
+        for tree, copy in zip(args.trees, copies):
+            lines = _loaded(copy, tmp)
+            print(f"  {tree}: {sum(lines.values())} lines in {len(lines)} modules")
+            print("    " + ", ".join(f"{name} {count}" for name, count in lines.items()))
         for regime in ("from source", "bytecode"):
             if regime == "bytecode":
                 for copy in copies:
