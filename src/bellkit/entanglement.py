@@ -6,16 +6,19 @@ it is a property relative to a chosen labeled unitary identification of the
 spaces.  This module provides that identification (`Isomorphism`), Schmidt
 decompositions of states and operators transported through it, evolution
 operators between measurement models, and the factorization / marginal-law
-diagnostics built on top.
+diagnostics built on top.  refute_common_product_iso proves, from the
+spectrum of a word of three measurements, that no one identification
+renders a family of measurements product.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from . import _Record
 from .hilbert import (
     RANK_TOL,
-    _levenberg,
     _values,
     check_unitary,
     gram,  # not called: perfbench/spans.py wraps entanglement's binding
@@ -30,33 +33,25 @@ from .hilbert import (
 # Outcome labels of the product basis, in component order.
 PRODUCT_LABELS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
-# refute_common_product_iso's seeded Haar-random starts, and the stop rule
-# it passes to hilbert._levenberg.
-SEARCH_STARTS = 4
-SEARCH_TARGET = 1e-24
-SEARCH_MIN_DECREASE = 1e-3
-SEARCH_STALL = 2
-SEARCH_ITERATIONS = 15
-
-# The search's 9 directions sigma_a (x) sigma_b / 2, a and b over X, Y and
-# Z: u(4) apart from the local directions, under which it is invariant.
-_XYZ = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
-_NONLOCAL = np.array([np.kron(s, t) for s in _XYZ for t in _XYZ]) / 2
-# reshuffle on flat indices, its own inverse: R.ravel() = T.ravel()[_RESHUFFLED].
-_RESHUFFLED = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
-# (R.ravel() @ _MOVES).reshape(16, 9)[:, g] is the flat reshuffle of
-# i (G_g T - T G_g), the move of R = reshuffle(T) in direction g.
-_MOVES = np.stack([(1j * (np.kron(g, np.eye(4)) - np.kron(np.eye(4), g.T)))[np.ix_(_RESHUFFLED, _RESHUFFLED)].T
-                   for g in _NONLOCAL], axis=-1).reshape(16, 144)
 # The 36 2x2 minors a_i b_j - a_j b_i of a 4x4 matrix, rows (a, b) and
 # columns (i, j) each an index pair of _PAIRS: _MINOR_ENTRIES[m] holds the
-# flat indices of minor m's entries (a_i, a_j, b_i, b_j) (_minors).  Those
-# entries reversed, times _MINOR_SIGNS, are the minor's partial derivatives
-# in them.  [_MINOR_ROWS, _MINOR_ENTRIES] indexes them in a (36, 16) array.
+# flat indices of minor m's entries (a_i, a_j, b_i, b_j) (_minors).
 _PAIRS = np.triu_indices(4, 1)
 _MINOR_ENTRIES = np.array([4 * p[:, None] + q for p in _PAIRS for q in _PAIRS]).reshape(4, 36).T
-_MINOR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
-_MINOR_ROWS = np.arange(36)[:, None]
+
+# The three ways to split four eigenvalues into two pairs, (a, b | c, d).
+_SPLITS = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]])
+# The least pairing defect of a word that refutes a common product
+# identification (refute_common_product_iso).  An operator unitary within
+# 1e-9 per entry lies within 4e-9 in norm of a unitary, so a word of three
+# lies within 1.2e-8 of a unitary word V; round-off in the products and in
+# eigvals adds about 1e-14.  Bauer-Fike, with continuity, matches the
+# spectrum of V + E to V's within 7 ||E|| (2n - 1, n = 4), so the exact and
+# the computed spectra of the word lie within 1.7e-7 of each other, and a
+# defect, a difference of products of two eigenvalues of modulus about 1,
+# moves by at most 4 times that: 6.7e-7.  Planted common identifications
+# reach about 2e-15, random +/-1 quartets with twofold spectra at least 0.049.
+WORD_DEFECT_FLOOR = 1e-6
 
 # Largest real or imaginary part of an operator entry that
 # Isomorphism.transport accepts.  The entries of U M U^dagger and the
@@ -449,94 +444,53 @@ def check_factorization(state, measurement) -> FactorizationReport:
     return FactorizationReport(joint.reshape(2, 2))
 
 
-class ProductIsoSearchResult(_Record):
-    """Outcome of the least-squares search for a common product-rendering
-    isomorphism: ``witness`` is the isomorphism found, or None, and
-    ``found`` whether there is one; ``trials`` counts the starts run and
-    ``objective`` is the lowest objective any start reached."""
+class ProductObstruction(_Record):
+    """The spectral certificate of refute_common_product_iso: ``word``, the
+    operator indices (i, j, k) of the word M_i M_j M_k with the largest
+    pairing defect, that ``defect``, and ``trials``, the number of words
+    tested.  ``refuted`` is whether the defect exceeds WORD_DEFECT_FLOOR."""
 
-    def __init__(self, witness: Isomorphism | None, trials: int, objective: float):
-        self.witness, self.trials, self.objective = witness, trials, objective
-        self.found = witness is not None
-
-
-def _minor_residuals(us: np.ndarray, operators: np.ndarray) -> tuple:
-    """The search's residuals r (B, 72 K) at a stack of unitaries (B, 4, 4),
-    and their Jacobian J (B, 72 K, 9) in the directions _NONLOCAL.
-
-    r holds the real and imaginary parts of the 36 2x2 minors of each R_k =
-    reshuffle(U M_k U^dagger), so |r|^2 = sum_k sum_{i<j} s_i^2 s_j^2 over
-    the singular values s of R_k (Cauchy-Binet).  Under U <- exp(iH) U with
-    H = sum_g h_g G_g, T = U M U^dagger moves by i (G_g T - T G_g) per unit
-    of h_g; its reshuffle carries through each minor by the product rule.
-    """
-    count, k = len(us), len(operators)
-    t = us[:, None] @ operators @ us.conj().swapaxes(-1, -2)[:, None]
-    x = t.reshape(count * k, 16)[:, _RESHUFFLED]  # each R_k, flat
-    minors = _minors(x)
-    # d minor / d entry, for each minor and each flat entry of R_k
-    weights = np.zeros((count * k, 36, 16), dtype=complex)
-    weights[:, _MINOR_ROWS, _MINOR_ENTRIES] = x[:, _MINOR_ENTRIES[:, ::-1]] * _MINOR_SIGNS
-    # R_k's moves row by row: OpenBLAS may run one (B K, 16) x (16, 144)
-    # product on two threads, which took longer than the row-by-row
-    # products whenever another process held a core
-    d_minors = weights @ (x[:, None] @ _MOVES).reshape(-1, 16, 9)
-    jac = np.stack((d_minors.real, d_minors.imag), axis=2).reshape(count, 72 * k, 9)
-    return np.stack((minors.real, minors.imag), axis=-1).reshape(count, 72 * k), jac
+    def __init__(self, word: tuple, defect: float, trials: int):
+        self.word, self.defect, self.trials = word, defect, trials
+        self.refuted = defect > WORD_DEFECT_FLOOR
 
 
-def _retract(us: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """exp(iH) U for H = sum_g h_g G_g over _NONLOCAL, by H's eigendecomposition."""
-    w, v = np.linalg.eigh((h @ _NONLOCAL.reshape(9, 16)).reshape(-1, 4, 4))
-    return (v * np.exp(1j * w)[:, None, :]) @ (v.conj().swapaxes(-1, -2) @ us)
+def refute_common_product_iso(operators) -> ProductObstruction:
+    """Prove that no one isomorphism renders every operator product, or fail to.
 
-
-def refute_common_product_iso(operators, seed: int = 0) -> ProductIsoSearchResult:
-    """Search for one isomorphism rendering every operator product.
-
-    Least squares on U(4) (Absil, Mahony & Sepulchre 2008): with each
-    operator M_k scaled to unit Hilbert-Schmidt norm, minimize sum_k
-    sum_{i<j} s_i^2 s_j^2 over the singular values s of reshuffle(U M_k
-    U^dagger), the squared sum of the real and imaginary parts of its 36
-    2x2 minors (_minor_residuals).  It vanishes exactly where every
-    transport has operator-Schmidt rank 1.  The objective does not change
-    under U <- (A (x) B) U, so the steps run over the 9 other directions
-    G = sigma_a (x) sigma_b / 2, a and b over X, Y and Z, with the
-    retraction U <- exp(iH) U.  So modulo local unitaries 9 dimensions are
-    free, and a +/-1 measurement with a twofold spectrum costs 4 to be
-    product: two measurements have a common product identification in
-    general, three do not.
-
-    The starts are SEARCH_STARTS seeded Haar-random isomorphisms, drawn
-    exactly as ``random_isomorphism`` draws them from
-    ``np.random.default_rng(seed)``.  They run as one stack
-    through hilbert._levenberg, with the exact Jacobian, until the objective
-    is at most SEARCH_TARGET, after SEARCH_STALL iterations in a row without
-    a relative decrease above SEARCH_MIN_DECREASE, or after
-    SEARCH_ITERATIONS.  ``found`` is whether some start ends where every
-    operator has operator-Schmidt rank 1 at RANK_TOL
-    (_transported_is_product); the witness is the first such start's final
-    unitary.  ``trials`` counts the starts and ``objective`` is the lowest
-    reached.  A not-found result is evidence, not proof, that no such
-    isomorphism exists; a best objective far above RANK_TOL^2 bounds how
-    close the starts came.
+    If U M_k U^dagger = x_k (x) y_k for every k, each word M_i M_j M_k is
+    carried to (x_i x_j x_k) (x) (y_i y_j y_k), whose eigenvalues are the
+    products a_p b_q of the factors' (Horn & Johnson, Topics in Matrix
+    Analysis, 1991, Thm 4.2.12): they split into two pairs with equal
+    products, l_1 l_4 = l_2 l_3.  A word's spectrum does not depend on U.
+    The pairing defect of a word is the least |l_a l_b - l_c l_d| over the
+    three splits of its eigenvalues, so one word with a defect above
+    WORD_DEFECT_FLOOR proves that no common product identification exists.
+    The operators are Hermitian and unitary, so each is its own inverse: a
+    cyclic shift of a word is conjugate to it and the reversed word is its
+    adjoint, and the six orders of a triple share one defect.  One word per
+    triple i < j < k is tested, all in one stacked eigvals call; ``refuted``
+    is whether the worst exceeds the floor.  The converse fails: a defect at
+    or below the floor proves nothing.
 
     Raises
     ------
     ValueError
-        If an operator entry is not finite.
+        If an operator entry is not finite, if there are fewer than three
+        operators, or if an operator is not Hermitian (is_hermitian) or not
+        unitary within 1e-9.
     """
     ops = np.reshape([_values(op) for op in operators], (-1, 4, 4))
     if not np.isfinite(ops).all():
         raise ValueError("operators must have finite entries")
-    scaled = _peak_scaled(ops)
-    norms = np.sqrt(np.sum(scaled.real**2 + scaled.imag**2, axis=(-2, -1)))
-    unit = np.divide(scaled, norms[:, None, None], out=np.zeros_like(scaled), where=norms[:, None, None] > 0)
-    z = np.random.default_rng(seed).standard_normal((SEARCH_STARTS, 2, 4, 4))
-    starts = _haar_unitaries(z[:, 0] + 1j * z[:, 1])
-    us, objectives, _, _ = _levenberg(
-        lambda u: _minor_residuals(u, unit), starts, SEARCH_TARGET, SEARCH_MIN_DECREASE, SEARCH_STALL,
-        SEARCH_ITERATIONS, retract=_retract)
-    hits = np.flatnonzero(_transported_is_product(us[:, None], ops).all(axis=1))
-    witness = Isomorphism(us[hits[0]], name="search") if hits.size else None
-    return ProductIsoSearchResult(witness, len(us), float(objectives.min()))
+    if len(ops) < 3:
+        raise ValueError(f"refute_common_product_iso needs at least three operators, got {len(ops)}")
+    if not all(is_hermitian(op) for op in ops):
+        raise ValueError("operators must be Hermitian")
+    check_unitary(ops, "an operator")
+    triples = np.array(list(itertools.combinations(range(len(ops)), 3)))
+    words = ops[triples[:, 0]] @ ops[triples[:, 1]] @ ops[triples[:, 2]]
+    split = np.linalg.eigvals(words)[:, _SPLITS]
+    defects = np.abs(split[..., 0] * split[..., 1] - split[..., 2] * split[..., 3]).min(axis=-1)
+    worst = int(np.argmax(defects))
+    return ProductObstruction(tuple(triples[worst].tolist()), float(defects[worst]), len(triples))

@@ -4,8 +4,7 @@ Vectors are plain complex ndarrays.  Their external representation is
 polar — amplitude >= 0 with phase in degrees in [0, 360) — because that is
 how measurement bases are written down and exchanged in data files;
 from_polar_deg and polar_deg convert between the two.  _levenberg is the
-damped Gauss-Newton core that fitting's state search and entanglement's
-identification search share.
+damped Gauss-Newton core of fitting's state search.
 """
 from __future__ import annotations
 
@@ -155,29 +154,19 @@ def orthonormalize(vectors):
 _INITIAL_DAMPING = 1e-3  # Levenberg's damping at every start
 
 
-def _damped_step(r: np.ndarray, jac: np.ndarray, damped: np.ndarray, primal: bool) -> np.ndarray:
-    """The damped Gauss-Newton step delta (B, P) of residuals r (B, R) with
-    Jacobian J (B, R, P), ``damped`` being lam I: (J^T J + lam I) delta =
-    -J^T r, a P x P system, when ``primal``, else delta = -J^T (J J^T +
-    lam I)^-1 r, an R x R one.  The two agree for every lam > 0."""
-    jac_t = jac.transpose(0, 2, 1)
-    if primal:
-        return -np.linalg.solve(jac_t @ jac + damped, jac_t @ r[..., None])[..., 0]
-    return -(jac_t @ np.linalg.solve(jac @ jac_t + damped, r[..., None]))[..., 0]
-
-
 def _levenberg(residuals, params: np.ndarray, target: float, min_decrease: float, stall_limit: int,
-               max_iterations: int, retract=None) -> tuple:
-    """Minimize |r(p)|^2 from every start of ``params`` (B, ...) at once.
+               max_iterations: int) -> tuple:
+    """Minimize |r(p)|^2 from every start of ``params`` (B, P) at once.
 
     ``residuals(p)`` returns r (B, R) and its Jacobian J (B, R, P) at the
-    starts of p, J in the P coordinates of a step delta.  Each iteration
-    solves the damped Gauss-Newton step of every running start in the
-    smaller form (_damped_step): dual when R <= P, primal when R > P.  The
-    trial point is ``retract(p, delta)``, or p + delta without one, and r
-    and J are evaluated once there.  A step is kept only when it lowers the
-    objective; lam, 1e-3 at each start, is then multiplied by 0.3, otherwise
-    by 10 and the start keeps its r and J.  A start stops when its objective
+    starts of p.  Each iteration solves the damped Gauss-Newton step of
+    every running start in its dual form, delta = -J^T (J J^T + lam I)^-1 r,
+    an R x R system, the smaller one when R <= P as in fitting's state
+    search; the primal (J^T J + lam I) delta = -J^T r agrees with it for
+    every lam > 0.  The trial point is p + delta, and r and J are evaluated
+    once there.  A step is kept only when it lowers the objective; lam, 1e-3
+    at each start, is then multiplied by 0.3, otherwise by 10 and the start
+    keeps its r and J.  A start stops when its objective
     is at most ``target``, after ``stall_limit`` iterations in a row without
     a decrease above ``min_decrease`` times its objective, or after
     ``max_iterations``.  The running starts' rows are compact arrays,
@@ -191,8 +180,7 @@ def _levenberg(residuals, params: np.ndarray, target: float, min_decrease: float
     r, jac = residuals(params)
     f = np.einsum("bi,bi->b", r, r)
     objectives, damping, stalled = f.copy(), np.full_like(f, _INITIAL_DAMPING), np.zeros(f.shape, dtype=int)
-    live, p, primal = np.arange(f.size), params, jac.shape[1] > jac.shape[2]
-    identity = np.eye(jac.shape[2] if primal else jac.shape[1])
+    live, p, identity = np.arange(f.size), params, np.eye(jac.shape[1])
     history, evaluations = [objectives.copy()], f.size
     for _ in range(max_iterations):
         going = (f > target) & (stalled < stall_limit)
@@ -202,8 +190,9 @@ def _levenberg(residuals, params: np.ndarray, target: float, min_decrease: float
                 break
             live = live[going]
             p, r, jac, f, damping, stalled = (a[going] for a in (p, r, jac, f, damping, stalled))
-        delta = _damped_step(r, jac, damping[:, None, None] * identity, primal)
-        trial = p + delta if retract is None else retract(p, delta)
+        jac_t = jac.transpose(0, 2, 1)
+        step = jac_t @ np.linalg.solve(jac @ jac_t + damping[:, None, None] * identity, r[..., None])
+        trial = p - step[..., 0]
         r_trial, jac_trial = residuals(trial)
         f_trial = np.einsum("bi,bi->b", r_trial, r_trial)
         accept = f_trial < f

@@ -24,15 +24,16 @@ its property differ by more than ``ROUTE_TOL``.
 
 The suites' Haar-random isomorphisms come from an elementwise Gram-Schmidt
 (entanglement._haar_unitaries) that gives each trial the same bits in a
-stack as alone.  no-common-product-basis minimizes, by least squares on
-U(4) from SEARCH_STARTS seeded Haar identifications, the squared 2x2
-minors of the four reshuffled transports
-(entanglement.refute_common_product_iso); it passes when no start ends
-product and the best objective stays at least SEARCH_FLOOR.  Where
-shared-basis-evolutions and that search's end test operator-Schmidt rank,
-entanglement._transported_is_product transports a whole stack by plain
-matrix products: a bound on the exact 2x2 minors of the reshuffle proves
-rank 1 for product operators, and one SVD call settles the rest.
+stack as alone.  no-common-product-basis proves its verdict
+(entanglement.refute_common_product_iso): a common product identification
+would carry every word M_i M_j M_k of the measurements to a product X (x) Y,
+whose eigenvalues pair as l_1 l_4 = l_2 l_3, and the row passes when some
+word's eigenvalues miss every such pairing by more than
+entanglement.WORD_DEFECT_FLOOR.  Where shared-basis-evolutions tests
+operator-Schmidt rank, entanglement._transported_is_product transports a
+whole stack by plain matrix products: a bound on the exact 2x2 minors of the
+reshuffle proves rank 1 for product operators, and one SVD call settles the
+rest.
 t-tail-reference compares the statistics module's quadrature with the
 closed-form finite sums of Abramowitz & Stegun 26.7.3-26.7.4.
 """
@@ -55,7 +56,7 @@ from .bellstats import (
     student_t_tail,
 )
 from .entanglement import (
-    SEARCH_STARTS,
+    WORD_DEFECT_FLOOR,
     Isomorphism,
     _haar_unitaries,
     _transported_is_product,
@@ -395,31 +396,24 @@ def _check_own_basis_product_form(fixture: tuple) -> CheckRow:
     )
 
 
-# The least objective the common-identification search may reach on the
-# reference quartet: a transport of operator-Schmidt rank 1 at RANK_TOL has
-# an objective near RANK_TOL^2 = 1e-14.
-SEARCH_FLOOR = 1e-2
-
-
 def _check_no_common_product_basis(fixture: tuple) -> CheckRow:
     _, models, _ = fixture
     operators = [models[key].operator for key in EXPERIMENT_KEYS]
     canonical_ranks = [operator_schmidt(op).rank() for op in operators]
-    result = refute_common_product_iso(operators, seed=0)
+    result = refute_common_product_iso(operators)
+    word = "".join(f"({EXPERIMENT_KEYS[k]})" for k in result.word)
     return CheckRow(
         name="no-common-product-basis",
-        passed=any(rank > 1 for rank in canonical_ranks) and not result.found
-        and result.objective >= SEARCH_FLOOR,
-        measured=(
-            f"canonical ranks {tuple(canonical_ranks)}; {'a' if result.found else 'no'} common product "
-            f"identification from {result.trials} starts, best objective {result.objective:.3g}"
-        ),
-        expected="entangled under the canonical identification; least squares on U(4) finds "
-        "no identification rendering all four product",
-        tolerance=f"rank tolerance 1e-7; best objective at least {SEARCH_FLOOR:g}, against 1e-14 for rank 1; "
-        f"{SEARCH_STARTS} seeded starts",
-        note="modulo local unitaries 9 dimensions are free and each measurement costs 4 to be product, "
-        "so two fit and four in general do not; a not-found result is evidence, not proof",
+        passed=any(rank > 1 for rank in canonical_ranks) and result.refuted,
+        measured=f"canonical ranks {tuple(canonical_ranks)}; worst of {result.trials} words {word}, "
+        f"pairing defect {result.defect:.3g}",
+        expected="entangled under the canonical identification; a word of three measurements whose "
+        "eigenvalues pair as no product's do",
+        tolerance=f"rank tolerance 1e-7; pairing defect above {WORD_DEFECT_FLOOR:g}, the round-off bound "
+        "for operators unitary within 1e-9",
+        note="a common product identification would carry each word to X (x) Y, whose eigenvalues a_p b_q "
+        "pair as l1 l4 = l2 l3; a word's spectrum does not depend on the identification, so one word "
+        "that pairs no way proves that none exists",
     )
 
 

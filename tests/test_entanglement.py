@@ -1,6 +1,7 @@
 """Tests for product/entangled structure relative to C^4 = C^2 (x) C^2 identifications."""
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -562,50 +563,61 @@ def _planted_conjugation():
     return u0, [u0 @ np.kron(PAULIS[a], PAULIS[b]) @ u0.conj().T for a, b in PLANTED_FACTORS]
 
 
+# The pairing defect of each reference triple's word, triples in
+# itertools.combinations order: (AB, AB', A'B), (AB, AB', A'B'),
+# (AB, A'B, A'B') and (AB', A'B, A'B').
+REFERENCE_DEFECTS = (0.06422687, 0.6564022, 0.7933942, 0.2690285)
+
+
 def test_no_single_isomorphism_renders_all_reference_measurements_product():
-    result = refute_common_product_iso(_reference_operators(), seed=0)
-    assert not result.found and result.witness is None
-    assert result.trials == entanglement.SEARCH_STARTS
-    # far above the 1e-14 a rank-1 verdict at RANK_TOL needs
-    assert result.objective >= verify.SEARCH_FLOOR
-    assert result.objective == pytest.approx(0.0496353, rel=1e-6)
+    result = refute_common_product_iso(_reference_operators())
+    assert result.refuted and result.trials == 4
+    assert result.word == (0, 2, 3)  # AB A'B A'B'
+    assert result.defect == pytest.approx(REFERENCE_DEFECTS[2], rel=1e-6)
 
 
-@pytest.mark.parametrize("count, objective", [(2, None), (3, 6.81573e-4), (4, 0.0496353)])
-def test_two_reference_measurements_share_a_product_identification_three_do_not(count, objective):
-    # modulo local unitaries 9 dimensions are free, and each measurement
-    # costs 4 to be product: 8 <= 9 < 12
+def test_each_reference_triple_is_refuted_by_its_pairing_defect():
     operators = _reference_operators()
-    result = refute_common_product_iso(operators[:count], seed=0)
-    if objective is None:
-        assert result.found and result.objective <= 1e-20
-        assert all(operator_schmidt(op, result.witness).rank() == 1 for op in operators[:count])
-        assert operator_schmidt(operators[2], result.witness).rank() > 1
-    else:
-        assert not result.found and result.witness is None
-        assert result.objective == pytest.approx(objective, rel=1e-5)
+    results = [refute_common_product_iso([operators[k] for k in triple])
+               for triple in itertools.combinations(range(4), 3)]
+    assert all(r.word == (0, 1, 2) and r.trials == 1 and r.refuted for r in results)
+    np.testing.assert_allclose([r.defect for r in results], REFERENCE_DEFECTS, rtol=1e-6)
 
 
-def test_search_finds_witness_when_one_exists():
-    # four measurements product under one Haar identification of seed 33,
-    # which none of seed 1's starts is: the search reaches one from them
-    rng = np.random.default_rng(33)
-    iso = random_isomorphism(rng)
-    ops = [product_measurement(rng, iso)[0].operator for _ in range(4)]
-    result = refute_common_product_iso(ops, seed=1)
-    assert result.found and result.trials == entanglement.SEARCH_STARTS
-    assert result.objective <= 1e-20
-    assert all(operator_schmidt(op, result.witness).rank() == 1 for op in ops)
+def test_the_six_orders_of_a_triple_share_one_defect():
+    # a cyclic shift of a word is conjugate to it and the reversed word is its
+    # adjoint, so one word per triple stands for all six
+    operators = _reference_operators()
+    for triple in itertools.combinations(range(4), 3):
+        defects = [refute_common_product_iso([operators[k] for k in order]).defect
+                   for order in itertools.permutations(triple)]
+        assert max(defects) - min(defects) <= 1e-14, triple
 
 
-def test_search_finds_a_planted_identification_that_is_no_start():
-    # the planted U_0 is none of the starts, and the identifications that
-    # render one operator product have measure zero in U(4), so no draw
-    # could have hit it; the row's seed and stop rule find it
-    _, planted = _planted_conjugation()
-    result = refute_common_product_iso(planted, seed=0)
-    assert result.found and result.objective <= 1e-20
-    assert all(operator_schmidt(op, result.witness).rank() == 1 for op in planted)
+def _reflection(rng):
+    """A Haar-random 2x2 reflection u diag(1, -1) u^dagger."""
+    u = random_unitary(rng, 2)
+    return u @ np.diag([1.0, -1.0]) @ u.conj().T
+
+
+def test_planted_common_identifications_stay_below_the_floor():
+    # the factors shared as in the paper: AB = a (x) b, AB' = a (x) b', ...
+    rng = np.random.default_rng(83)
+    defects = []
+    for _ in range(200):
+        a, a_prime, b, b_prime = (_reflection(rng) for _ in range(4))
+        u = random_isomorphism(rng).matrix
+        planted = [u @ np.kron(x, y) @ u.conj().T for x in (a, a_prime) for y in (b, b_prime)]
+        defects.append(refute_common_product_iso(planted).defect)
+    assert max(defects) <= 1e-13 < entanglement.WORD_DEFECT_FLOOR
+
+
+def test_random_quartets_are_refuted_far_above_the_floor():
+    # +/-1 measurements with twofold spectra, each under its own Haar unitary
+    rng = np.random.default_rng(89)
+    us = entanglement._haar_unitaries(_ginibre(rng, 2000, 4))
+    quartets = us @ np.diag([1.0, 1.0, -1.0, -1.0]) @ us.conj().swapaxes(-1, -2)
+    assert min(refute_common_product_iso(q).defect for q in quartets) >= 0.049
 
 
 def test_the_row_fails_on_a_planted_common_identification():
@@ -617,106 +629,9 @@ def test_the_row_fails_on_a_planted_common_identification():
         np.testing.assert_allclose(models[key].operator, operator, atol=1e-12)
     row = verify._check_no_common_product_basis((None, models, None))
     assert not row.passed
-    assert f"; a common product identification from {entanglement.SEARCH_STARTS} starts" in row.measured
-
-
-@pytest.mark.parametrize("seed, search", [
-    (5, lambda: refute_common_product_iso(_reference_operators(), seed=5)),
-    (0, lambda: verify._check_no_common_product_basis(reference_fixture())),
-], ids=["library", "row"])
-def test_search_candidates_are_the_seeded_random_isomorphisms(seed, search, monkeypatch):
-    # the starts are exactly the seeded Haar draws, and nothing else
-    recorded = []
-    core = entanglement._levenberg
-
-    def recording(residuals, params, *args, **kwargs):
-        recorded.append(params.copy())
-        return core(residuals, params, *args, **kwargs)
-
-    monkeypatch.setattr(entanglement, "_levenberg", recording)
-    search()
-    (starts,) = recorded
-    assert len(starts) == entanglement.SEARCH_STARTS
-    rng = np.random.default_rng(seed)
-    for k, start in enumerate(starts):
-        assert np.array_equal(start, random_isomorphism(rng).matrix), k
-
-
-def test_search_jacobian_matches_central_differences():
-    rng = np.random.default_rng(41)
-    us = entanglement._haar_unitaries(_ginibre(rng, 3))
-    m = _ginibre(rng, 4)
-    operators = m + m.conj().swapaxes(-1, -2)
-    r, jac = entanglement._minor_residuals(us, operators)
-    assert r.shape == (3, 288) and jac.shape == (3, 288, 9)
-    # |r|^2 is sum_{i<j} s_i^2 s_j^2 of each reshuffled transport
-    transports = reshuffle(us[:, None] @ operators @ us.conj().swapaxes(-1, -2)[:, None])
-    minors = entanglement._minors(transports.reshape(3, 4, 16))
-    np.testing.assert_allclose(np.sum(r**2, axis=1), np.sum(np.abs(minors) ** 2, axis=(1, 2)), rtol=1e-12)
-    step = 1e-6
-    for g in range(9):
-        h = np.zeros((3, 9))
-        h[:, g] = step
-        plus, minus = (entanglement._minor_residuals(entanglement._retract(us, sign * h), operators)[0]
-                       for sign in (1, -1))
-        assert np.max(np.abs((plus - minus) / (2 * step) - jac[:, :, g])) <= 1e-7 * np.max(np.abs(jac))
-
-
-def test_search_objective_ignores_local_unitaries():
-    # the 7 directions of u(4) the search leaves out move nothing
-    rng = np.random.default_rng(43)
-    us = entanglement._haar_unitaries(_ginibre(rng, 5))
-    local = np.array([np.kron(random_unitary(rng, 2), random_unitary(rng, 2)) for _ in range(5)])
-    m = _ginibre(rng, 4)
-    operators = m + m.conj().swapaxes(-1, -2)
-    before = np.sum(entanglement._minor_residuals(us, operators)[0] ** 2, axis=1)
-    after = np.sum(entanglement._minor_residuals(local @ us, operators)[0] ** 2, axis=1)
-    np.testing.assert_allclose(after, before, rtol=1e-12)
-
-
-# The quartet and the four triples, each with its seed-0 best objective and a
-# floor under its Hessian's least eigenvalue.  Measured: gradient norms 5.8e-5,
-# 7.1e-9, 1.1e-6, 1.4e-4 and 3.0e-7; least eigenvalues 0.526, 0.0319, 0.381,
-# 0.434 and 0.0872.
-SEARCH_MINIMA = [
-    (KEYS, 0.0496353, 0.1),
-    (("AB", "AB'", "A'B"), 6.815728e-4, 0.02),
-    (("AB", "AB'", "A'B'"), 0.02215297, 0.02),
-    (("AB", "A'B", "A'B'"), 0.03933410, 0.02),
-    (("AB'", "A'B", "A'B'"), 0.005828945, 0.02),
-]
-
-
-@pytest.mark.parametrize("keys, objective, least", SEARCH_MINIMA,
-                         ids=["quartet", *("-".join(k).replace("'", "p") for k, _, _ in SEARCH_MINIMA[1:])])
-def test_reference_search_ends_by_a_nondegenerate_local_minimum(monkeypatch, keys, objective, least):
-    # the search's best start ends where the gradient 2 J^T r almost vanishes
-    # and the Hessian over the 9 non-local directions, by central differences
-    # of the exact gradient, is positive definite: each objective is a local
-    # minimum modulo local unitaries, not a point the stop rule left on a slope
-    _, models, _ = reference_fixture()
-    operators = np.array([models[k].operator for k in keys])
-    unit = operators / np.linalg.norm(operators, axis=(1, 2))[:, None, None]
-    finals = _final_search_unitaries(monkeypatch, operators)
-    r, jac = entanglement._minor_residuals(finals, unit)
-    best = int(np.argmin(np.sum(r**2, axis=1)))
-    assert np.sum(r[best] ** 2) == pytest.approx(objective, rel=1e-6)
-    assert np.linalg.norm(2 * jac[best].T @ r[best]) <= 1e-3
-    step = 1e-5
-    moves = np.concatenate([step * np.eye(9), -step * np.eye(9)])
-    points = entanglement._retract(np.repeat(finals[best:best + 1], 18, axis=0), moves)
-    r, jac = entanglement._minor_residuals(points, unit)
-    gradients = 2 * np.einsum("bri,br->bi", jac, r)
-    hessian = (gradients[:9] - gradients[9:]) / (2 * step)
-    assert np.linalg.eigvalsh((hessian + hessian.T) / 2)[0] >= least
-
-
-def test_no_seed_finds_a_lower_reference_objective():
-    # the row's seed 0 is no lucky draw: over 300 seeds of 4 starts each,
-    # none goes below the minimum seed 0 reaches
-    operators = _reference_operators()
-    objectives = [refute_common_product_iso(operators, seed=seed).objective for seed in range(300)]
-    assert min(objectives) >= 0.0496
+    result = refute_common_product_iso([models[key].operator for key in KEYS])
+    assert not result.refuted and result.defect <= 1e-13
+    assert "; worst of 4 words " in row.measured and row.measured.endswith(f"pairing defect {result.defect:.3g}")
 
 
 def _ginibre(rng, *shape):
@@ -749,23 +664,7 @@ def test_product_verdict_matches_the_svd_rank_on_near_product_operators():
     assert 0 < np.sum(verdicts) < np.size(verdicts)  # both verdicts occur
 
 
-def _final_search_unitaries(monkeypatch, operators):
-    """The final unitary of every start of the row's search on ``operators``."""
-    finals = []
-    core = entanglement._levenberg
-
-    def recording(*args, **kwargs):
-        out = core(*args, **kwargs)
-        finals.append(out[0])
-        return out
-
-    monkeypatch.setattr(entanglement, "_levenberg", recording)
-    refute_common_product_iso(operators, seed=0)
-    monkeypatch.undo()
-    return finals[0]
-
-
-def test_product_verdict_pairs_a_stack_of_unitaries_with_a_stack_of_operators(monkeypatch):
+def test_product_verdict_pairs_a_stack_of_unitaries_with_a_stack_of_operators():
     # unitaries (N, 1, 4, 4) against operators (K, 4, 4): each pair's verdict
     # is the SVD rank of the public route
     rng = np.random.default_rng(79)
@@ -775,17 +674,19 @@ def test_product_verdict_pairs_a_stack_of_unitaries_with_a_stack_of_operators(mo
     for k in (0, 2, 4):  # product through unitary k
         a, b = (h + h.conj().T for h in (random_unitary(rng, 2), random_unitary(rng, 2)))
         operators[k] = us[k].conj().T @ np.kron(a, b) @ us[k]
-    reference = _reference_operators()
-    _, planted = _planted_conjugation()
-    cases = [(us, operators)] + [(_final_search_unitaries(monkeypatch, ops), np.array(ops))
-                                 for ops in (reference, planted)]
+    u0, planted = _planted_conjugation()
+    # the planted quartet is product through U_0^dagger, the last of its stack
+    haar = entanglement._haar_unitaries(_ginibre(rng, 4))
+    cases = [(us, operators), (haar, np.array(_reference_operators())),
+             (np.concatenate([haar, u0.conj().T[None]]), np.array(planted))]
     found = []
     for stack, ops in cases:
         got = entanglement._transported_is_product(stack[:, None], ops)
         expected = [[operator_schmidt(op, Isomorphism(u)).rank() == 1 for op in ops] for u in stack]
         np.testing.assert_array_equal(got, expected)
-        found.append(int(got.sum()))
-    assert found[0] == 3 and found[2] >= len(planted)  # the planted search ends product
+        found.append(got)
+    assert found[0].sum() == 3 and not found[1].any()
+    assert found[2][-1].all() and found[2].sum() == len(planted)
 
 
 def _svd_rows(monkeypatch):
@@ -818,18 +719,6 @@ def test_minor_sum_is_the_sum_of_products_of_squared_singular_value_pairs():
     minors = entanglement._minors(m.reshape(1000, 16))
     got = np.sum(minors.real**2 + minors.imag**2, axis=-1)
     assert np.max(np.abs(got / e2 - 1.0)) <= 1e-12
-
-
-def test_reference_search_rules_out_nearly_every_candidate_without_an_svd(monkeypatch):
-    # the least-squares steps take no SVD; the final rank verdicts of every
-    # start and operator that the minors do not prove product go through
-    # one SVD call
-    operators = _reference_operators()
-    rows = _svd_rows(monkeypatch)
-    result = refute_common_product_iso(operators, seed=0)
-    monkeypatch.undo()
-    assert not result.found and result.trials == entanglement.SEARCH_STARTS
-    assert len(rows) == 1 and rows[0] <= result.trials * len(operators)
 
 
 # ---------------------------------------------------------------------------

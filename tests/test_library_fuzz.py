@@ -79,6 +79,18 @@ def test_nan_fails_every_bound_check(build, message):
         build()
 
 
+# The certificate's one word per triple and its eigenvalue bound both rest on
+# M^2 = I, that is on operators both Hermitian and unitary.
+@pytest.mark.parametrize("operators, message", [
+    ([np.eye(4)] * 2, "needs at least three operators, got 2"),
+    ([np.eye(4), np.eye(4), 1j * np.eye(4)], "operators must be Hermitian"),
+    ([np.eye(4), np.eye(4), np.diag([1.0, 1.0, -1.0, -1.0 + 2e-9])], "an operator is not unitary"),
+], ids=["two", "not-hermitian", "not-unitary"])
+def test_refute_common_product_iso_refuses_operators_that_are_not_involutions(operators, message):
+    with pytest.raises(ValueError, match=message):
+        refute_common_product_iso(operators)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda psi: schmidt_state(psi), "schmidt_state expects a unit state"),
     (lambda psi: check_factorization(psi, np.eye(4)), "check_factorization expects a unit state"),

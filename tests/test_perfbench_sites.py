@@ -41,3 +41,33 @@ def test_every_module_level_import_is_used_or_a_perfbench_site():
                     if name not in used and (path.stem, name) not in sites:
                         unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def test_traced_verify_paper_runs_every_result_hook_on_its_path(capsys, monkeypatch):
+    # a hook reads fields of its function's result, so a field that the
+    # benchmark reads and a function no longer returns fails here
+    spans = _spans()
+    hooked = []
+
+    def recording(name, hook):
+        def run(tracer, args, result):
+            hooked.append(name)
+            hook(tracer, args, result)
+        return run
+
+    sites = [(m, attr, name, hook and recording(name, hook)) for m, attr, name, hook in spans._sites()]
+    monkeypatch.setattr(spans, "_sites", lambda: sites)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = spans.modules()["cli"].main(["verify-paper", "--format", "json"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0 and spans.wrapped_sites() == []
+    calls = {name: count for name, (count, _) in tracer.self_times().items()}
+    with_hooks = {name for _, _, name, hook in sites if hook is not None}
+    assert {name: hooked.count(name) for name in set(hooked)} == {
+        name: count for name, count in calls.items() if name in with_hooks}
+    assert {"entanglement.refute_common_product_iso", "modelfit.fit_basis"} <= set(hooked)
+    assert tracer.counters["entanglement.refute_common_product_iso.candidates"] == 4

@@ -30,7 +30,7 @@ from bellkit.entanglement import (
     FactorizationReport,
     Isomorphism,
     OperatorSchmidt,
-    ProductIsoSearchResult,
+    ProductObstruction,
     SchmidtDecomposition,
     canonical_iso_of,
     check_factorization,
@@ -136,10 +136,10 @@ RECORDS = [
      ("joint",),
      (np.full((2, 2), 0.25),),
      {}, {}, None, []),
-    (ProductIsoSearchResult,
-     ("witness", "trials", "objective"),
-     (Isomorphism(EYE4), 1, 1e-30),
-     {}, {}, {"objective": 0.05}, []),
+    (ProductObstruction,
+     ("word", "defect", "trials"),
+     ((0, 2, 3), 0.793, 4),
+     {}, {}, {"defect": 0.05}, []),
     (ObservableModel,
      ("experiment", "eigenvectors_raw", "eigenvalues", "a_labels", "b_labels"),
      ("AB", BASIS, (1.0, -1.0, -1.0, 1.0), ("Horse", "Bear"), ("Growls", "Whinnies")),
@@ -255,6 +255,7 @@ def derived_fields():
     marginal_a, marginal_b = report.joint.sum(axis=1), report.joint.sum(axis=0)
     expected = np.outer(marginal_a, marginal_b)
     operators = [models[key].operator for key in ("AB", "AB'", "A'B", "A'B'")]
+    x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
     v = np.column_stack(models["AB"].eigenvectors)
     return {
         ChshReport: [(chsh(dataset), {"chsh": value, "violates": abs(value) > 2.0,
@@ -270,16 +271,17 @@ def derived_fields():
         FactorizationReport: [(report, {"marginal_a": marginal_a, "marginal_b": marginal_b, "expected": expected,
                                         "deviations": np.abs(report.joint - expected),
                                         "max_deviation": np.abs(report.joint - expected).max()})],
-        # no witness for the quartet, one for a pair
-        ProductIsoSearchResult: [(refute_common_product_iso(operators), {"found": False, "witness": None}),
-                                 (refute_common_product_iso(operators[:2]), {"found": True})],
+        # refuted for the reference quartet, not for a quartet of products
+        ProductObstruction: [(refute_common_product_iso(operators), {"refuted": True}),
+                             (refute_common_product_iso([np.kron(a, b) for a in (x, z) for b in (x, z)]),
+                              {"refuted": False})],
         ObservableModel: [(models["AB"], {"eigenvectors": orthonormalize(models["AB"].eigenvectors_raw),
                                           "operator": (v * np.asarray(models["AB"].eigenvalues)) @ v.conj().T})],
     }
 
 
 @pytest.mark.parametrize("cls", [ChshReport, MarginalDeviation, TTestResult, SchmidtDecomposition,
-                                 OperatorSchmidt, FactorizationReport, ProductIsoSearchResult, ObservableModel],
+                                 OperatorSchmidt, FactorizationReport, ProductObstruction, ObservableModel],
                          ids=lambda cls: cls.__name__)
 def test_record_computes_the_fields_its_builder_computed(derived_fields, cls):
     for record, expected in derived_fields[cls]:
