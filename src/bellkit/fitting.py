@@ -3,20 +3,23 @@
 fit_basis is exact: one Householder reflection maps the state onto the
 square roots of the target probabilities, and it takes only a target misfit.
 fit_state shares each single measurement between the two tables that run
-it and solves its least-squares problem by the batched Levenberg iteration
-of hilbert._levenberg over its seeded restarts, in blocks of a fixed size,
-with the residuals' exact Jacobian; it takes a seed, a number of restarts
-and a target misfit, and reports the closed-form lower bound that the
-marginal law puts on its objective.  The models they return are modelfit's.
+it, so it searches 20 parameters: the state and one direction per side.  It
+solves that least-squares problem with the residuals' exact Jacobian over
+its seeded restarts, in blocks of a fixed size, by _levenberg, the batched
+Levenberg core that lives here with its damping and stop rule; it takes a
+seed, a number of restarts and a target misfit, and reports the closed-form
+lower bound that the marginal law puts on its objective.  The models they
+return are modelfit's.
 """
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from . import _Record
-from .hilbert import _levenberg, tensor
+from .hilbert import tensor
 from .modelfit import ObservableModel, StateVector, _unit_state, probabilities_from_model, synthesize
 from .tables import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset
 
@@ -141,10 +144,8 @@ _SPREAD = (np.eye(16)[:, None, :] * _MASKS[0].reshape(3, 16)).reshape(16, 48)  #
 # The side that each table's directions a and b measure, in EXPERIMENT_KEYS order, the sides numbered A, A', B, B':
 # AB reads A and B, AB' A and B', A'B A' and B, A'B' A' and B'.
 _SLOT_SIDES = np.array([0, 2, 0, 3, 1, 2, 1, 3])
-# fit_state's 20 parameters q are x = (Re z, Im z), then the directions of A, A', B and B'; p = q E^T gives the 32
-# per-table parameters of _state_residuals, and its Jacobian in q is J E.
-_EXPANSION = np.block([[np.eye(8), np.zeros((8, 12))],
-                       [np.zeros((24, 8)), np.kron(np.eye(4)[_SLOT_SIDES], np.eye(3))]])
+# Table k's rows of J, and the columns of the directions of the two sides it reads.
+_TABLE_ROWS, _SIDE_COLUMNS = np.arange(12).reshape(4, 3, 1, 1), 8 + 3 * _SLOT_SIDES.reshape(4, 1, 2, 1) + np.arange(3)
 
 
 def _signature(target: np.ndarray) -> tuple:
@@ -154,16 +155,18 @@ def _signature(target: np.ndarray) -> tuple:
 
 
 def _state_residuals(params: np.ndarray, signatures: np.ndarray) -> tuple:
-    """The 12 residuals r (B, 12) fit_state documents, and their Jacobian J (B, 12, 32).
+    """The 12 residuals r (B, 12) fit_state documents, and their Jacobian J (B, 12, 20).
 
-    ``params`` (B, 32) holds x = (Re z, Im z), then table k's directions a and
-    b in ``params[:, 8 + 6k:14 + 6k]``.  A fitted value v = w.C, w the masked
-    (1, a) (x) (1, b), has gradient 2 (w.(M x) - v x) / x.x in x.  It is linear
-    in each unit direction u = d / |d| it reads: its gradient g there has
-    u.g = v, so its derivative in d is (g - v u) / |d|.
+    ``params`` (B, 20) holds x = (Re z, Im z), then the directions of the
+    sides A, A', B and B'; table k reads its a and b from the sides
+    _SLOT_SIDES names.  A fitted value v = w.C, w the masked (1, a) (x)
+    (1, b), has gradient 2 (w.(M x) - v x) / x.x in x.  It is linear in each
+    unit direction u = d / |d| it reads: its gradient g there has u.g = v,
+    so its derivative in d is (g - v u) / |d|.  Table k's rows are 0 in the
+    columns of the two sides it does not read.
     """
     count = params.shape[0]
-    x, directions = params[:, :8], params[:, 8:].reshape(count, 4, 2, 3)
+    x, directions = params[:, :8], params[:, 8:].reshape(count, 4, 3)[:, _SLOT_SIDES].reshape(count, 4, 2, 3)
     norms = np.sqrt(np.add.reduce(directions * directions, -1, keepdims=True))
     padded = np.ones((count, 4, 2, 4))  # (1, a) and (1, b) of each table
     units = np.divide(directions, norms, out=padded[..., 1:])
@@ -174,21 +177,77 @@ def _state_residuals(params: np.ndarray, signatures: np.ndarray) -> tuple:
     c = quadratic / quadratic[:, :1]  # the first form is the identity: x.M x is x.x
     fitted = weights @ c
     np.negative(fitted, out=weights[..., :1])  # and its M x is x
-    jac = np.concatenate(((weights @ mx) / quadratic[:, :1], np.zeros((count, 12, 24))), axis=2)
+    jac = np.zeros((count, 12, 20))
+    jac[:, :, :8] = (weights @ mx) / quadratic[:, :1]
     masked = _MASKS * c.take(_C_AND_CT, 1).reshape(count, 2, 1, 4, 4)  # C for gradients in (1, a), C^T in (1, b)
     grads = (masked.reshape(count, 2, 12, 4) @ padded.transpose(0, 2, 3, 1)[:, ::-1]).reshape(count, 2, 3, 4, 4)
     blocks = grads.transpose(0, 4, 2, 1, 3)[..., 1:] - units[:, :, None] * fitted.reshape(count, 4, 3, 1, 1) * _USES
-    own = np.einsum("bkjkc->bkjc", jac[:, :, 8:].reshape(count, 4, 3, 4, 6))  # a view: table k's own columns
-    own[...] = (blocks * (0.5 / norms[:, :, None])).reshape(count, 4, 3, 6)
+    jac[:, _TABLE_ROWS, _SIDE_COLUMNS] = blocks * (0.5 / norms[:, :, None])
     return (fitted[..., 0] - signatures.reshape(12)) * 0.5, jac
 
 
-# The stop rule fit_state passes to Levenberg's method (hilbert._levenberg).
+# Levenberg's damping at every start, and the stop rule _levenberg reads when it is called.
+_INITIAL_DAMPING = 1e-3
 _MAX_ITERATIONS = 400
 _STALL_ITERATIONS = 8
 _MIN_DECREASE = 1e-10
 # fit_state runs its starts through _levenberg this many at a time.
 _BLOCK_STARTS = 256
+
+
+def _levenberg(residuals, params: np.ndarray, target: float) -> tuple:
+    """Minimize |r(p)|^2 from every start of ``params`` (B, P) at once.
+
+    ``residuals(p)`` returns r (B, R) and its Jacobian J (B, R, P) at the
+    starts of p.  Each iteration solves the damped Gauss-Newton step of
+    every running start in its dual form, delta = -J^T (J J^T + lam I)^-1 r,
+    an R x R system, the smaller one when R <= P as in fit_state; the primal
+    (J^T J + lam I) delta = -J^T r agrees with it for every lam > 0.  The
+    trial point is p + delta, and r and J are evaluated once there.  A step
+    is kept only when it lowers the objective; lam, _INITIAL_DAMPING at each
+    start, is then multiplied by 0.3, otherwise by 10 and the start keeps its
+    r and J.  A start stops when its objective is at most ``target``, after
+    _STALL_ITERATIONS iterations in a row without a decrease above
+    _MIN_DECREASE times its objective, or after _MAX_ITERATIONS.  The
+    running starts' rows are compact arrays, replaced where a step is kept
+    and shrunk when a start stops; ``objectives`` holds every start's, frozen
+    from its stop on.  Returns (params, objectives, history, evaluations):
+    history[k] holds every start's objective after iteration k; evaluations
+    counts the points at which ``residuals`` ran.  The starts passed in are
+    not modified.
+    """
+    params = params.copy()
+    r, jac = residuals(params)
+    f = np.einsum("bi,bi->b", r, r)
+    objectives, damping, stalled = f.copy(), np.full_like(f, _INITIAL_DAMPING), np.zeros(f.shape, dtype=int)
+    live, p, identity = np.arange(f.size), params, np.eye(jac.shape[1])
+    history, evaluations = [objectives.copy()], f.size
+    for _ in range(_MAX_ITERATIONS):
+        going = (f > target) & (stalled < _STALL_ITERATIONS)
+        if not going.all():
+            params[live] = p
+            if not going.any():
+                break
+            live = live[going]
+            p, r, jac, f, damping, stalled = (a[going] for a in (p, r, jac, f, damping, stalled))
+        jac_t = jac.transpose(0, 2, 1)
+        step = jac_t @ np.linalg.solve(jac @ jac_t + damping[:, None, None] * identity, r[..., None])
+        trial = p - step[..., 0]
+        r_trial, jac_trial = residuals(trial)
+        f_trial = np.einsum("bi,bi->b", r_trial, r_trial)
+        accept = f_trial < f
+        stalled = np.where(f - f_trial > _MIN_DECREASE * f, 0, stalled + 1)
+        damping *= np.where(accept, 0.3, 10.0)
+        if accept.all():  # as at one start whenever its step is kept
+            p, r, jac, f = trial, r_trial, jac_trial, f_trial
+        elif accept.any():
+            for old, new in ((p, trial), (r, r_trial), (jac, jac_trial), (f, f_trial)):
+                np.copyto(old, new, where=accept.reshape(-1, *[1] * (old.ndim - 1)))
+        objectives[live] = f
+        history.append(objectives.copy())
+        evaluations += live.size
+    params[live] = p
+    return params, objectives, np.array(history), evaluations
 
 
 def _qubit_basis(direction: np.ndarray) -> np.ndarray:
@@ -244,16 +303,12 @@ def fit_state(dataset: ExperimentDataset, seed: int = 0, restarts: int = 64,
     biases = signatures[:, :2].ravel()
     gaps = biases - (np.bincount(_SLOT_SIDES, biases) / 2)[_SLOT_SIDES]
 
-    def residuals(q):
-        r, jac = _state_residuals(q @ _EXPANSION.T, signatures)
-        return r, jac @ _EXPANSION
-
     rng = np.random.default_rng(seed)
     objectives, winners, traces, iterations, evaluations = [], [], [], 0, 0
     for first in range(0, restarts, _BLOCK_STARTS):
         starts = rng.standard_normal((min(_BLOCK_STARTS, restarts - first), 20))
-        params, f, history, count = _levenberg(residuals, starts, target_misfit, _MIN_DECREASE, _STALL_ITERATIONS,
-                                               _MAX_ITERATIONS)
+        params, f, history, count = _levenberg(partial(_state_residuals, signatures=signatures), starts,
+                                               target_misfit)
         # keep only the block's best start, so memory stays bounded by one block
         winner = int(np.argmin(f))
         objectives.append(f)
@@ -263,14 +318,15 @@ def fit_state(dataset: ExperimentDataset, seed: int = 0, restarts: int = 64,
         evaluations += count
     objectives = np.concatenate(objectives)
     best = int(np.argmin(objectives))
-    winner, trace = _EXPANSION @ winners[best // _BLOCK_STARTS], traces[best // _BLOCK_STARTS]
+    winner, trace = winners[best // _BLOCK_STARTS], traces[best // _BLOCK_STARTS]
     z = winner[:4] + 1j * winner[4:8]
     # the global phase is free: make the first component real and nonnegative
     z = np.concatenate([[abs(z[0])], z[1:] * np.exp(-1j * np.angle(z[0]))])
     state = StateVector(z / np.linalg.norm(z), provenance="fitted")
+    bases = [_qubit_basis(direction) for direction in winner[8:].reshape(4, 3)]
     per_experiment = {}
-    for table, target, (a, b) in zip(tables, targets, winner[8:].reshape(4, 2, 3)):
-        model = synthesize(tensor(_qubit_basis(a), _qubit_basis(b)), experiment=table.experiment,
+    for table, target, (a, b) in zip(tables, targets, _SLOT_SIDES.reshape(4, 2)):
+        model = synthesize(tensor(bases[a], bases[b]), experiment=table.experiment,
                            a_labels=table.a_labels, b_labels=table.b_labels)
         misfit = np.sum((probabilities_from_model(state, model).probabilities - target) ** 2)
         per_experiment[table.experiment] = (model, float(misfit))

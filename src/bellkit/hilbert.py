@@ -3,8 +3,7 @@
 Vectors are plain complex ndarrays.  Their external representation is
 polar — amplitude >= 0 with phase in degrees in [0, 360) — because that is
 how measurement bases are written down and exchanged in data files;
-from_polar_deg and polar_deg convert between the two.  _levenberg is the
-damped Gauss-Newton core of fitting's state search.
+from_polar_deg and polar_deg convert between the two.
 """
 from __future__ import annotations
 
@@ -149,65 +148,6 @@ def orthonormalize(vectors):
         out[idx] = w
         done.append(w)
     return out
-
-
-_INITIAL_DAMPING = 1e-3  # Levenberg's damping at every start
-
-
-def _levenberg(residuals, params: np.ndarray, target: float, min_decrease: float, stall_limit: int,
-               max_iterations: int) -> tuple:
-    """Minimize |r(p)|^2 from every start of ``params`` (B, P) at once.
-
-    ``residuals(p)`` returns r (B, R) and its Jacobian J (B, R, P) at the
-    starts of p.  Each iteration solves the damped Gauss-Newton step of
-    every running start in its dual form, delta = -J^T (J J^T + lam I)^-1 r,
-    an R x R system, the smaller one when R <= P as in fitting's state
-    search; the primal (J^T J + lam I) delta = -J^T r agrees with it for
-    every lam > 0.  The trial point is p + delta, and r and J are evaluated
-    once there.  A step is kept only when it lowers the objective; lam, 1e-3
-    at each start, is then multiplied by 0.3, otherwise by 10 and the start
-    keeps its r and J.  A start stops when its objective
-    is at most ``target``, after ``stall_limit`` iterations in a row without
-    a decrease above ``min_decrease`` times its objective, or after
-    ``max_iterations``.  The running starts' rows are compact arrays,
-    replaced where a step is kept and shrunk when a start stops;
-    ``objectives`` holds every start's, frozen from its stop on.  Returns
-    (params, objectives, history, evaluations): history[k] holds every
-    start's objective after iteration k; evaluations counts the points at
-    which ``residuals`` ran.  The starts passed in are not modified.
-    """
-    params = params.copy()
-    r, jac = residuals(params)
-    f = np.einsum("bi,bi->b", r, r)
-    objectives, damping, stalled = f.copy(), np.full_like(f, _INITIAL_DAMPING), np.zeros(f.shape, dtype=int)
-    live, p, identity = np.arange(f.size), params, np.eye(jac.shape[1])
-    history, evaluations = [objectives.copy()], f.size
-    for _ in range(max_iterations):
-        going = (f > target) & (stalled < stall_limit)
-        if not going.all():
-            params[live] = p
-            if not going.any():
-                break
-            live = live[going]
-            p, r, jac, f, damping, stalled = (a[going] for a in (p, r, jac, f, damping, stalled))
-        jac_t = jac.transpose(0, 2, 1)
-        step = jac_t @ np.linalg.solve(jac @ jac_t + damping[:, None, None] * identity, r[..., None])
-        trial = p - step[..., 0]
-        r_trial, jac_trial = residuals(trial)
-        f_trial = np.einsum("bi,bi->b", r_trial, r_trial)
-        accept = f_trial < f
-        stalled = np.where(f - f_trial > min_decrease * f, 0, stalled + 1)
-        damping *= np.where(accept, 0.3, 10.0)
-        if accept.all():  # as at one start whenever its step is kept
-            p, r, jac, f = trial, r_trial, jac_trial, f_trial
-        elif accept.any():
-            for old, new in ((p, trial), (r, r_trial), (jac, jac_trial), (f, f_trial)):
-                np.copyto(old, new, where=accept.reshape(-1, *[1] * (old.ndim - 1)))
-        objectives[live] = f
-        history.append(objectives.copy())
-        evaluations += live.size
-    params[live] = p
-    return params, objectives, np.array(history), evaluations
 
 
 def svd(matrix) -> tuple:

@@ -13,7 +13,8 @@ reproduce trial by trial.
 earlier form, which gathers the running starts from full arrays and scatters
 the kept steps back on every iteration; ``state_residuals_by_slots`` is its
 residual function in its earlier form, which fills zeroed weight and gradient
-buffers slot by slot and scatters them into the Jacobian.
+buffers slot by slot and scatters them into the Jacobian, taking each
+table's sides from its experiment key.
 """
 from __future__ import annotations
 
@@ -22,8 +23,9 @@ import math
 import numpy as np
 
 from bellkit.entanglement import random_isomorphism
-from bellkit.fitting import _MIN_DECREASE, _STALL_ITERATIONS
-from bellkit.hilbert import _INITIAL_DAMPING, tensor
+from bellkit.fitting import _INITIAL_DAMPING, _MIN_DECREASE, _STALL_ITERATIONS
+from bellkit.hilbert import tensor
+from bellkit.tables import EXPERIMENT_KEYS
 from bellkit.verify import _orthonormal_columns, _unit_rows
 
 
@@ -231,14 +233,20 @@ _PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), 
 _PRODUCTS = np.array([np.kron(s, t) for s in _PAULI for t in _PAULI])[
     [4, 8, 12, 1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15]]
 _REAL_FORMS = np.block([[_PRODUCTS.real, -_PRODUCTS.imag], [_PRODUCTS.imag, _PRODUCTS.real]]).reshape(120, 8).T
-_OWN_ROWS, _OWN_COLUMNS = np.arange(12).reshape(4, 3, 1), 8 + np.arange(24).reshape(4, 1, 6)
+# The sides A, A', B and B' (numbered 0 to 3) that each table reads, from its experiment key: "A'B" reads A' and B.
+TABLE_SIDES = np.array([[("A", "A'", "B", "B'").index(side) for side in (key[:key.index("B")], key[key.index("B"):])]
+                        for key in EXPERIMENT_KEYS])
+_OWN_ROWS = np.arange(12).reshape(4, 3, 1)
+_OWN_COLUMNS = (8 + 3 * TABLE_SIDES[:, :, None] + np.arange(3)).reshape(4, 1, 6)
 
 
 def state_residuals_by_slots(params: np.ndarray, signatures: np.ndarray) -> tuple:
-    """fit_state's 12 residuals r (B, 12) and their Jacobian J (B, 12, 32).
+    """fit_state's 12 residuals r (B, 12) and their Jacobian J (B, 12, 20).
 
-    The 15 Pauli products are ordered m = (mu, 0), n = (0, nu), t = (mu, nu)
-    for mu, nu in (X, Y, Z).  A correlation c = x.M x / x.x has gradient
+    ``params`` (B, 20) holds x = (Re z, Im z), then the directions of A, A',
+    B and B'; table k reads those of the sides TABLE_SIDES[k].  The 15 Pauli
+    products are ordered m = (mu, 0), n = (0, nu), t = (mu, nu) for mu, nu
+    in (X, Y, Z).  A correlation c = x.M x / x.x has gradient
     2 (M x - c x) / x.x, and a unit direction u = d / |d| has derivative
     (I - u u^T) / |d|.
     """
@@ -249,7 +257,7 @@ def state_residuals_by_slots(params: np.ndarray, signatures: np.ndarray) -> tupl
     c = np.einsum("bui,bi->bu", mx, x) / xx
     dc = (mx - c[:, :, None] * x[:, None, :]) * (2.0 / xx[:, :, None])
     t = c[:, 6:].reshape(count, 3, 3)
-    directions = params[:, 8:].reshape(count, 4, 2, 3)
+    directions = params[:, 8:].reshape(count, 4, 3)[:, TABLE_SIDES]
     norms = np.linalg.norm(directions, axis=-1, keepdims=True)
     units = directions / norms
     a, b = units[:, :, 0], units[:, :, 1]
@@ -261,7 +269,7 @@ def state_residuals_by_slots(params: np.ndarray, signatures: np.ndarray) -> tupl
     grads[:, :, 2, 0], grads[:, :, 2, 1] = b @ t.transpose(0, 2, 1), a @ t
     grads -= np.einsum("bkjsx,bksx->bkjs", grads, units)[..., None] * units[:, :, None]
     weights = weights.reshape(count, 12, 15)
-    jac = np.zeros((count, 12, 32))
+    jac = np.zeros((count, 12, 20))
     jac[:, :, :8] = weights @ dc
     jac[:, _OWN_ROWS, _OWN_COLUMNS] = (grads / norms[:, :, None]).reshape(count, 4, 3, 6)
     return 0.5 * ((weights @ c[:, :, None])[..., 0] - signatures.reshape(12)), 0.5 * jac

@@ -275,65 +275,3 @@ class TestOrthonormalize:
 
 def test_repair_order_constant():
     assert hilbert.REPAIR_ORDER == (0, 1, 3, 2)
-
-
-# ---------------------------------------------------------------------------
-# the Levenberg core
-
-
-@pytest.mark.parametrize("rows, cols", [(288, 9), (12, 32), (40, 41), (41, 40)])
-def test_primal_and_dual_damped_steps_agree(rows, cols):
-    # the core's first trial point, from its dual step -J^T (J J^T + lam I)^-1 r
-    # at lam = 1e-3, against the primal (J^T J + lam I) delta = -J^T r; the
-    # singular values of J are of order 1, so neither system is worse
-    # conditioned than about 1e3
-    rng = np.random.default_rng(rows * cols)
-    r = rng.standard_normal((6, rows))
-    jac = rng.standard_normal((6, rows, cols)) / np.sqrt(max(rows, cols))
-    trials = []
-
-    def residuals(p):
-        trials.append(p.copy())
-        return r, jac
-
-    hilbert._levenberg(residuals, np.zeros((6, cols)), 0.0, 0.0, 8, 1)
-    jac_t = jac.transpose(0, 2, 1)
-    primal = -np.linalg.solve(jac_t @ jac + 1e-3 * np.eye(cols), jac_t @ r[..., None])[..., 0]
-    assert trials[1].shape == primal.shape == (6, cols)
-    assert np.max(np.abs(trials[1] - primal)) <= 1e-12 * max(1.0, np.max(np.abs(primal)))
-
-
-@pytest.mark.parametrize("rows, cols", [(4, 30)])
-def test_levenberg_solves_the_smaller_system(rows, cols, monkeypatch):
-    # a linear least-squares problem with fewer residuals than parameters: the
-    # core reaches its minimum, and every solve it runs is R x R
-    rng = np.random.default_rng(7)
-    jac = rng.standard_normal((3, rows, cols))
-    b = rng.standard_normal((3, rows))
-    sizes = []
-    solve = np.linalg.solve
-
-    def recording(a, rhs):
-        sizes.append(a.shape[-1])
-        return solve(a, rhs)
-
-    monkeypatch.setattr(np.linalg, "solve", recording)
-    params, objectives, _, _ = hilbert._levenberg(
-        lambda p: ((jac @ p[..., None])[..., 0] - b, jac), np.zeros((3, cols)), 1e-20, 1e-12, 8, 200)
-    monkeypatch.undo()
-    assert set(sizes) == {min(rows, cols)}
-    best = np.array([np.linalg.lstsq(j, v, rcond=None)[0] for j, v in zip(jac, b)])
-    floor = np.sum(((jac @ best[..., None])[..., 0] - b) ** 2, axis=1)
-    np.testing.assert_allclose(objectives, floor, rtol=1e-9, atol=1e-18)
-
-
-def test_levenberg_leaves_its_starts_unchanged():
-    # three starts, one already at the target: the first stops at once, the
-    # other two run and stop later, and the array passed in keeps its values
-    c = np.array([0.5, -1.0])
-    starts = np.array([c, [3.0, 2.0], [-4.0, 0.25]])
-    before = starts.copy()
-    params, _, _, _ = hilbert._levenberg(lambda p: (p - c, np.broadcast_to(np.eye(2), (len(p), 2, 2))),
-                                         starts, 1e-20, 1e-12, 8, 100)
-    np.testing.assert_array_equal(starts, before)
-    np.testing.assert_allclose(params, [c, c, c], atol=1e-9)

@@ -24,6 +24,7 @@ from bellkit.modelfit import (
 from bellkit.tables import EXPERIMENT_KEYS, CoincidenceTable, ExperimentDataset
 
 from oracles import (
+    TABLE_SIDES,
     expectation_from_model,
     levenberg_gather_scatter,
     random_state,
@@ -568,23 +569,6 @@ def test_fit_state_restarts_used_is_the_first_start_reaching_the_target(monkeypa
     assert first_six.restarts_used == 6
 
 
-def _tied(residuals):
-    """Residuals in fit_state's 20 parameters, from residuals in the 32 per-table
-    parameters of fitting._state_residuals: p = q E^T, and J E."""
-
-    def tied(q):
-        r, jac = residuals(q @ fitting._EXPANSION.T)
-        return r, jac @ fitting._EXPANSION
-
-    return tied
-
-
-def _fit_state_levenberg(residuals, starts, target_misfit):
-    """The Levenberg core run by fit_state's stop rule, read at call time."""
-    return fitting._levenberg(residuals, starts, target_misfit, fitting._MIN_DECREASE,
-                               fitting._STALL_ITERATIONS, fitting._MAX_ITERATIONS)
-
-
 def test_fit_state_blocks_of_starts_match_one_stack(monkeypatch):
     # 300 starts span two blocks; the winner of this seed lies in the second
     monkeypatch.setattr(fitting, "_MAX_ITERATIONS", 6)
@@ -594,8 +578,8 @@ def test_fit_state_blocks_of_starts_match_one_stack(monkeypatch):
     signatures = np.array([fitting._signature(t.probabilities / t.probabilities.sum())
                            for t in (dataset.tables[k] for k in EXPERIMENT_KEYS)])
     starts = np.random.default_rng(1).standard_normal((restarts, 20))
-    params, objectives, history, evaluations = _fit_state_levenberg(
-        _tied(lambda p: fitting._state_residuals(p, signatures)), starts, 1e-8
+    params, objectives, history, evaluations = fitting._levenberg(
+        lambda p: fitting._state_residuals(p, signatures), starts, 1e-8
     )
     best = int(np.argmin(objectives))
     assert best >= fitting._BLOCK_STARTS
@@ -626,6 +610,74 @@ def test_fit_state_memory_is_bounded_by_one_block(monkeypatch):
     assert peaks[1000] <= 1.1 * peaks[fitting._BLOCK_STARTS]
 
 
+def _stop_rule(monkeypatch, min_decrease, stall_iterations, max_iterations):
+    """Set the stop rule fitting._levenberg reads when it is called."""
+    monkeypatch.setattr(fitting, "_MIN_DECREASE", min_decrease)
+    monkeypatch.setattr(fitting, "_STALL_ITERATIONS", stall_iterations)
+    monkeypatch.setattr(fitting, "_MAX_ITERATIONS", max_iterations)
+
+
+@pytest.mark.parametrize("rows, cols", [(288, 9), (12, 32), (40, 41), (41, 40)])
+def test_primal_and_dual_damped_steps_agree(rows, cols, monkeypatch):
+    # the core's first trial point, from its dual step -J^T (J J^T + lam I)^-1 r
+    # at lam = 1e-3, against the primal (J^T J + lam I) delta = -J^T r; the
+    # singular values of J are of order 1, so neither system is worse
+    # conditioned than about 1e3
+    rng = np.random.default_rng(rows * cols)
+    r = rng.standard_normal((6, rows))
+    jac = rng.standard_normal((6, rows, cols)) / np.sqrt(max(rows, cols))
+    trials = []
+
+    def residuals(p):
+        trials.append(p.copy())
+        return r, jac
+
+    _stop_rule(monkeypatch, 0.0, 8, 1)
+    fitting._levenberg(residuals, np.zeros((6, cols)), 0.0)
+    jac_t = jac.transpose(0, 2, 1)
+    primal = -np.linalg.solve(jac_t @ jac + 1e-3 * np.eye(cols), jac_t @ r[..., None])[..., 0]
+    assert trials[1].shape == primal.shape == (6, cols)
+    assert np.max(np.abs(trials[1] - primal)) <= 1e-12 * max(1.0, np.max(np.abs(primal)))
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 30)])
+def test_levenberg_solves_the_smaller_system(rows, cols, monkeypatch):
+    # a linear least-squares problem with fewer residuals than parameters: the
+    # core reaches its minimum, and every solve it runs is R x R
+    rng = np.random.default_rng(7)
+    jac = rng.standard_normal((3, rows, cols))
+    b = rng.standard_normal((3, rows))
+    sizes = []
+    solve = np.linalg.solve
+
+    def recording(a, rhs):
+        sizes.append(a.shape[-1])
+        return solve(a, rhs)
+
+    _stop_rule(monkeypatch, 1e-12, 8, 200)
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    params, objectives, _, _ = fitting._levenberg(
+        lambda p: ((jac @ p[..., None])[..., 0] - b, jac), np.zeros((3, cols)), 1e-20)
+    monkeypatch.undo()
+    assert set(sizes) == {min(rows, cols)}
+    best = np.array([np.linalg.lstsq(j, v, rcond=None)[0] for j, v in zip(jac, b)])
+    floor = np.sum(((jac @ best[..., None])[..., 0] - b) ** 2, axis=1)
+    np.testing.assert_allclose(objectives, floor, rtol=1e-9, atol=1e-18)
+
+
+def test_levenberg_leaves_its_starts_unchanged(monkeypatch):
+    # three starts, one already at the target: the first stops at once, the
+    # other two run and stop later, and the array passed in keeps its values
+    c = np.array([0.5, -1.0])
+    starts = np.array([c, [3.0, 2.0], [-4.0, 0.25]])
+    before = starts.copy()
+    _stop_rule(monkeypatch, 1e-12, 8, 100)
+    params, _, _, _ = fitting._levenberg(lambda p: (p - c, np.broadcast_to(np.eye(2), (len(p), 2, 2))),
+                                         starts, 1e-20)
+    np.testing.assert_array_equal(starts, before)
+    np.testing.assert_allclose(params, [c, c, c], atol=1e-9)
+
+
 def _signatures_of(dataset):
     return np.array([fitting._signature(t.probabilities / t.probabilities.sum())
                      for t in (dataset.tables[k] for k in EXPERIMENT_KEYS)])
@@ -641,7 +693,7 @@ def _both_loops(dataset, starts, target_misfit):
         sizes.append(len(params))
         return fitting._state_residuals(params, signatures)
 
-    got = _fit_state_levenberg(residuals, starts.copy(), target_misfit)
+    got = fitting._levenberg(residuals, starts.copy(), target_misfit)
     want = levenberg_gather_scatter(lambda p: fitting._state_residuals(p, signatures), starts.copy(),
                                     target_misfit, fitting._MAX_ITERATIONS)
     for mine, theirs in zip(got[:3], want[:3]):
@@ -658,7 +710,7 @@ def test_levenberg_is_bit_identical_to_the_gather_scatter_loop(data, starts, max
     # iterations, so the compact rows shrink more than once
     dataset = reference_fixture()[2] if data == "reference" else _product_dataset(np.random.default_rng(1))[1]
     monkeypatch.setattr(fitting, "_MAX_ITERATIONS", max_iterations)
-    draws = np.random.default_rng(3).standard_normal((starts, 32))
+    draws = np.random.default_rng(3).standard_normal((starts, 20))
     (_, _, history, _), sizes = _both_loops(dataset, draws, 1e-10)
     assert len(history) == len(sizes) <= max_iterations + 1
     if data == "product" and starts > 1 and max_iterations > 1:
@@ -670,7 +722,7 @@ def test_levenberg_start_at_the_target_runs_no_iteration():
     # start 0 begins at a point that already meets the target: it is frozen
     # before the first step, while the other starts run on
     dataset = _product_dataset(np.random.default_rng(1))[1]
-    draws = np.random.default_rng(3).standard_normal((8, 32))
+    draws = np.random.default_rng(3).standard_normal((8, 20))
     solved, objectives, _, _ = levenberg_gather_scatter(
         lambda p: fitting._state_residuals(p, _signatures_of(dataset)), draws.copy(), 1e-10,
         fitting._MAX_ITERATIONS)
@@ -704,70 +756,72 @@ def _correlations(psi):
 
 
 def test_state_jacobian_matches_central_differences_over_scales():
-    # |z| and each direction norm are log-uniform over 1e-3..1e3; column i of
-    # J scales as 1 / (norm of its block), so each column is compared on its own
+    # |z| and each side's direction norm are log-uniform over 1e-3..1e3; column
+    # i of J scales as 1 / (norm of its block), so each column is compared on
+    # its own
     rng = np.random.default_rng(17)
-    blocks = [range(8)] + [range(8 + 3 * i, 11 + 3 * i) for i in range(8)]
+    blocks = [range(8)] + [range(8 + 3 * i, 11 + 3 * i) for i in range(4)]
     for _ in range(40):
         signatures = rng.uniform(-1, 1, (4, 3))
-        params = rng.standard_normal(32)
-        scale = np.empty(32)
+        params = rng.standard_normal(20)
+        scale = np.empty(20)
         for block in blocks:
             block = list(block)
             scale[block] = 10.0 ** rng.uniform(-3, 3)
             params[block] *= scale[block] / np.linalg.norm(params[block])
         r, jac = fitting._state_residuals(params[None], signatures)
-        assert r.shape == (1, 12) and jac.shape == (1, 12, 32)
+        assert r.shape == (1, 12) and jac.shape == (1, 12, 20)
         # the residuals themselves, from psi and the Pauli products
         z = params[:4] + 1j * params[4:8]
         c = _correlations(z / np.linalg.norm(z))
-        directions = params[8:].reshape(4, 2, 3)
+        directions = params[8:].reshape(4, 3)[TABLE_SIDES]
         units = directions / np.linalg.norm(directions, axis=-1, keepdims=True)
         fitted = [(a @ c[1:, 0], b @ c[0, 1:], a @ c[1:, 1:] @ b) for a, b in units]
         np.testing.assert_allclose(r[0], 0.5 * (np.ravel(fitted) - signatures.ravel()), rtol=0, atol=1e-12)
-        central = np.empty((12, 32))
-        for i in range(32):
-            step = np.zeros(32)
+        central = np.empty((12, 20))
+        for i in range(20):
+            step = np.zeros(20)
             step[i] = 1e-5 * scale[i]
             plus, minus = (fitting._state_residuals((params + sign * step)[None], signatures)[0][0]
                            for sign in (1, -1))
             central[:, i] = (plus - minus) / (2 * step[i])
         error = np.abs(central - jac[0]).max(axis=0)
         assert np.all(error <= 1e-6 * np.abs(jac[0]).max(axis=0))
-        # table k's rows are exactly zero in the other tables' direction columns
+        # table k's rows are exactly zero in the columns of the two sides it does not read
         for k in range(4):
-            for other in set(range(4)) - {k}:
-                assert np.all(jac[0, 3 * k:3 * k + 3, 8 + 6 * other:14 + 6 * other] == 0.0)
+            for side in set(range(4)) - set(TABLE_SIDES[k]):
+                assert np.all(jac[0, 3 * k:3 * k + 3, 8 + 3 * side:11 + 3 * side] == 0.0)
 
 
 def test_state_residuals_agree_with_the_slot_by_slot_route_to_round_off():
     # the same residuals and Jacobian in another order of operations; every
     # residual is at most 1 in size, and each column of J at most 1 over the
     # norm of its block, so both routes agree to a few units of round-off on
-    # those scales, with |z| and each direction norm log-uniform over 1e-3..1e3
+    # those scales, with |z| and each side's direction norm log-uniform over
+    # 1e-3..1e3
     rng = np.random.default_rng(29)
     eps = np.finfo(float).eps
     for count in (1, 7, 300):
         signatures = rng.uniform(-1, 1, (4, 3))
-        params = rng.standard_normal((count, 32))
-        for block in [slice(0, 8)] + [slice(8 + 3 * i, 11 + 3 * i) for i in range(8)]:
+        params = rng.standard_normal((count, 20))
+        for block in [slice(0, 8)] + [slice(8 + 3 * i, 11 + 3 * i) for i in range(4)]:
             params[:, block] *= 10.0 ** rng.uniform(-3, 3, (count, 1))
         r, jac = fitting._state_residuals(params, signatures)
         r_ref, jac_ref = state_residuals_by_slots(params, signatures)
         assert r.shape == r_ref.shape and jac.shape == jac_ref.shape
         assert np.all(np.abs(r - r_ref) <= 16 * eps)
         block_norms = np.concatenate([np.linalg.norm(params[:, :8], axis=1, keepdims=True).repeat(8, 1),
-                                      np.linalg.norm(params[:, 8:].reshape(count, 8, 3), axis=2).repeat(3, 1)], 1)
+                                      np.linalg.norm(params[:, 8:].reshape(count, 4, 3), axis=2).repeat(3, 1)], 1)
         assert np.all(np.abs(jac - jac_ref) <= 16 * eps / block_norms[:, None, :])
         assert np.array_equal(jac == 0, jac_ref == 0)
 
 
 def _with_forward_differences(signatures, step=1e-7):
     """fit_state's residuals in its 20 parameters, with a forward-difference
-    Jacobian in those parameters in place of the exact J E."""
+    Jacobian in those parameters in place of the exact one."""
 
     def values(q):
-        return fitting._state_residuals(q @ fitting._EXPANSION.T, signatures)[0]
+        return fitting._state_residuals(q, signatures)[0]
 
     def residuals(q):
         r = values(q)
@@ -782,9 +836,9 @@ def _both_routes(dataset, seed, restarts, target_misfit):
     signatures = np.array([fitting._signature(t.probabilities / t.probabilities.sum())
                            for t in (dataset.tables[k] for k in EXPERIMENT_KEYS)])
     routes = []
-    for residuals in (_tied(lambda p: fitting._state_residuals(p, signatures)), _with_forward_differences(signatures)):
+    for residuals in (lambda p: fitting._state_residuals(p, signatures), _with_forward_differences(signatures)):
         starts = np.random.default_rng(seed).standard_normal((restarts, 20))
-        objectives = _fit_state_levenberg(residuals, starts, target_misfit)[1]
+        objectives = fitting._levenberg(residuals, starts, target_misfit)[1]
         reached = np.flatnonzero(objectives <= target_misfit)
         routes.append((objectives, reached[0] + 1 if reached.size else restarts))
     return routes

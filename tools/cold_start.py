@@ -61,8 +61,10 @@ def _once(src: str, flags: list, cwd: str) -> float:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs=2, help="two directories that each hold the bellkit package")
-    parser.add_argument("--runs", type=int, default=25, help="runs per tree and regime (default 25)")
+    parser.add_argument("--runs", type=int, default=25, help="runs per tree and regime (default 25, at least 2)")
     args = parser.parse_args()
+    if args.runs < 2:  # the quartiles need two runs
+        parser.error("--runs must be at least 2")
     with tempfile.TemporaryDirectory() as tmp:
         copies = []
         for k, tree in enumerate(args.trees):
